@@ -37,7 +37,11 @@ from .graph import (
     save_edge_list,
 )
 from .manifest import RunManifest, StaleArtifactError, file_digest
-from .sentiment import (
+
+# community_topic_vectors is not called here; it stays importable from this
+# module because perfbench/trace_stage.py times it where callers look it up
+from .sentiment import (  # noqa: F401
+    catalog_vectors,
     community_topic_vectors,
     group_tweets_by_user,
     load_vectors,
@@ -62,7 +66,6 @@ CATALOG_FILE = "catalog.tsv"
 VECTORS_FILE = "vectors.tsv"
 ENERGIES_FILE = "energies.tsv"
 CORRELATION_FILE = "correlation.tsv"
-SPLITS_FILE = "splits.tsv"
 MANIFEST_FILE = "manifest.json"
 
 
@@ -103,13 +106,18 @@ def _load_manifest(args) -> tuple[Path, RunManifest]:
     return out, RunManifest.load(out / MANIFEST_FILE, version=__version__)
 
 
-def _ingest_context(out: Path, manifest: RunManifest):
+def _verified(manifest: RunManifest, path: Path, inputs: dict[str, str]) -> Path:
+    """Verify ``path`` and record, under ``inputs``, the digest that was checked."""
+    inputs[str(path)] = manifest.verify_input(path)
+    return path
+
+
+def _ingest_context(out: Path, manifest: RunManifest, inputs: dict[str, str]):
     cfg = manifest.stage_config("ingest")
     window = CorpusWindow(*cfg["window"])
     lexicon_path = Path(cfg["lexicon"])
     manifest.verify_input(lexicon_path)
-    corpus_path = out / NORMALIZED_CORPUS
-    manifest.verify_input(corpus_path)
+    corpus_path = _verified(manifest, out / NORMALIZED_CORPUS, inputs)
     return corpus_path, load_lexicon(lexicon_path), window, cfg
 
 
@@ -210,7 +218,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_graph(args) -> int:
     out, manifest = _load_manifest(args)
-    corpus_path, lexicon, window, _ = _ingest_context(out, manifest)
+    inputs: dict[str, str] = {}
+    corpus_path, lexicon, window, _ = _ingest_context(out, manifest, inputs)
     tweets = stream_corpus(corpus_path, lexicon, window, "all")
     graph = build_graph(tweets)
     community = extract_community(graph, args.seed_user, args.max_depth)
@@ -221,7 +230,7 @@ def cmd_graph(args) -> int:
     manifest.record_stage(
         "graph",
         config={"seed_user": args.seed_user, "max_depth": args.max_depth},
-        inputs={str(corpus_path): file_digest(corpus_path)},
+        inputs=inputs,
         outputs={
             str(graph_path): _out_meta(graph_path, g_rows),
             str(community_path): _out_meta(community_path, c_rows),
@@ -237,8 +246,9 @@ def cmd_graph(args) -> int:
 
 def cmd_topics(args) -> int:
     out, manifest = _load_manifest(args)
-    corpus_path, lexicon, window, _ = _ingest_context(out, manifest)
-    manifest.verify_input(args.stopwords)
+    inputs: dict[str, str] = {}
+    corpus_path, lexicon, window, _ = _ingest_context(out, manifest, inputs)
+    inputs[str(args.stopwords)] = manifest.verify_input(args.stopwords)
     stopwords = load_stopwords(args.stopwords)
     test_tweets = list(stream_corpus(corpus_path, lexicon, window, "test"))
     first_month_end = args.first_month_end
@@ -269,51 +279,36 @@ def cmd_topics(args) -> int:
             "first_month_end": first_month_end,
             "stopwords": str(args.stopwords),
         },
-        inputs={
-            str(corpus_path): file_digest(corpus_path),
-            str(args.stopwords): file_digest(args.stopwords),
-        },
+        inputs=inputs,
         outputs={str(catalog_path): _out_meta(catalog_path, rows)},
     )
     print(f"topics: {rows} topics -> {catalog_path}")
     return 0
 
 
-def _community_from_manifest(out: Path, manifest: RunManifest):
+def _community_from_manifest(out: Path, manifest: RunManifest, inputs: dict[str, str]):
     graph_cfg = manifest.stage_config("graph")
-    community_path = out / COMMUNITY_FILE
-    manifest.verify_input(community_path)
-    return (
-        community_from_edge_list(
-            community_path, graph_cfg["seed_user"], graph_cfg["max_depth"]
-        ),
-        community_path,
+    community_path = _verified(manifest, out / COMMUNITY_FILE, inputs)
+    return community_from_edge_list(
+        community_path, graph_cfg["seed_user"], graph_cfg["max_depth"]
     )
 
 
 def cmd_sentiment(args) -> int:
     out, manifest = _load_manifest(args)
-    corpus_path, lexicon, window, _ = _ingest_context(out, manifest)
-    community, community_path = _community_from_manifest(out, manifest)
-    catalog_path = out / CATALOG_FILE
-    manifest.verify_input(catalog_path)
-    catalog = load_catalog(catalog_path)
+    inputs: dict[str, str] = {}
+    corpus_path, lexicon, window, _ = _ingest_context(out, manifest, inputs)
+    community = _community_from_manifest(out, manifest, inputs)
+    catalog = load_catalog(_verified(manifest, out / CATALOG_FILE, inputs))
     train_tweets = stream_corpus(corpus_path, lexicon, window, "train")
     tweets_by_user = group_tweets_by_user(train_tweets)
-    vectors_by_topic = {
-        t.hashtag: community_topic_vectors(community.members, t, tweets_by_user)
-        for t in catalog
-    }
+    vectors_by_topic = catalog_vectors(community.members, catalog, tweets_by_user)
     vectors_path = out / VECTORS_FILE
     rows = _atomic_rows(lambda p: save_vectors(vectors_by_topic, p), vectors_path)
     manifest.record_stage(
         "sentiment",
         config={},
-        inputs={
-            str(corpus_path): file_digest(corpus_path),
-            str(community_path): file_digest(community_path),
-            str(catalog_path): file_digest(catalog_path),
-        },
+        inputs=inputs,
         outputs={str(vectors_path): _out_meta(vectors_path, rows)},
     )
     print(f"sentiment: {rows} nonzero vectors -> {vectors_path}")
@@ -331,13 +326,7 @@ def _selected_combos(args) -> list[tuple[EnergyModel, EnergyFunction]]:
 
 def cmd_energy(args) -> int:
     out, manifest = _load_manifest(args)
-    community, community_path = _community_from_manifest(out, manifest)
-    catalog_path = out / CATALOG_FILE
-    vectors_path = out / VECTORS_FILE
-    manifest.verify_input(catalog_path)
-    manifest.verify_input(vectors_path)
-    catalog = load_catalog(catalog_path)
-    vectors_by_topic = load_vectors(vectors_path)
+    community, catalog, vectors_by_topic, inputs = _feature_inputs(out, manifest)
     combos = _selected_combos(args)
     energies = [
         community_energy(
@@ -351,11 +340,7 @@ def cmd_energy(args) -> int:
     manifest.record_stage(
         "energy",
         config={"model": args.model, "function": args.function},
-        inputs={
-            str(community_path): file_digest(community_path),
-            str(catalog_path): file_digest(catalog_path),
-            str(vectors_path): file_digest(vectors_path),
-        },
+        inputs=inputs,
         outputs={str(energies_path): _out_meta(energies_path, rows)},
     )
     print(f"energy: {rows} rows ({len(combos)} model/function combos) -> {energies_path}")
@@ -364,11 +349,9 @@ def cmd_energy(args) -> int:
 
 def cmd_correlate(args) -> int:
     out, manifest = _load_manifest(args)
-    catalog_path = out / CATALOG_FILE
-    energies_path = out / ENERGIES_FILE
-    manifest.verify_input(catalog_path)
-    manifest.verify_input(energies_path)
-    catalog = load_catalog(catalog_path)
+    inputs: dict[str, str] = {}
+    catalog = load_catalog(_verified(manifest, out / CATALOG_FILE, inputs))
+    energies_path = _verified(manifest, out / ENERGIES_FILE, inputs)
     by_key: dict[tuple[str, EnergyModel, EnergyFunction], float] = {}
     combos = set()
     for e in load_energy_report(energies_path):
@@ -391,10 +374,7 @@ def cmd_correlate(args) -> int:
     manifest.record_stage(
         "correlate",
         config={"gaps": gaps},
-        inputs={
-            str(catalog_path): file_digest(catalog_path),
-            str(energies_path): file_digest(energies_path),
-        },
+        inputs=inputs,
         outputs={str(correlation_path): _out_meta(correlation_path, rows)},
     )
     print(f"correlate: {rows} rows -> {correlation_path}")
@@ -402,25 +382,19 @@ def cmd_correlate(args) -> int:
 
 
 def _feature_inputs(out: Path, manifest: RunManifest):
-    community, community_path = _community_from_manifest(out, manifest)
-    catalog_path = out / CATALOG_FILE
-    vectors_path = out / VECTORS_FILE
-    manifest.verify_input(catalog_path)
-    manifest.verify_input(vectors_path)
-    return (
-        community,
-        load_catalog(catalog_path),
-        load_vectors(vectors_path),
-        {
-            str(community_path): file_digest(community_path),
-            str(catalog_path): file_digest(catalog_path),
-            str(vectors_path): file_digest(vectors_path),
-        },
-    )
+    inputs: dict[str, str] = {}
+    community = _community_from_manifest(out, manifest, inputs)
+    catalog = load_catalog(_verified(manifest, out / CATALOG_FILE, inputs))
+    vectors_by_topic = load_vectors(_verified(manifest, out / VECTORS_FILE, inputs))
+    return community, catalog, vectors_by_topic, inputs
 
 
 def _model_path(out: Path, kind: str, gap: int) -> Path:
     return out / f"model_{kind}_gap{gap}.tsv"
+
+
+def _splits_path(out: Path, kind: str) -> Path:
+    return out / f"splits_{kind}.tsv"
 
 
 def cmd_train(args) -> int:
@@ -456,7 +430,7 @@ def cmd_train(args) -> int:
             f"train: gap {gap}: {len(samples)} topics, "
             f"{len(result.loss_curve)} epochs, final loss {result.loss_curve[-1]:.6g}"
         )
-    splits_path = out / SPLITS_FILE
+    splits_path = _splits_path(out, args.predictor)
     rows = _write_lines(split_lines, splits_path)
     outputs[str(splits_path)] = _out_meta(splits_path, rows)
     manifest.record_stage(
@@ -485,7 +459,7 @@ def cmd_evaluate(args) -> int:
     community, catalog, vectors_by_topic, inputs = _feature_inputs(out, manifest)
     function = EnergyFunction(train_cfg["function"])
     gaps = _csv_ints(args.gaps) if args.gaps else list(train_cfg["gaps"])
-    splits_path = out / SPLITS_FILE
+    splits_path = _splits_path(out, args.predictor)
     manifest.verify_input(splits_path)
     test_tags: dict[int, set[str]] = {}
     with open(splits_path, encoding="utf-8") as fh:
@@ -498,10 +472,9 @@ def cmd_evaluate(args) -> int:
     for gap in gaps:
         if gap not in test_tags:
             raise StaleArtifactError(f"no recorded split for gap {gap}; run train first")
-        model_path = _model_path(out, args.predictor, gap)
-        manifest.verify_input(model_path)
-        model = predictor.load_model(model_path)
-        inputs[str(model_path)] = file_digest(model_path)
+        model = predictor.load_model(
+            _verified(manifest, _model_path(out, args.predictor, gap), inputs)
+        )
         test_topics = [t for t in catalog if t.hashtag in test_tags[gap]]
         samples = predictor.make_samples(community, vectors_by_topic, test_topics, function)
         result = predictor.evaluate(model, samples)

@@ -69,12 +69,6 @@ def clique_energy_avglen(v_i, v_j) -> float:
     return (float(np.linalg.norm(v_i)) + float(np.linalg.norm(v_j))) / 2.0
 
 
-def clique_energy(v_i, v_j, function: EnergyFunction) -> float:
-    if function == EnergyFunction.COSINE:
-        return clique_energy_cosine(v_i, v_j)
-    return clique_energy_avglen(v_i, v_j)
-
-
 def edge_probability(v_i, v_j, function: EnergyFunction) -> float:
     """Probability that two users communicate about the topic, in [0, 1].
 
@@ -104,25 +98,22 @@ def binary_entropy(p: float, log_base: float = 2.0) -> float:
 
 def _member_matrix(
     community: CommunityGraph, vectors: Mapping[str, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Stack member vectors (zero rows for silent users) and index the edges."""
-    members = community.sorted_members()
-    index = {user: i for i, user in enumerate(members)}
+) -> np.ndarray:
+    """Stack member vectors in index row order; silent users get zero rows."""
+    row = community.index.row
     m = 1
     for vec in vectors.values():
         m = int(np.asarray(vec).shape[0])
         break
-    matrix = np.zeros((len(members), m), dtype=np.float64)
+    matrix = np.zeros((len(row), m), dtype=np.float64)
     for user, vec in vectors.items():
-        if user in index:
+        i = row.get(user)
+        if i is not None:
             arr = np.asarray(vec, dtype=np.float64)
             if arr.shape[0] != m:
                 raise ValueError("inconsistent vector lengths")
-            matrix[index[user]] = arr
-    edges = community.sorted_edges()
-    i_idx = np.array([index[a] for a, _ in edges], dtype=np.intp)
-    j_idx = np.array([index[b] for _, b in edges], dtype=np.intp)
-    return matrix, i_idx, j_idx, m
+            matrix[i] = arr
+    return matrix
 
 
 def per_edge_energies(
@@ -135,10 +126,11 @@ def per_edge_energies(
     The fixed order makes downstream sums reproducible run-to-run and is the
     feature layout shared with the per-edge popularity predictor.
     """
-    edges = community.sorted_edges()
-    if not edges:
-        return edges, np.zeros(0, dtype=np.float64)
-    matrix, i_idx, j_idx, _ = _member_matrix(community, vectors)
+    index = community.index
+    if not index.edges:
+        return [], np.zeros(0, dtype=np.float64)
+    matrix = _member_matrix(community, vectors)
+    i_idx, j_idx = index.i_idx, index.j_idx
     norms = np.linalg.norm(matrix, axis=1)
     if function == EnergyFunction.COSINE:
         dots = np.einsum("ij,ij->i", matrix[i_idx], matrix[j_idx])
@@ -148,7 +140,7 @@ def per_edge_energies(
         values = np.clip(values, 0.0, 1.0)
     else:
         values = (norms[i_idx] + norms[j_idx]) / 2.0
-    return edges, values
+    return list(index.edges), values
 
 
 def per_edge_probabilities(

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .corpus import Tweet
 
@@ -38,20 +41,52 @@ class SocialGraph:
         return adj
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class CommunityIndex:
+    """Sorted members and edges of a community, with edges as member rows.
+
+    ``row`` maps each member to its position in ``members``, and ``i_idx[k]``
+    and ``j_idx[k]`` are the rows of the two endpoints of ``edges[k]``. The
+    arrays are read-only; ``row`` is shared and must not be modified.
+    """
+
+    members: tuple[str, ...]
+    edges: tuple[Edge, ...]
+    row: dict[str, int]
+    i_idx: np.ndarray
+    j_idx: np.ndarray
+
+
+@dataclass(frozen=True)
 class CommunityGraph:
-    """Subgraph induced on every user within ``max_depth`` hops of ``seed``."""
+    """Subgraph induced on every user within ``max_depth`` hops of ``seed``.
+
+    Immutable: ``members`` and ``edges`` are stored as frozensets, so the
+    edge index built on first use stays valid for the object's lifetime.
+    """
 
     seed: str
     max_depth: int
-    members: set[str]
-    edges: set[Edge]
+    members: frozenset[str]
+    edges: frozenset[Edge]
 
-    def sorted_members(self) -> list[str]:
-        return sorted(self.members)
+    def __post_init__(self):
+        object.__setattr__(self, "members", frozenset(self.members))
+        object.__setattr__(self, "edges", frozenset(self.edges))
+
+    @cached_property
+    def index(self) -> CommunityIndex:
+        members = tuple(sorted(self.members))
+        row = {user: i for i, user in enumerate(members)}
+        edges = tuple(sorted(self.edges))
+        i_idx = np.array([row[a] for a, _ in edges], dtype=np.intp)
+        j_idx = np.array([row[b] for _, b in edges], dtype=np.intp)
+        i_idx.flags.writeable = False
+        j_idx.flags.writeable = False
+        return CommunityIndex(members, edges, row, i_idx, j_idx)
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        return list(self.index.edges)
 
 
 def build_graph(tweets: Iterable[Tweet]) -> SocialGraph:

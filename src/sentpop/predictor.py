@@ -117,7 +117,7 @@ def make_samples(
     function: EnergyFunction = EnergyFunction.COSINE,
 ) -> list[TopicSample]:
     """Build per-topic feature samples over the community's (sorted) edge set."""
-    edges = tuple(community.sorted_edges())
+    edges = community.index.edges
     samples = []
     for topic in topics:
         vectors = vectors_by_topic.get(topic.hashtag, {})
@@ -352,7 +352,9 @@ def train(
                 model = sgd_step(model, (std_samples[i],), config)
         except TrainingDiverged as exc:
             raise TrainingDiverged(str(exc), epoch=epoch) from None
-        epoch_loss = loss(model, std_samples)
+        # a diverging run overflows here; the finiteness check below reports it
+        with np.errstate(over="ignore"):
+            epoch_loss = loss(model, std_samples)
         curve.append(epoch_loss)
         if not math.isfinite(epoch_loss):
             raise TrainingDiverged(

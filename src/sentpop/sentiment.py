@@ -8,6 +8,7 @@ contribute neutral mass to that mean.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -17,6 +18,8 @@ import numpy as np
 
 from .corpus import Tweet
 from .topics import Topic
+
+_WORD_RUN_RE = re.compile(r"\w+")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,49 +100,111 @@ def group_tweets_by_user(tweets: Iterable[Tweet]) -> dict[str, list[Tweet]]:
     return dict(by_user)
 
 
+def catalog_vectors(
+    members: Iterable[str],
+    topics: Sequence[Topic],
+    tweets_by_user: Mapping[str, Sequence[Tweet]],
+    mean_over_matching: bool = False,
+) -> dict[str, dict[str, np.ndarray]]:
+    """Nonzero sentiment vectors of community members on every topic, by hashtag.
+
+    Equal to testing ``phrase in tweet.text`` for every topic, member, tweet
+    and phrase, but each member's tweets are scanned once for the whole
+    catalog. A phrase that is one ``\\w+`` run occurs in a text exactly when
+    it is a substring of one of the text's maximal ``\\w+`` runs, and since
+    whitespace is never a word character, each run lies inside one
+    whitespace-separated token. So the phrases in each distinct token are
+    found once, among the substrings of its runs that have a phrase's length.
+    Other phrases are tested with ``in`` on every tweet. Sums accumulate in
+    tweet order, which keeps them bit-identical to a per-phrase ``sum``. A
+    member absent from a topic's vectors has a zero vector there.
+
+    By default only tweets with a signed emoticon add to the sums and every
+    tweet of the member divides them; with ``mean_over_matching`` only the
+    tweets containing a phrase divide its sum.
+    """
+    slots: dict[str, list[int]] = {}  # phrase -> positions in the flat catalog
+    spans: dict[str, tuple[int, int]] = {}  # hashtag -> its slice of the catalog
+    n_slots = 0
+    for topic in topics:
+        if not topic.key_phrases:
+            raise ValueError(f"topic {topic.hashtag!r} has no key phrases")
+        for phrase in topic.key_phrases:
+            slots.setdefault(phrase, []).append(n_slots)
+            n_slots += 1
+        spans[topic.hashtag] = (n_slots - len(topic.key_phrases), n_slots)
+    run_phrases = {p for p in slots if _WORD_RUN_RE.fullmatch(p)}
+    other_phrases = [p for p in slots if p not in run_phrases]
+    lengths = sorted({len(p) for p in run_phrases})
+    in_token: dict[str, set[str]] = {}
+
+    def phrases_in(token: str) -> set[str]:
+        inside = set()
+        for run in _WORD_RUN_RE.findall(token):
+            for n in lengths:
+                if n > len(run):
+                    break
+                for i in range(len(run) - n + 1):
+                    if run[i : i + n] in run_phrases:
+                        inside.add(run[i : i + n])
+        return inside
+
+    vectors: dict[str, dict[str, np.ndarray]] = {hashtag: {} for hashtag in spans}
+    for user in sorted(set(members)):
+        tweets = tweets_by_user.get(user, ())
+        if not tweets:
+            continue
+        totals = [0.0] * n_slots
+        matches = [0] * n_slots
+        for tweet in tweets:
+            pos, neg = tweet.emoticon_counts.pos, tweet.emoticon_counts.neg
+            if pos + neg == 0 and not mean_over_matching:
+                continue
+            text = tweet.text
+            found: set[str] = set()
+            for token in text.split():
+                hits = in_token.get(token)
+                if hits is None:
+                    hits = in_token[token] = phrases_in(token)
+                if hits:
+                    found |= hits
+            for phrase in other_phrases:
+                if phrase in text:
+                    found.add(phrase)
+            if not found:
+                continue
+            score = tweet_sentiment(pos, neg)
+            for phrase in found:
+                for slot in slots[phrase]:
+                    totals[slot] += score
+                    matches[slot] += 1
+        for hashtag, (start, stop) in spans.items():
+            total = totals[start:stop]
+            if not any(total):
+                continue
+            if mean_over_matching:
+                count = matches[start:stop]
+                values = np.array(
+                    [t / c if c else 0.0 for t, c in zip(total, count)], dtype=np.float64
+                )
+            else:
+                values = np.array(total, dtype=np.float64)
+                values /= len(tweets)
+            if np.any(values != 0.0):
+                vectors[hashtag][user] = values
+    return vectors
+
+
 def community_topic_vectors(
     members: Iterable[str],
     topic: Topic,
     tweets_by_user: Mapping[str, Sequence[Tweet]],
     mean_over_matching: bool = False,
 ) -> dict[str, np.ndarray]:
-    """Nonzero sentiment vectors for community members (absent user = zero vector).
-
-    Only tweets with at least one signed emoticon can contribute to the sums,
-    so the inner scan is restricted to those.
-    """
-    if not topic.key_phrases:
-        raise ValueError(f"topic {topic.hashtag!r} has no key phrases")
-    phrases = topic.key_phrases
-    vectors: dict[str, np.ndarray] = {}
-    for user in sorted(set(members)):
-        tweets = tweets_by_user.get(user, ())
-        if not tweets:
-            continue
-        if mean_over_matching:
-            values = np.array(
-                [user_phrase_sentiment(tweets, p, True) for p in phrases],
-                dtype=np.float64,
-            )
-        else:
-            scored = [
-                (t.text, tweet_sentiment(t.emoticon_counts.pos, t.emoticon_counts.neg))
-                for t in tweets
-                if t.emoticon_counts.pos + t.emoticon_counts.neg > 0
-            ]
-            if not scored:
-                continue
-            values = np.array(
-                [
-                    sum(score for text, score in scored if p in text)
-                    for p in phrases
-                ],
-                dtype=np.float64,
-            )
-            values /= len(tweets)
-        if np.any(values != 0.0):
-            vectors[user] = values
-    return vectors
+    """Nonzero sentiment vectors for community members (absent user = zero vector)."""
+    return catalog_vectors(members, [topic], tweets_by_user, mean_over_matching)[
+        topic.hashtag
+    ]
 
 
 def save_vectors(

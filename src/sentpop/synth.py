@@ -24,7 +24,13 @@ from .corpus import CorpusWindow, EmoticonLexicon, parse_tweet_line
 from .manifest import atomic_write_text
 from .energy import EnergyFunction, per_edge_energies
 from .graph import Edge, build_graph, extract_community
-from .sentiment import community_topic_vectors, group_tweets_by_user
+# community_topic_vectors is not called here; it stays importable from this
+# module because perfbench/trace_stage.py times it where callers look it up
+from .sentiment import (  # noqa: F401
+    catalog_vectors,
+    community_topic_vectors,
+    group_tweets_by_user,
+)
 from .topics import Topic
 
 MONTH_SECONDS = 30 * 24 * 3600
@@ -237,13 +243,17 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GeneratedCorpus:
     tweets_by_user = group_tweets_by_user(train_tweets)
     community_edges: list[Edge] = community.sorted_edges()
 
-    edge_energy_matrix = np.zeros((config.n_topics, len(community_edges)))
-    for k in range(config.n_topics):
-        topic = Topic(
+    topics = [
+        Topic(
             hashtag=_hashtag(k), start_time=window.test_start, popularity=1,
             key_phrases=phrase_lists[k],
         )
-        vectors = community_topic_vectors(community.members, topic, tweets_by_user)
+        for k in range(config.n_topics)
+    ]
+    vectors_by_topic = catalog_vectors(community.members, topics, tweets_by_user)
+    edge_energy_matrix = np.zeros((config.n_topics, len(community_edges)))
+    for k, topic in enumerate(topics):
+        vectors = vectors_by_topic[topic.hashtag]
         _, values = per_edge_energies(community, vectors, EnergyFunction.COSINE)
         edge_energy_matrix[k] = values
     energies = edge_energy_matrix.sum(axis=1)

@@ -38,7 +38,7 @@ from sentpop.predictor import (
     train,
 )
 from sentpop.sentiment import (
-    community_topic_vectors,
+    catalog_vectors,
     group_tweets_by_user,
     tweet_sentiment,
     user_topic_vector,
@@ -330,13 +330,13 @@ def _edge_recovery_samples(tmp_path, planted, name):
     community = extract_community(build_graph(train_tweets), gen.seed_user, gen.max_depth)
     by_user = group_tweets_by_user(train_tweets)
     m = int(exp.params["m"])
-    topics, vectors, exact = [], {}, {}
+    topics, exact = [], {}
     for k, et in enumerate(exp.topics):
         topic = Topic(et.hashtag, 0, et.popularity,
                       key_phrases=tuple(f"k{k:03d}p{n:02d}" for n in range(m)))
         topics.append(topic)
-        vectors[et.hashtag] = community_topic_vectors(community.members, topic, by_user)
         exact[et.hashtag] = et.exact_target
+    vectors = catalog_vectors(community.members, topics, by_user)
     train_topics, test_topics = split_train_test(topics, rng_seed=9)
 
     def samples(ts):

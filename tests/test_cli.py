@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import sentpop.cli
+import sentpop.manifest
 from sentpop.cli import main
 from sentpop.predictor import load_model
 from sentpop.synth import SYNTH_WINDOW
@@ -43,7 +45,7 @@ def pipeline_dir(tmp_path_factory):
 def test_all_artifacts_exist(pipeline_dir):
     for name in [
         "corpus_normalized.tsv", "graph.tsv", "community.tsv", "catalog.tsv",
-        "vectors.tsv", "energies.tsv", "correlation.tsv", "splits.tsv",
+        "vectors.tsv", "energies.tsv", "correlation.tsv", "splits_linear.tsv",
         "model_linear_gap1.tsv", "train_log_linear_gap1.tsv",
         "evaluation_linear.tsv", "manifest.json",
     ]:
@@ -140,6 +142,31 @@ def test_rerun_is_byte_identical(pipeline_dir):
     assert before == after
 
 
+@pytest.mark.parametrize("stage, argv", [
+    ("sentiment", ("sentiment",)),
+    ("evaluate:linear", ("evaluate", "--predictor", "linear")),
+])
+def test_stage_digests_each_file_once(pipeline_dir, monkeypatch, stage, argv):
+    """The digest a stage records for an input is the one it verified."""
+    digested: dict[str, int] = {}
+    real = sentpop.manifest.file_digest
+
+    def counting(path):
+        key = str(Path(path).resolve())
+        digested[key] = digested.get(key, 0) + 1
+        return real(path)
+
+    monkeypatch.setattr(sentpop.manifest, "file_digest", counting)
+    monkeypatch.setattr(sentpop.cli, "file_digest", counting)
+    assert run(argv[0], "--out", pipeline_dir, *argv[1:]) == 0
+    manifest = json.loads((pipeline_dir / "manifest.json").read_text())
+    inputs = manifest["stages"][stage]["inputs"]
+    assert inputs
+    for path in inputs:
+        assert digested[str(Path(path).resolve())] == 1, path
+    assert set(digested.values()) == {1}
+
+
 def test_stale_artifact_detected(pipeline_dir, capsys):
     vectors = pipeline_dir / "vectors.tsv"
     original = vectors.read_bytes()
@@ -176,6 +203,28 @@ def test_edge_predictor_roundtrip(tmp_path):
     model = load_model(out / "model_edge_gap1.tsv")
     community_rows = (out / "community.tsv").read_text().splitlines()
     assert len(model.weights) == len(community_rows)
+
+
+def test_predictors_trained_on_different_gaps_both_evaluate(tmp_path):
+    """Each predictor keeps its own split file, so a later train of the other
+    predictor with other gaps leaves the first one's split verifiable."""
+    out = tmp_path / "twosplits"
+    assert run("synth", "--out", out, "--seed", "11", "--n-users", "14",
+               "--edge-density", "0.35", "--n-topics", "14",
+               "--planted", "linear", "--beta", "150") == 0
+    assert run("ingest", "--out", out, "--corpus", out / "corpus.tsv",
+               "--lexicon", out / "lexicon.tsv", "--window", WINDOW_FLAG) == 0
+    assert run("graph", "--out", out, "--seed-user", "u00000", "--max-depth", "3") == 0
+    assert run("topics", "--out", out, "--stopwords", out / "stopwords.tsv") == 0
+    assert run("sentiment", "--out", out) == 0
+    assert run("train", "--out", out, "--gaps", "1,2", "--predictor", "linear",
+               "--epochs", "50") == 0
+    assert run("train", "--out", out, "--gaps", "1", "--predictor", "edge",
+               "--epochs", "50", "--eta", "0.001") == 0
+    assert run("evaluate", "--out", out, "--predictor", "edge") == 0
+    assert run("evaluate", "--out", out, "--predictor", "linear") == 0
+    rows = (out / "evaluation_linear.tsv").read_text().splitlines()
+    assert [row.split("\t")[0] for row in rows] == ["1", "2"]
 
 
 def test_version_flag(capsys):

@@ -1,10 +1,14 @@
 """Graph construction and community extraction tests."""
 
+import dataclasses
+import pickle
+
 import networkx as nx
 import numpy as np
 import pytest
 
 from sentpop.graph import (
+    CommunityGraph,
     SocialGraph,
     build_graph,
     canonical_edge,
@@ -133,6 +137,33 @@ class TestExtractCommunity:
         a = extract_community(g, names[0], 3)
         b = extract_community(g, names[0], 3)
         assert a.members == b.members and a.edges == b.edges
+
+    def test_index_is_cached_sorted_and_read_only(self):
+        g, names = self._random_graph(seed=21)
+        c = extract_community(g, names[0], 3)
+        index = c.index
+        assert index is c.index
+        assert index.members == tuple(sorted(c.members))
+        assert index.edges == tuple(sorted(c.edges))
+        assert all(index.members[row] == user for user, row in index.row.items())
+        assert len(index.row) == len(c.members)
+        assert index.i_idx.tolist() == [index.row[a] for a, _ in sorted(c.edges)]
+        assert index.j_idx.tolist() == [index.row[b] for _, b in sorted(c.edges)]
+        assert c.sorted_edges() == sorted(c.edges)
+        for arr in (index.i_idx, index.j_idx):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+def test_community_graph_is_immutable():
+    c = CommunityGraph("a", 1, {"a", "b"}, {("a", "b")})
+    assert isinstance(c.members, frozenset) and isinstance(c.edges, frozenset)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.members = frozenset({"a"})
+    with pytest.raises(AttributeError):
+        c.edges.add(("a", "c"))
+    assert c.index.edges == (("a", "b"),)
+    assert pickle.loads(pickle.dumps(c)) == c
 
 
 def test_edge_list_round_trip(tmp_path):

@@ -266,6 +266,7 @@ class TestTrain:
         assert a.model.rho == b.model.rho
         assert a.loss_curve == b.loss_curve
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_reports_epoch(self):
         rng = np.random.default_rng(8)
         samples = random_samples(rng, n_edges=3, n_samples=8)

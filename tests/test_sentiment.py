@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from sentpop.corpus import EmoticonCounts, Tweet
 from sentpop.sentiment import (
+    catalog_vectors,
     community_topic_vectors,
     group_tweets_by_user,
     load_vectors,
@@ -18,6 +19,7 @@ from sentpop.sentiment import (
 from sentpop.topics import Topic
 
 from conftest import make_tweet
+from oracles import raw_scan_vectors
 
 
 class TestTweetSentiment:
@@ -190,6 +192,49 @@ def test_community_vectors_match_single_user_path(lexicon):
             assert np.allclose(got[user], expected, atol=1e-15)
         else:
             assert user not in got  # zero vectors are not materialized
+
+
+_RUN_CHARS = "abxé日٣_"  # ASCII and non-ASCII letters, a non-ASCII digit, underscore
+_TEXTS = st.text(alphabet=_RUN_CHARS + " -.#\u3000", max_size=24)
+_PHRASES = st.one_of(
+    st.text(alphabet=_RUN_CHARS, min_size=1, max_size=3),
+    st.sampled_from(["a b", "x-y", "b.", " a", "é\u3000日", "ab_x"]),
+)
+_TOPICS = st.lists(st.lists(_PHRASES, min_size=1, max_size=4), min_size=1, max_size=4)
+_TWEETS = st.lists(
+    st.tuples(st.sampled_from(["u0", "u1", "u2"]), _TEXTS, st.integers(0, 2), st.integers(0, 2)),
+    max_size=12,
+)
+
+
+@given(_TOPICS, _TWEETS, st.booleans())
+def test_catalog_vectors_match_raw_scan(phrase_lists, rows, mean_over_matching):
+    """Short phrases over a small alphabet hit inside longer runs, repeat within and
+    across topics, and include phrases that are not one word run."""
+    topics = [
+        Topic(hashtag=f"t{k}", start_time=0, popularity=1, key_phrases=tuple(phrases))
+        for k, phrases in enumerate(phrase_lists)
+    ]
+    tweets = [
+        Tweet(id=f"i{n}", user=user, timestamp=n, text=text, hashtags=(), mentions=(),
+              retweet_of=None, emoticon_counts=EmoticonCounts(pos, neg, 0))
+        for n, (user, text, pos, neg) in enumerate(rows)
+    ]
+    by_user = group_tweets_by_user(tweets)
+    members = ["u0", "u1", "u2", "silent"]
+    got = catalog_vectors(members, topics, by_user, mean_over_matching)
+    expected = raw_scan_vectors(members, topics, by_user, mean_over_matching)
+    assert got.keys() == expected.keys()
+    for hashtag, per_user in expected.items():
+        assert got[hashtag].keys() == per_user.keys()
+        for user, values in per_user.items():
+            assert got[hashtag][user].tobytes() == values.tobytes()
+
+
+def test_catalog_vectors_reject_topic_without_phrases():
+    empty = Topic(hashtag="none", start_time=0, popularity=1, key_phrases=())
+    with pytest.raises(ValueError, match="no key phrases"):
+        catalog_vectors(["alice"], [TOPIC, empty], {})
 
 
 def test_vectors_file_round_trip(tmp_path, lexicon):
