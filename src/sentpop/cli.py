@@ -11,7 +11,6 @@ manifest.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from .graph import (
     extract_community,
     save_edge_list,
 )
-from .manifest import RunManifest, StaleArtifactError, file_digest
+from .manifest import RunManifest, StaleArtifactError, atomic_write, file_digest
 
 # community_topic_vectors is not called here; it stays importable from this
 # module because perfbench/trace_stage.py times it where callers look it up
@@ -69,20 +68,12 @@ CORRELATION_FILE = "correlation.tsv"
 MANIFEST_FILE = "manifest.json"
 
 
-def _atomic_rows(write, path: Path) -> int:
-    """Run ``write(tmp_path) -> rows`` and rename into place."""
-    tmp = path.with_name(path.name + ".tmp")
-    rows = write(tmp)
-    os.replace(tmp, path)
-    return rows
-
-
 def _write_lines(lines: list[str], path: Path) -> int:
     def write(tmp: Path) -> int:
         tmp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         return len(lines)
 
-    return _atomic_rows(write, path)
+    return atomic_write(write, path)
 
 
 def _out_meta(path: Path, rows: int) -> dict:
@@ -106,17 +97,18 @@ def _load_manifest(args) -> tuple[Path, RunManifest]:
     return out, RunManifest.load(out / MANIFEST_FILE, version=__version__)
 
 
-def _verified(manifest: RunManifest, path: Path, inputs: dict[str, str]) -> Path:
+def _verified(
+    manifest: RunManifest, path: Path, inputs: dict[str, str], reader: str | None = None
+) -> Path:
     """Verify ``path`` and record, under ``inputs``, the digest that was checked."""
-    inputs[str(path)] = manifest.verify_input(path)
+    inputs[str(path)] = manifest.verify_input(path, reader)
     return path
 
 
 def _ingest_context(out: Path, manifest: RunManifest, inputs: dict[str, str]):
     cfg = manifest.stage_config("ingest")
     window = CorpusWindow(*cfg["window"])
-    lexicon_path = Path(cfg["lexicon"])
-    manifest.verify_input(lexicon_path)
+    lexicon_path = _verified(manifest, Path(cfg["lexicon"]), inputs, reader="ingest")
     corpus_path = _verified(manifest, out / NORMALIZED_CORPUS, inputs)
     return corpus_path, load_lexicon(lexicon_path), window, cfg
 
@@ -225,8 +217,8 @@ def cmd_graph(args) -> int:
     community = extract_community(graph, args.seed_user, args.max_depth)
     graph_path = out / GRAPH_FILE
     community_path = out / COMMUNITY_FILE
-    g_rows = _atomic_rows(lambda p: save_edge_list(graph.edges, p), graph_path)
-    c_rows = _atomic_rows(lambda p: save_edge_list(community.edges, p), community_path)
+    g_rows = atomic_write(lambda p: save_edge_list(graph.edges, p), graph_path)
+    c_rows = atomic_write(lambda p: save_edge_list(community.edges, p), community_path)
     manifest.record_stage(
         "graph",
         config={"seed_user": args.seed_user, "max_depth": args.max_depth},
@@ -270,7 +262,7 @@ def cmd_topics(args) -> int:
         for t in topics
     ]
     catalog_path = out / CATALOG_FILE
-    rows = _atomic_rows(lambda p: save_catalog(topics, p), catalog_path)
+    rows = atomic_write(lambda p: save_catalog(topics, p), catalog_path)
     manifest.record_stage(
         "topics",
         config={
@@ -304,7 +296,7 @@ def cmd_sentiment(args) -> int:
     tweets_by_user = group_tweets_by_user(train_tweets)
     vectors_by_topic = catalog_vectors(community.members, catalog, tweets_by_user)
     vectors_path = out / VECTORS_FILE
-    rows = _atomic_rows(lambda p: save_vectors(vectors_by_topic, p), vectors_path)
+    rows = atomic_write(lambda p: save_vectors(vectors_by_topic, p), vectors_path)
     manifest.record_stage(
         "sentiment",
         config={},
@@ -336,7 +328,7 @@ def cmd_energy(args) -> int:
         for model, function in combos
     ]
     energies_path = out / ENERGIES_FILE
-    rows = _atomic_rows(lambda p: save_energy_report(energies, p), energies_path)
+    rows = atomic_write(lambda p: save_energy_report(energies, p), energies_path)
     manifest.record_stage(
         "energy",
         config={"model": args.model, "function": args.function},
@@ -397,6 +389,16 @@ def _splits_path(out: Path, kind: str) -> Path:
     return out / f"splits_{kind}.tsv"
 
 
+def _sgd_summary(curve: list[float], plateaued: bool) -> str:
+    """How SGD stopped: on the plateau test or at the epoch cap."""
+    k = len(curve)
+    stop = f"plateau at epoch {k - 1}" if plateaued else "epoch cap"
+    text = f"{k} epochs ({stop}), final loss {curve[-1]:.6g}"
+    if curve[-1] > curve[0]:
+        text += f", above the first epoch's {curve[0]:.6g}"
+    return text
+
+
 def cmd_train(args) -> int:
     out, manifest = _load_manifest(args)
     community, catalog, vectors_by_topic, inputs = _feature_inputs(out, manifest)
@@ -418,7 +420,7 @@ def cmd_train(args) -> int:
         samples = predictor.make_samples(community, vectors_by_topic, train_topics, function)
         result = predictor.train(args.predictor, samples, config)
         model_path = _model_path(out, args.predictor, gap)
-        _atomic_rows(lambda p: predictor.save_model(result.model, p) or 0, model_path)
+        atomic_write(lambda p: predictor.save_model(result.model, p) or 0, model_path)
         outputs[str(model_path)] = _out_meta(model_path, 0)
         log_path = out / f"train_log_{args.predictor}_gap{gap}.tsv"
         log_rows = _write_lines(
@@ -426,10 +428,8 @@ def cmd_train(args) -> int:
             log_path,
         )
         outputs[str(log_path)] = _out_meta(log_path, log_rows)
-        print(
-            f"train: gap {gap}: {len(samples)} topics, "
-            f"{len(result.loss_curve)} epochs, final loss {result.loss_curve[-1]:.6g}"
-        )
+        summary = _sgd_summary(result.loss_curve, result.plateaued)
+        print(f"train: gap {gap}: {len(samples)} topics, {summary}")
     splits_path = _splits_path(out, args.predictor)
     rows = _write_lines(split_lines, splits_path)
     outputs[str(splits_path)] = _out_meta(splits_path, rows)
@@ -459,8 +459,7 @@ def cmd_evaluate(args) -> int:
     community, catalog, vectors_by_topic, inputs = _feature_inputs(out, manifest)
     function = EnergyFunction(train_cfg["function"])
     gaps = _csv_ints(args.gaps) if args.gaps else list(train_cfg["gaps"])
-    splits_path = _splits_path(out, args.predictor)
-    manifest.verify_input(splits_path)
+    splits_path = _verified(manifest, _splits_path(out, args.predictor), inputs)
     test_tags: dict[int, set[str]] = {}
     with open(splits_path, encoding="utf-8") as fh:
         for line in fh:

@@ -33,12 +33,25 @@ def config_digest(config: dict) -> str:
     ).hexdigest()
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write-then-rename so partially written artifacts never appear."""
+def atomic_write(write, path: str | Path):
+    """Run ``write(tmp_path)``, rename the temp file into place and return what it returned.
+
+    Partially written artifacts never appear: a failed write removes its temp
+    file and re-raises.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        result = write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return result
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    atomic_write(lambda tmp: tmp.write_text(text, encoding="utf-8"), path)
 
 
 class RunManifest:
@@ -81,28 +94,30 @@ class RunManifest:
             )
         return entry["config"]
 
-    def recorded_digest(self, key: str) -> str | None:
-        """Digest under which ``key`` was last recorded, outputs before inputs."""
+    def recorded_digest(self, key: str, reader: str | None = None) -> str | None:
+        """Digest under which a stage last wrote ``key``, else under which ``reader`` read it.
+
+        A file that no stage wrote is checked only against the stage that reads
+        it from outside the run (``reader``): the stages that merely re-verify
+        it record it too, and their older records must not outrank a rerun of
+        its reader.
+        """
         found = None
         for entry in self.data["stages"].values():
             meta = entry["outputs"].get(key)
             if meta is not None:
                 found = meta["digest"]
-        if found is not None:
-            return found
-        for entry in self.data["stages"].values():
-            digest = entry["inputs"].get(key)
-            if digest is not None:
-                found = digest
+        if found is None and reader is not None:
+            found = self.data["stages"].get(reader, {}).get("inputs", {}).get(key)
         return found
 
-    def verify_input(self, path: str | Path) -> str:
+    def verify_input(self, path: str | Path, reader: str | None = None) -> str:
         """Digest ``path`` and compare against the manifest record, if any."""
         path = Path(path)
         if not path.exists():
             raise StaleArtifactError(f"upstream artifact {path} is missing")
         actual = file_digest(path)
-        recorded = self.recorded_digest(str(path))
+        recorded = self.recorded_digest(str(path), reader)
         if recorded is not None and recorded != actual:
             raise StaleArtifactError(
                 f"stale upstream artifact {path}: recorded digest {recorded} "

@@ -6,10 +6,12 @@ Two linear hypothesis classes share one training loop:
 * a per-edge model ``sum(omega_e * edge_energy_e) + rho``, one weight per
   community edge.
 
-Both are trained by stochastic gradient descent on half-mean-squared-error.
-Features are z-scored internally on the training split (energies vary over
-orders of magnitude) and the learned parameters are mapped back to raw
-energy space, so stored models always apply to unscaled energies.
+Both are trained by per-sample stochastic gradient descent on
+half-mean-squared-error, over a feature matrix with one column per edge, or
+a single column of total energy for the one-variable model. Features are
+z-scored internally on the training split (energies vary over orders of
+magnitude) and the learned parameters are mapped back to raw energy space,
+so stored models always apply to unscaled energies.
 """
 
 from __future__ import annotations
@@ -101,6 +103,7 @@ class TrainConfig:
 class TrainResult:
     model: LinearModel | EdgeModel
     loss_curve: list[float] = field(default_factory=list)
+    plateaued: bool = False  # stopped on the plateau test, not the epoch cap
 
 
 @dataclass
@@ -150,26 +153,11 @@ def split_train_test(
     return train, test
 
 
-def predict_linear(model: LinearModel, energy: float) -> float:
-    return model.alpha * energy + model.beta
-
-
 def _check_edges(model: EdgeModel, sample: TopicSample) -> None:
     if sample.edges is not model.edges and sample.edges != model.edges:
         raise ValueError(
             f"sample {sample.topic!r} covers a different edge set than the model"
         )
-
-
-def predict_edge(model: EdgeModel, sample: TopicSample) -> float:
-    _check_edges(model, sample)
-    return float(np.dot(model.weight_values, sample.edge_energies)) + model.rho
-
-
-def predict(model: LinearModel | EdgeModel, sample: TopicSample) -> float:
-    if isinstance(model, LinearModel):
-        return predict_linear(model, sample.total_energy)
-    return predict_edge(model, sample)
 
 
 def _predict_batch(
@@ -184,87 +172,22 @@ def _predict_batch(
     return feats @ model.weight_values + model.rho
 
 
-def loss(model: LinearModel | EdgeModel, samples: Sequence[TopicSample]) -> float:
-    """Half mean squared error over the samples."""
-    if not samples:
-        raise ValueError("loss needs at least one sample")
-    errors = _predict_batch(model, samples) - np.array(
-        [s.target for s in samples], dtype=np.float64
-    )
-    return float(np.dot(errors, errors)) / (2.0 * len(samples))
-
-
-def gradient_linear(
-    model: LinearModel, samples: Sequence[TopicSample]
-) -> tuple[float, float]:
-    """(d/d alpha, d/d beta) of the loss: mean residual times feature."""
-    if not samples:
-        raise ValueError("gradient needs at least one sample")
-    feats = np.array([s.total_energy for s in samples], dtype=np.float64)
-    errors = model.alpha * feats + model.beta - np.array(
-        [s.target for s in samples], dtype=np.float64
-    )
-    n = len(samples)
-    return float(np.dot(errors, feats)) / n, float(np.sum(errors)) / n
-
-
-def gradient_edge_model(
-    model: EdgeModel, samples: Sequence[TopicSample]
-) -> tuple[np.ndarray, float]:
-    """Gradients for every edge weight plus the intercept."""
-    if not samples:
-        raise ValueError("gradient needs at least one sample")
-    errors = _predict_batch(model, samples) - np.array(
-        [s.target for s in samples], dtype=np.float64
-    )
-    feats = np.stack([s.edge_energies for s in samples])
-    n = len(samples)
-    return feats.T @ errors / n, float(np.sum(errors)) / n
-
-
-def gradient_edge(
-    model: EdgeModel, samples: Sequence[TopicSample], edge: Edge
-) -> float:
-    """Loss gradient with respect to a single edge weight."""
-    try:
-        idx = model.edges.index(edge)
-    except ValueError:
-        raise ValueError(f"edge {edge!r} is not in the model") from None
-    grad_w, _ = gradient_edge_model(model, samples)
-    return float(grad_w[idx])
-
-
 def sgd_step(
-    model: LinearModel | EdgeModel,
-    batch: Sequence[TopicSample],
-    config: TrainConfig,
-) -> LinearModel | EdgeModel:
-    """One gradient-descent update on the mean batch gradient.
+    w: np.ndarray, rho: float, row: np.ndarray, target: float, eta: float, l2: float
+) -> float:
+    """One per-sample update of the weights ``w``, in place; returns the new intercept.
 
-    The optional L2 penalty applies to slopes and edge weights, never to the
-    intercept.
+    ``row`` is the sample's ``(1, d)`` feature row. The optional L2 penalty
+    applies to the weights, never to the intercept.
     """
-    eta = config.learning_rate
-    if isinstance(model, LinearModel):
-        d_alpha, d_beta = gradient_linear(model, batch)
-        d_alpha += config.l2 * model.alpha
-        if not (math.isfinite(d_alpha) and math.isfinite(d_beta)):
-            raise TrainingDiverged(
-                f"non-finite gradient (d_alpha={d_alpha}, d_beta={d_beta})"
-            )
-        return LinearModel(
-            alpha=model.alpha - eta * d_alpha, beta=model.beta - eta * d_beta
-        )
-    grad_w, d_rho = gradient_edge_model(model, batch)
-    if config.l2:
-        grad_w = grad_w + config.l2 * model.weight_values
-    if not (np.all(np.isfinite(grad_w)) and math.isfinite(d_rho)):
-        raise TrainingDiverged("non-finite gradient on edge weights")
-    return EdgeModel(
-        edges=model.edges,
-        weight_values=model.weight_values - eta * grad_w,
-        rho=model.rho - eta * d_rho,
-    )
+    err = float((row @ w)[0]) + rho - target
+    grad = row[0] * err
+    if l2:
+        grad += l2 * w
+    if not (math.isfinite(err) and np.isfinite(grad).all()):
+        raise TrainingDiverged("non-finite gradient")
+    w -= eta * grad
+    return rho - eta * err
 
 
 def _standardize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,107 +216,62 @@ def train(
         raise ValueError("train needs at least one sample")
     rng = np.random.default_rng(config.rng_seed)
     n = len(train_samples)
-
     if kind == "linear":
-        feats = np.array([s.total_energy for s in train_samples], dtype=np.float64)
-        z, mu, sd = _standardize(feats[:, None])
-        std_samples = [
-            TopicSample(
-                topic=s.topic,
-                edges=(),
-                edge_energies=np.zeros(0),
-                total_energy=float(z[i, 0]),
-                target=s.target,
-            )
-            for i, s in enumerate(train_samples)
-        ]
-        if config.init == "uniform":
-            lo, hi = config.init_range
-            a0, b0 = rng.uniform(lo, hi, 2)
-            model: LinearModel | EdgeModel = LinearModel(float(a0), float(b0))
-        else:
-            model = LinearModel(0.0, 0.0)
+        edges: tuple[Edge, ...] = ()
+        feats = np.array([s.total_energy for s in train_samples], dtype=np.float64)[:, None]
     else:
         edges = train_samples[0].edges
         for s in train_samples:
             if s.edges is not edges and s.edges != edges:
                 raise ValueError("samples cover different edge sets")
         feats = np.stack([s.edge_energies for s in train_samples])
-        z, mu, sd = _standardize(feats)
-        std_samples = [
-            TopicSample(
-                topic=s.topic,
-                edges=edges,
-                edge_energies=z[i],
-                total_energy=float(np.sum(z[i])),
-                target=s.target,
-            )
-            for i, s in enumerate(train_samples)
-        ]
-        if config.init == "uniform":
-            lo, hi = config.init_range
-            draws = rng.uniform(lo, hi, len(edges) + 1)
-            model = EdgeModel(
-                edges=edges, weight_values=draws[:-1], rho=float(draws[-1])
-            )
-        else:
-            model = EdgeModel(
-                edges=edges,
-                weight_values=np.zeros(len(edges), dtype=np.float64),
-                rho=0.0,
-            )
+    z, mu, sd = _standardize(feats)
+    targets = np.array([s.target for s in train_samples], dtype=np.float64)
+    target_list = targets.tolist()
+    d = z.shape[1]
+    if config.init == "uniform":
+        lo, hi = config.init_range
+        draws = rng.uniform(lo, hi, d + 1)
+        w, rho = draws[:-1], float(draws[-1])
+    else:
+        w, rho = np.zeros(d, dtype=np.float64), 0.0
 
+    eta, l2 = config.learning_rate, config.l2
     curve: list[float] = []
+    plateaued = False
     prev = math.inf
     for epoch in range(config.epochs):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n).tolist() if config.shuffle else range(n)
         try:
             for i in order:
-                model = sgd_step(model, (std_samples[i],), config)
+                rho = sgd_step(w, rho, z[i : i + 1], target_list[i], eta, l2)
         except TrainingDiverged as exc:
             raise TrainingDiverged(str(exc), epoch=epoch) from None
         # a diverging run overflows here; the finiteness check below reports it
         with np.errstate(over="ignore"):
-            epoch_loss = loss(model, std_samples)
+            errors = z @ w + rho - targets
+            epoch_loss = float(np.dot(errors, errors)) / (2.0 * n)
         curve.append(epoch_loss)
         if not math.isfinite(epoch_loss):
             raise TrainingDiverged(
                 f"loss became non-finite at epoch {epoch}", epoch=epoch
             )
         if abs(prev - epoch_loss) < config.stop_tol:
+            plateaued = True
             break
         prev = epoch_loss
 
-    if isinstance(model, LinearModel):
-        alpha = model.alpha / float(sd[0])
-        beta = model.beta - model.alpha * float(mu[0]) / float(sd[0])
-        return TrainResult(model=LinearModel(alpha, beta), loss_curve=curve)
-    raw_w = model.weight_values / sd
-    raw_rho = model.rho - float(np.dot(model.weight_values, mu / sd))
-    return TrainResult(
-        model=EdgeModel(edges=model.edges, weight_values=raw_w, rho=raw_rho),
-        loss_curve=curve,
-    )
-
-
-def closed_form_linear_fit(
-    energies: Sequence[float], targets: Sequence[float]
-) -> LinearModel:
-    """Ordinary least squares for the one-variable model; verification oracle.
-
-    Training itself always goes through SGD; this exists to check it.
-    """
-    x = np.asarray(energies, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or x.shape[0] < 2:
-        raise ValueError("need two equal-length one-dimensional series")
-    dx = x - x.mean()
-    ssx = float(np.dot(dx, dx))
-    if ssx == 0.0:
-        raise ValueError("constant energies; slope undefined")
-    alpha = float(np.dot(dx, y - y.mean())) / ssx
-    beta = float(y.mean()) - alpha * float(x.mean())
-    return LinearModel(alpha=alpha, beta=beta)
+    if kind == "linear":
+        alpha = float(w[0])
+        sd0 = float(sd[0])
+        model: LinearModel | EdgeModel = LinearModel(
+            alpha / sd0, rho - alpha * float(mu[0]) / sd0
+        )
+    else:
+        model = EdgeModel(
+            edges=edges, weight_values=w / sd, rho=rho - float(np.dot(w, mu / sd))
+        )
+    return TrainResult(model=model, loss_curve=curve, plateaued=plateaued)
 
 
 def evaluate(

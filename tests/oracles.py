@@ -1,7 +1,23 @@
 """Scalar reference implementations that the library's fast paths are checked against."""
 
+import math
+from collections.abc import Sequence
+
 import numpy as np
 
+from sentpop.graph import Edge
+from sentpop.predictor import (
+    PREDICTOR_KINDS,
+    EdgeModel,
+    LinearModel,
+    TopicSample,
+    TrainConfig,
+    TrainingDiverged,
+    TrainResult,
+    _check_edges,
+    _predict_batch,
+    _standardize,
+)
 from sentpop.sentiment import tweet_sentiment, user_phrase_sentiment
 
 
@@ -34,3 +50,214 @@ def raw_scan_vectors(members, topics, tweets_by_user, mean_over_matching=False):
                 vectors[user] = values
         out[topic.hashtag] = vectors
     return out
+
+
+def loss(model: LinearModel | EdgeModel, samples: Sequence[TopicSample]) -> float:
+    """Half mean squared error over the samples."""
+    if not samples:
+        raise ValueError("loss needs at least one sample")
+    errors = _predict_batch(model, samples) - np.array(
+        [s.target for s in samples], dtype=np.float64
+    )
+    return float(np.dot(errors, errors)) / (2.0 * len(samples))
+
+
+def predict_linear(model: LinearModel, energy: float) -> float:
+    return model.alpha * energy + model.beta
+
+
+def predict_edge(model: EdgeModel, sample: TopicSample) -> float:
+    _check_edges(model, sample)
+    return float(np.dot(model.weight_values, sample.edge_energies)) + model.rho
+
+
+def gradient_linear(
+    model: LinearModel, samples: Sequence[TopicSample]
+) -> tuple[float, float]:
+    """(d/d alpha, d/d beta) of the loss: mean residual times feature."""
+    if not samples:
+        raise ValueError("gradient needs at least one sample")
+    feats = np.array([s.total_energy for s in samples], dtype=np.float64)
+    errors = model.alpha * feats + model.beta - np.array(
+        [s.target for s in samples], dtype=np.float64
+    )
+    n = len(samples)
+    return float(np.dot(errors, feats)) / n, float(np.sum(errors)) / n
+
+
+def gradient_edge_model(
+    model: EdgeModel, samples: Sequence[TopicSample]
+) -> tuple[np.ndarray, float]:
+    """Gradients for every edge weight plus the intercept."""
+    if not samples:
+        raise ValueError("gradient needs at least one sample")
+    errors = _predict_batch(model, samples) - np.array(
+        [s.target for s in samples], dtype=np.float64
+    )
+    feats = np.stack([s.edge_energies for s in samples])
+    n = len(samples)
+    return feats.T @ errors / n, float(np.sum(errors)) / n
+
+
+def gradient_edge(
+    model: EdgeModel, samples: Sequence[TopicSample], edge: Edge
+) -> float:
+    """Loss gradient with respect to a single edge weight."""
+    try:
+        idx = model.edges.index(edge)
+    except ValueError:
+        raise ValueError(f"edge {edge!r} is not in the model") from None
+    grad_w, _ = gradient_edge_model(model, samples)
+    return float(grad_w[idx])
+
+
+def sgd_step(
+    model: LinearModel | EdgeModel,
+    batch: Sequence[TopicSample],
+    config: TrainConfig,
+) -> LinearModel | EdgeModel:
+    """One gradient-descent update on the mean batch gradient.
+
+    The optional L2 penalty applies to slopes and edge weights, never to the
+    intercept.
+    """
+    eta = config.learning_rate
+    if isinstance(model, LinearModel):
+        d_alpha, d_beta = gradient_linear(model, batch)
+        d_alpha += config.l2 * model.alpha
+        if not (math.isfinite(d_alpha) and math.isfinite(d_beta)):
+            raise TrainingDiverged(
+                f"non-finite gradient (d_alpha={d_alpha}, d_beta={d_beta})"
+            )
+        return LinearModel(
+            alpha=model.alpha - eta * d_alpha, beta=model.beta - eta * d_beta
+        )
+    grad_w, d_rho = gradient_edge_model(model, batch)
+    if config.l2:
+        grad_w = grad_w + config.l2 * model.weight_values
+    if not (np.all(np.isfinite(grad_w)) and math.isfinite(d_rho)):
+        raise TrainingDiverged("non-finite gradient on edge weights")
+    return EdgeModel(
+        edges=model.edges,
+        weight_values=model.weight_values - eta * grad_w,
+        rho=model.rho - eta * d_rho,
+    )
+
+
+def object_per_step_train(
+    kind: str, train_samples: Sequence[TopicSample], config: TrainConfig
+) -> TrainResult:
+    """Per-sample SGD that builds a new model object on every step.
+
+    The definition ``predictor.train`` meets bit for bit: same shuffles,
+    init draws, plateau stop and divergence checks.
+    """
+    if kind not in PREDICTOR_KINDS:
+        raise ValueError(f"kind must be one of {PREDICTOR_KINDS}, got {kind!r}")
+    if not train_samples:
+        raise ValueError("train needs at least one sample")
+    rng = np.random.default_rng(config.rng_seed)
+    n = len(train_samples)
+
+    if kind == "linear":
+        feats = np.array([s.total_energy for s in train_samples], dtype=np.float64)
+        z, mu, sd = _standardize(feats[:, None])
+        std_samples = [
+            TopicSample(
+                topic=s.topic,
+                edges=(),
+                edge_energies=np.zeros(0),
+                total_energy=float(z[i, 0]),
+                target=s.target,
+            )
+            for i, s in enumerate(train_samples)
+        ]
+        if config.init == "uniform":
+            lo, hi = config.init_range
+            a0, b0 = rng.uniform(lo, hi, 2)
+            model: LinearModel | EdgeModel = LinearModel(float(a0), float(b0))
+        else:
+            model = LinearModel(0.0, 0.0)
+    else:
+        edges = train_samples[0].edges
+        for s in train_samples:
+            if s.edges is not edges and s.edges != edges:
+                raise ValueError("samples cover different edge sets")
+        feats = np.stack([s.edge_energies for s in train_samples])
+        z, mu, sd = _standardize(feats)
+        std_samples = [
+            TopicSample(
+                topic=s.topic,
+                edges=edges,
+                edge_energies=z[i],
+                total_energy=float(np.sum(z[i])),
+                target=s.target,
+            )
+            for i, s in enumerate(train_samples)
+        ]
+        if config.init == "uniform":
+            lo, hi = config.init_range
+            draws = rng.uniform(lo, hi, len(edges) + 1)
+            model = EdgeModel(
+                edges=edges, weight_values=draws[:-1], rho=float(draws[-1])
+            )
+        else:
+            model = EdgeModel(
+                edges=edges,
+                weight_values=np.zeros(len(edges), dtype=np.float64),
+                rho=0.0,
+            )
+
+    curve: list[float] = []
+    plateaued = False
+    prev = math.inf
+    for epoch in range(config.epochs):
+        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        try:
+            for i in order:
+                model = sgd_step(model, (std_samples[i],), config)
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(str(exc), epoch=epoch) from None
+        # a diverging run overflows here; the finiteness check below reports it
+        with np.errstate(over="ignore"):
+            epoch_loss = loss(model, std_samples)
+        curve.append(epoch_loss)
+        if not math.isfinite(epoch_loss):
+            raise TrainingDiverged(
+                f"loss became non-finite at epoch {epoch}", epoch=epoch
+            )
+        if abs(prev - epoch_loss) < config.stop_tol:
+            plateaued = True
+            break
+        prev = epoch_loss
+
+    if isinstance(model, LinearModel):
+        alpha = model.alpha / float(sd[0])
+        beta = model.beta - model.alpha * float(mu[0]) / float(sd[0])
+        return TrainResult(
+            model=LinearModel(alpha, beta), loss_curve=curve, plateaued=plateaued
+        )
+    raw_w = model.weight_values / sd
+    raw_rho = model.rho - float(np.dot(model.weight_values, mu / sd))
+    return TrainResult(
+        model=EdgeModel(edges=model.edges, weight_values=raw_w, rho=raw_rho),
+        loss_curve=curve,
+        plateaued=plateaued,
+    )
+
+
+def closed_form_linear_fit(
+    energies: Sequence[float], targets: Sequence[float]
+) -> LinearModel:
+    """Ordinary least squares for the one-variable model."""
+    x = np.asarray(energies, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1 or x.shape[0] < 2:
+        raise ValueError("need two equal-length one-dimensional series")
+    dx = x - x.mean()
+    ssx = float(np.dot(dx, dx))
+    if ssx == 0.0:
+        raise ValueError("constant energies; slope undefined")
+    alpha = float(np.dot(dx, y - y.mean())) / ssx
+    beta = float(y.mean()) - alpha * float(x.mean())
+    return LinearModel(alpha=alpha, beta=beta)

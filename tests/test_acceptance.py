@@ -28,11 +28,7 @@ from sentpop.predictor import (
     LinearModel,
     TopicSample,
     TrainConfig,
-    closed_form_linear_fit,
     evaluate,
-    gradient_edge_model,
-    gradient_linear,
-    loss,
     make_samples,
     split_train_test,
     train,
@@ -55,6 +51,7 @@ from sentpop.synth import (
 from sentpop.topics import Topic, dedupe_equal_popularity, gap_filter
 
 from conftest import make_tweet
+from oracles import closed_form_linear_fit, gradient_edge_model, gradient_linear, loss
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:

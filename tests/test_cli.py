@@ -7,7 +7,8 @@ import pytest
 
 import sentpop.cli
 import sentpop.manifest
-from sentpop.cli import main
+from sentpop.cli import _sgd_summary, main
+from sentpop.manifest import atomic_write, atomic_write_text
 from sentpop.predictor import load_model
 from sentpop.synth import SYNTH_WINDOW
 
@@ -167,6 +168,49 @@ def test_stage_digests_each_file_once(pipeline_dir, monkeypatch, stage, argv):
     assert set(digested.values()) == {1}
 
 
+def test_stages_record_the_lexicon_and_split_they_verify(pipeline_dir):
+    stages = json.loads((pipeline_dir / "manifest.json").read_text())["stages"]
+    lexicon = str(pipeline_dir / "lexicon.tsv")
+    for stage in ("graph", "topics", "sentiment"):
+        assert lexicon in stages[stage]["inputs"], stage
+    assert str(pipeline_dir / "splits_linear.tsv") in stages["evaluate:linear"]["inputs"]
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "artifact.tsv"
+    target.write_text("old\n")
+
+    def failing(tmp):
+        tmp.write_text("partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write(failing, target)
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.tsv"]
+    # a lone surrogate fails to encode after the temp file was opened
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(target, "new \ud800")
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.tsv"]
+    assert target.read_text() == "old\n"
+
+
+def test_sgd_summary_says_how_training_stopped():
+    assert _sgd_summary([3.0, 2.0, 2.0], True) == "3 epochs (plateau at epoch 2), final loss 2"
+    assert _sgd_summary([3.0, 2.0], False) == "2 epochs (epoch cap), final loss 2"
+    assert _sgd_summary([3.0, 8.9e44], False) == (
+        "2 epochs (epoch cap), final loss 8.9e+44, above the first epoch's 3"
+    )
+
+
+def test_train_reports_how_sgd_stopped(pipeline_dir, capsys):
+    assert run("train", "--out", pipeline_dir, "--gaps", "1", "--predictor", "linear",
+               "--epochs", "120", "--seed", "7") == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("train: gap 1: ")
+    assert "120 epochs (epoch cap)" in line
+    assert "above the first epoch's" not in line
+
+
 def test_stale_artifact_detected(pipeline_dir, capsys):
     vectors = pipeline_dir / "vectors.tsv"
     original = vectors.read_bytes()
@@ -178,6 +222,43 @@ def test_stale_artifact_detected(pipeline_dir, capsys):
     finally:
         vectors.write_bytes(original)
         assert run("energy", "--out", pipeline_dir) == 0
+
+
+def test_edited_own_lexicon_and_stopwords_are_taken_after_a_rerun(tmp_path, capsys):
+    """A lexicon that no stage wrote is checked against ingest's record, and
+    user stopwords against none: the later stages' own older records of them
+    must not make a rerun of their reader fail forever."""
+    out, own = tmp_path / "run", tmp_path / "own"
+    assert run("synth", "--out", out, "--seed", "11", "--n-users", "14",
+               "--edge-density", "0.35", "--n-topics", "6",
+               "--planted", "linear", "--beta", "150") == 0
+    own.mkdir()
+    lexicon, stopwords = own / "lexicon.tsv", own / "stopwords.tsv"
+    lexicon.write_bytes((out / "lexicon.tsv").read_bytes())
+    stopwords.write_bytes((out / "stopwords.tsv").read_bytes())
+
+    def ingest():
+        return run("ingest", "--out", out, "--corpus", out / "corpus.tsv",
+                   "--lexicon", lexicon, "--window", WINDOW_FLAG)
+
+    def downstream():
+        assert run("graph", "--out", out, "--seed-user", "u00000", "--max-depth", "3") == 0
+        assert run("topics", "--out", out, "--stopwords", stopwords) == 0
+        assert run("sentiment", "--out", out) == 0
+
+    assert ingest() == 0
+    downstream()
+    with open(lexicon, "a", encoding="utf-8") as fh:
+        fh.write("[brandnew]\tpositive\n")
+    capsys.readouterr()
+    assert run("graph", "--out", out, "--seed-user", "u00000", "--max-depth", "3") == 1
+    err = capsys.readouterr().err
+    assert "stale" in err and str(lexicon) in err
+    assert ingest() == 0
+    downstream()
+    with open(stopwords, "a", encoding="utf-8") as fh:
+        fh.write("zzzz\n")
+    assert run("topics", "--out", out, "--stopwords", stopwords) == 0
 
 
 def test_missing_upstream_stage_fails(tmp_path, capsys):

@@ -2,29 +2,36 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sentpop import predictor
 from sentpop.predictor import (
+    PREDICTOR_KINDS,
     EdgeModel,
     LinearModel,
     TopicSample,
     TrainConfig,
     TrainingDiverged,
-    closed_form_linear_fit,
     evaluate,
-    gradient_edge,
-    gradient_edge_model,
-    gradient_linear,
     load_model,
-    loss,
     make_samples,
-    predict_edge,
-    predict_linear,
     save_model,
-    sgd_step,
     split_train_test,
     train,
 )
 from sentpop.topics import GapDataset, Topic
+
+from oracles import (
+    closed_form_linear_fit,
+    gradient_edge,
+    gradient_edge_model,
+    gradient_linear,
+    loss,
+    object_per_step_train,
+    predict_edge,
+    predict_linear,
+    sgd_step,
+)
 
 EDGES = (("a", "b"), ("a", "c"), ("b", "c"))
 
@@ -256,6 +263,14 @@ class TestTrain:
         assert result.model == LinearModel(0.0, 0.0)
         assert len(set(result.loss_curve)) == 1  # flat curve
 
+    def test_reports_a_plateau_on_the_last_allowed_epoch(self):
+        # a zero step leaves the loss flat, so the second epoch plateaus
+        samples = random_samples(np.random.default_rng(6))
+        for epochs, plateaued in [(1, False), (2, True), (10, True)]:
+            result = train("linear", samples, TrainConfig(learning_rate=0.0, epochs=epochs))
+            assert len(result.loss_curve) == min(epochs, 2)
+            assert result.plateaued is plateaued, epochs
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)
         samples = random_samples(rng, n_edges=4, n_samples=16)
@@ -283,6 +298,93 @@ class TestTrain:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             train("quadratic", [sample([1, 1, 1], 2.0)], TrainConfig())
+
+
+def test_sgd_step_updates_weights_in_place_and_returns_intercept():
+    # error 2 on features (0.5, 0, 1): each weight moves by -eta * error * feature
+    w = np.zeros(3)
+    rho = predictor.sgd_step(w, 2.0, np.array([[0.5, 0.0, 1.0]]), 0.0, 0.1, 0.0)
+    assert w.tolist() == [-0.1, 0.0, -0.2]
+    assert rho == pytest.approx(1.8, abs=1e-15)
+    # zero error: only the L2 penalty moves the weight, never the intercept
+    w = np.array([1.0])
+    rho = predictor.sgd_step(w, 0.0, np.array([[0.0]]), 0.0, 0.5, 0.2)
+    assert w.tolist() == [0.9] and rho == 0.0
+    with pytest.raises(TrainingDiverged, match="non-finite gradient"):
+        predictor.sgd_step(np.zeros(2), np.inf, np.ones((1, 2)), 0.0, 0.1, 0.0)
+
+
+def test_train_calls_sgd_step_once_per_sample_and_epoch(monkeypatch):
+    calls = []
+    original = predictor.sgd_step
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(predictor, "sgd_step", counting)
+    samples = random_samples(np.random.default_rng(4), n_edges=4, n_samples=9)
+    for kind in PREDICTOR_KINDS:
+        calls.clear()
+        result = train(kind, samples, TrainConfig(learning_rate=1e-3, epochs=7, stop_tol=0.0))
+        assert len(result.loss_curve) == 7
+        assert len(calls) == 7 * 9
+
+
+def _outcome(kind, samples, config, trainer):
+    """Parameters and loss curve as raw bytes and the stop reason, or the epoch
+    and check that stopped training."""
+    try:
+        result = trainer(kind, samples, config)
+    except TrainingDiverged as exc:
+        return ("diverged", exc.epoch, "gradient" in str(exc))
+    model = result.model
+    if kind == "linear":
+        params = [model.alpha, model.beta]
+    else:
+        assert model.edges == samples[0].edges
+        params = [*model.weight_values, model.rho]
+    return (
+        "trained",
+        np.array(params, dtype=np.float64).tobytes(),
+        np.array(result.loss_curve, dtype=np.float64).tobytes(),
+        result.plateaued,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(PREDICTOR_KINDS),
+    d=st.sampled_from([1, 2, 50]),
+    n=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+    constant_column=st.booleans(),
+    init=st.sampled_from(["zeros", "uniform"]),
+    l2=st.sampled_from([0.0, 1e-3, 0.5]),
+    shuffle=st.booleans(),
+    eta=st.sampled_from([0.0, 1e-3, 0.05, 0.8, 30.0, 1e6, 1e150]),
+    epochs=st.integers(1, 25),
+    stop_tol=st.sampled_from([0.0, 1e-9, 1e-3]),
+)
+def test_train_matches_object_per_step_oracle_bit_for_bit(
+    kind, d, n, seed, constant_column, init, l2, shuffle, eta, epochs, stop_tol
+):
+    rng = np.random.default_rng(seed)
+    feats = rng.uniform(0, 1, (n, d)) * rng.uniform(0.1, 100)
+    if constant_column:
+        feats[:, 0] = 0.5
+    targets = rng.uniform(-20, 200, n)
+    edges = tuple((f"u{j}", f"v{j}") for j in range(d))
+    samples = [sample(feats[i], targets[i], topic=f"t{i}", edges=edges) for i in range(n)]
+    config = TrainConfig(
+        learning_rate=eta, epochs=epochs, init=init, rng_seed=seed % 1000,
+        shuffle=shuffle, l2=l2, stop_tol=stop_tol,
+    )
+    # diverging runs overflow on the way; both trainers report it the same way
+    with np.errstate(all="ignore"):
+        assert _outcome(kind, samples, config, train) == _outcome(
+            kind, samples, config, object_per_step_train
+        )
 
 
 def test_tied_edge_weights_reproduce_linear_hypothesis():

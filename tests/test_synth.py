@@ -4,7 +4,6 @@ import pytest
 
 from sentpop.corpus import load_lexicon, stream_corpus
 from sentpop.graph import build_graph
-from sentpop.predictor import closed_form_linear_fit
 from sentpop.stats import pearson
 from sentpop.synth import (
     FIRST_TEST_MONTH_END,
@@ -17,6 +16,7 @@ from sentpop.synth import (
 )
 from sentpop.topics import extract_topics
 
+from oracles import closed_form_linear_fit
 
 BASIC = SynthConfig(rng_seed=3, n_users=30, edge_density=0.15, n_topics=8,
                     planted=PlantedLinear(alpha=2.0, beta=150.0))
