@@ -14,11 +14,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import __version__, predictor, synth
+from . import __version__, predictor
 from .corpus import (
     CorpusWindow,
+    ParseError,
     format_tweet_line,
     load_lexicon,
+    open_corpus,
     parse_tweet_line,
     stream_corpus,
 )
@@ -114,6 +116,9 @@ def _ingest_context(out: Path, manifest: RunManifest, inputs: dict[str, str]):
 
 
 def cmd_synth(args) -> int:
+    # imported here so that the other stages do not pay for it
+    from . import synth
+
     out, manifest = _load_manifest(args)
     if args.planted == "linear":
         planted = synth.PlantedLinear(
@@ -180,11 +185,17 @@ def cmd_ingest(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     kept: list[str] = []
     dropped = 0
-    with open(args.corpus, encoding="utf-8") as fh:
+    first_line: dict[str, int] = {}  # tweet id -> line it first appeared on
+    with open_corpus(args.corpus) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             tweet = parse_tweet_line(line, lexicon, line_no)
+            seen = first_line.setdefault(tweet.id, line_no)
+            if seen != line_no:
+                raise ParseError(
+                    f"duplicate tweet id {tweet.id!r}, first on line {seen}", line_no
+                )
             if window.contains(tweet.timestamp, "all"):
                 kept.append(format_tweet_line(tweet))
             else:
@@ -240,7 +251,7 @@ def cmd_topics(args) -> int:
     out, manifest = _load_manifest(args)
     inputs: dict[str, str] = {}
     corpus_path, lexicon, window, _ = _ingest_context(out, manifest, inputs)
-    inputs[str(args.stopwords)] = manifest.verify_input(args.stopwords)
+    inputs[str(args.stopwords)] = manifest.verify_input(args.stopwords, required=False)
     stopwords = load_stopwords(args.stopwords)
     test_tweets = list(stream_corpus(corpus_path, lexicon, window, "test"))
     first_month_end = args.first_month_end

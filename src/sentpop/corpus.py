@@ -2,6 +2,9 @@
 
 Corpus files are UTF-8 with one record per line:
 ``id<TAB>user<TAB>timestamp<TAB>retweet_of_or_dash<TAB>text``.
+Lines end in a newline or a carriage return and newline; a carriage return
+anywhere else in a record is an error, so corpora are read with
+:func:`open_corpus`.
 Hashtags, mentions and emoticon counts are extracted from the text at parse
 time, so a serialized tweet always round-trips to identical fields.
 """
@@ -12,7 +15,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 # Hashtags are paired '#...#' spans; an unpaired trailing '#' yields nothing.
 _HASHTAG_RE = re.compile(r"#([^#]+)#")
@@ -139,7 +142,10 @@ def parse_tweet_line(
 
     Raises :class:`ParseError` (carrying ``line_no``) for malformed records.
     """
-    fields = line.rstrip("\n").split("\t")
+    line = line.removesuffix("\n").removesuffix("\r")
+    if "\r" in line:
+        raise ParseError("carriage return inside the record", line_no)
+    fields = line.split("\t")
     if len(fields) != 5:
         raise ParseError(f"expected 5 tab-separated fields, got {len(fields)}", line_no)
     tweet_id, user, ts_raw, retweet_raw, text = fields
@@ -166,10 +172,20 @@ def parse_tweet_line(
 
 def format_tweet_line(tweet: Tweet) -> str:
     """Serialize a tweet back to the corpus line format (no newline)."""
-    if "\t" in tweet.text or "\n" in tweet.text:
-        raise ValueError("tweet text may not contain tab or newline")
+    if "\t" in tweet.text or "\n" in tweet.text or "\r" in tweet.text:
+        raise ValueError("tweet text may not contain tab, newline or carriage return")
     retweet = tweet.retweet_of if tweet.retweet_of is not None else NO_RETWEET
     return f"{tweet.id}\t{tweet.user}\t{tweet.timestamp}\t{retweet}\t{tweet.text}"
+
+
+def open_corpus(path: str | Path) -> TextIO:
+    """Open a corpus file for reading, split into lines at newlines only.
+
+    Universal newlines would also split a record at a lone carriage return and
+    report a wrong line number; here the carriage return stays in its line for
+    :func:`parse_tweet_line` to reject.
+    """
+    return open(path, encoding="utf-8", newline="\n")
 
 
 def load_lexicon(path: str | Path) -> EmoticonLexicon:
@@ -204,7 +220,7 @@ def stream_corpus(
     """Yield tweets whose timestamp falls in the requested split, in file order."""
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
-    with open(path, encoding="utf-8") as fh:
+    with open_corpus(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

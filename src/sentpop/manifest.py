@@ -57,6 +57,7 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 class RunManifest:
     def __init__(self, path: str | Path, data: dict | None = None, version: str = ""):
         self.path = Path(path)
+        self.root = self.path.parent.resolve()
         self.data = data if data is not None else {"version": version, "stages": {}}
 
     @classmethod
@@ -66,6 +67,20 @@ class RunManifest:
             with open(path, encoding="utf-8") as fh:
                 return cls(path, json.load(fh))
         return cls(path, version=version)
+
+    def key(self, path: str | Path) -> str:
+        """The manifest key of ``path``.
+
+        A file in the manifest's directory (the run's ``--out``) is keyed by
+        its path relative to that directory, and any other file by its
+        resolved absolute path. Every spelling of one file (relative,
+        ``./``-prefixed, absolute, through ``..``) thus finds the same record,
+        and a moved run directory keeps the records of the files inside it.
+        """
+        resolved = Path(path).resolve()
+        if resolved.is_relative_to(self.root):
+            return resolved.relative_to(self.root).as_posix()
+        return str(resolved)
 
     def save(self) -> None:
         atomic_write_text(self.path, json.dumps(self.data, sort_keys=True, indent=2) + "\n")
@@ -77,12 +92,15 @@ class RunManifest:
         inputs: dict[str, str],
         outputs: dict[str, dict],
     ) -> None:
-        """Replace the stage entry; rerunning a stage overwrites its record."""
+        """Replace the stage entry; rerunning a stage overwrites its record.
+
+        Input and output paths are recorded under :meth:`key`.
+        """
         self.data["stages"][stage] = {
             "config": config,
             "config_digest": config_digest(config),
-            "inputs": inputs,
-            "outputs": outputs,
+            "inputs": {self.key(p): digest for p, digest in inputs.items()},
+            "outputs": {self.key(p): meta for p, meta in outputs.items()},
         }
         self.save()
 
@@ -94,14 +112,15 @@ class RunManifest:
             )
         return entry["config"]
 
-    def recorded_digest(self, key: str, reader: str | None = None) -> str | None:
-        """Digest under which a stage last wrote ``key``, else under which ``reader`` read it.
+    def recorded_digest(self, path: str | Path, reader: str | None = None) -> str | None:
+        """Digest under which a stage last wrote ``path``, else under which ``reader`` read it.
 
         A file that no stage wrote is checked only against the stage that reads
         it from outside the run (``reader``): the stages that merely re-verify
         it record it too, and their older records must not outrank a rerun of
         its reader.
         """
+        key = self.key(path)
         found = None
         for entry in self.data["stages"].values():
             meta = entry["outputs"].get(key)
@@ -111,13 +130,27 @@ class RunManifest:
             found = self.data["stages"].get(reader, {}).get("inputs", {}).get(key)
         return found
 
-    def verify_input(self, path: str | Path, reader: str | None = None) -> str:
-        """Digest ``path`` and compare against the manifest record, if any."""
+    def verify_input(
+        self, path: str | Path, reader: str | None = None, required: bool = True
+    ) -> str:
+        """Digest ``path`` and compare against the manifest record.
+
+        A ``required`` artifact must have a record: one that a stage wrote, or
+        that ``reader`` read. Without one (a manifest from another directory,
+        or from before this keying) nothing could be verified, so the stage
+        fails instead of reading the file unchecked. A file supplied from
+        outside the run and read by the calling stage alone is not required.
+        """
         path = Path(path)
         if not path.exists():
             raise StaleArtifactError(f"upstream artifact {path} is missing")
         actual = file_digest(path)
-        recorded = self.recorded_digest(str(path), reader)
+        recorded = self.recorded_digest(path, reader)
+        if recorded is None and required:
+            raise StaleArtifactError(
+                f"upstream artifact {path} has no record in {self.path}; "
+                "rerun the stage that writes it"
+            )
         if recorded is not None and recorded != actual:
             raise StaleArtifactError(
                 f"stale upstream artifact {path}: recorded digest {recorded} "

@@ -173,20 +173,37 @@ def _predict_batch(
 
 
 def sgd_step(
-    w: np.ndarray, rho: float, row: np.ndarray, target: float, eta: float, l2: float
+    w: np.ndarray,
+    rho: float,
+    row: np.ndarray,
+    row_max: float,
+    target: float,
+    eta: float,
+    l2: float,
 ) -> float:
     """One per-sample update of the weights ``w``, in place; returns the new intercept.
 
-    ``row`` is the sample's ``(1, d)`` feature row. The optional L2 penalty
-    applies to the weights, never to the intercept.
+    ``row`` is the sample's ``(1, d)`` feature row and ``row_max`` its largest
+    absolute feature. The optional L2 penalty applies to the weights, never
+    to the intercept.
+
+    Without the penalty the gradient ``row * err`` is finite exactly when
+    ``err * row_max`` is: rounding is monotone, so the largest product
+    overflows if and only if that one does, and a non-finite feature makes
+    ``row_max`` non-finite and the residual too. One scalar test therefore
+    replaces the check over the whole gradient array.
     """
     err = float((row @ w)[0]) + rho - target
+    if not (l2 or math.isfinite(err * row_max)):
+        raise TrainingDiverged("non-finite gradient")
     grad = row[0] * err
     if l2:
+        # the penalty term and the sum can overflow on their own
         grad += l2 * w
-    if not (math.isfinite(err) and np.isfinite(grad).all()):
-        raise TrainingDiverged("non-finite gradient")
-    w -= eta * grad
+        if not (math.isfinite(err) and np.isfinite(grad).all()):
+            raise TrainingDiverged("non-finite gradient")
+    grad *= eta
+    w -= grad
     return rho - eta * err
 
 
@@ -228,6 +245,10 @@ def train(
     z, mu, sd = _standardize(feats)
     targets = np.array([s.target for s in train_samples], dtype=np.float64)
     target_list = targets.tolist()
+    # (1, d) rows keep the residual's BLAS summation order of a batch of one
+    rows = [z[i : i + 1] for i in range(n)]
+    # initial=0.0: a row with no features (no edges) has nothing to overflow
+    row_max = np.abs(z).max(axis=1, initial=0.0).tolist()
     d = z.shape[1]
     if config.init == "uniform":
         lo, hi = config.init_range
@@ -244,7 +265,7 @@ def train(
         order = rng.permutation(n).tolist() if config.shuffle else range(n)
         try:
             for i in order:
-                rho = sgd_step(w, rho, z[i : i + 1], target_list[i], eta, l2)
+                rho = sgd_step(w, rho, rows[i], row_max[i], target_list[i], eta, l2)
         except TrainingDiverged as exc:
             raise TrainingDiverged(str(exc), epoch=epoch) from None
         # a diverging run overflows here; the finiteness check below reports it

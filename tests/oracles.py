@@ -144,6 +144,24 @@ def sgd_step(
     )
 
 
+def array_checked_sgd_step(
+    w: np.ndarray, rho: float, row: np.ndarray, target: float, eta: float, l2: float
+) -> float:
+    """``predictor.sgd_step`` with its divergence test done over the whole gradient array.
+
+    The definition the library's scalar test meets: same update, and the same
+    step raises with the same message.
+    """
+    err = float((row @ w)[0]) + rho - target
+    grad = row[0] * err
+    if l2:
+        grad += l2 * w
+    if not (math.isfinite(err) and np.isfinite(grad).all()):
+        raise TrainingDiverged("non-finite gradient")
+    w -= eta * grad
+    return rho - eta * err
+
+
 def object_per_step_train(
     kind: str, train_samples: Sequence[TopicSample], config: TrainConfig
 ) -> TrainResult:

@@ -1,6 +1,9 @@
 """CLI pipeline tests on a small synthetic corpus."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -113,7 +116,8 @@ def test_manifest_records_stages_and_digests(pipeline_dir):
                   "correlate", "train:linear", "evaluate:linear"]:
         assert stage in stages
         assert "config_digest" in stages[stage]
-    norm = str(pipeline_dir / "corpus_normalized.tsv")
+    # artifacts in the run directory are keyed relative to it
+    norm = "corpus_normalized.tsv"
     assert norm in stages["ingest"]["outputs"]
     assert stages["ingest"]["outputs"][norm]["rows"] > 0
 
@@ -164,16 +168,16 @@ def test_stage_digests_each_file_once(pipeline_dir, monkeypatch, stage, argv):
     inputs = manifest["stages"][stage]["inputs"]
     assert inputs
     for path in inputs:
-        assert digested[str(Path(path).resolve())] == 1, path
+        assert digested[str((pipeline_dir / path).resolve())] == 1, path
     assert set(digested.values()) == {1}
 
 
 def test_stages_record_the_lexicon_and_split_they_verify(pipeline_dir):
     stages = json.loads((pipeline_dir / "manifest.json").read_text())["stages"]
-    lexicon = str(pipeline_dir / "lexicon.tsv")
+    lexicon = "lexicon.tsv"
     for stage in ("graph", "topics", "sentiment"):
         assert lexicon in stages[stage]["inputs"], stage
-    assert str(pipeline_dir / "splits_linear.tsv") in stages["evaluate:linear"]["inputs"]
+    assert "splits_linear.tsv" in stages["evaluate:linear"]["inputs"]
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path):
@@ -312,3 +316,126 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")
     assert exc.value.code == 0
+
+
+def _run_through_topics(out, max_depth=3):
+    """synth, ingest, graph and topics on a small corpus under ``out``."""
+    assert run("synth", "--out", out, "--seed", "11", "--n-users", "14",
+               "--edge-density", "0.35", "--n-topics", "6",
+               "--planted", "linear", "--beta", "150") == 0
+    assert run("ingest", "--out", out, "--corpus", out / "corpus.tsv",
+               "--lexicon", out / "lexicon.tsv", "--window", WINDOW_FLAG) == 0
+    assert run("graph", "--out", out, "--seed-user", "u00000",
+               "--max-depth", max_depth) == 0
+    assert run("topics", "--out", out, "--stopwords", out / "stopwords.tsv") == 0
+
+
+def _edit_catalog(out):
+    catalog = out / "catalog.tsv"
+    catalog.write_bytes(catalog.read_bytes().replace(b"\t", b"\t9", 1))
+
+
+def test_stale_artifact_detected_however_out_is_spelled(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    out = Path("rel")
+    _run_through_topics(out)
+    _edit_catalog(out)
+    for spelling in ("rel", "./rel", str(tmp_path / "rel"), "rel/../rel"):
+        capsys.readouterr()
+        assert run("sentiment", "--out", spelling) == 1, spelling
+        err = capsys.readouterr().err
+        assert "stale" in err and "catalog.tsv" in err, spelling
+
+
+def test_moved_run_directory_keeps_its_records(tmp_path, monkeypatch, capsys):
+    (tmp_path / "proj").mkdir()
+    monkeypatch.chdir(tmp_path / "proj")
+    _run_through_topics(Path("rel"))
+    (tmp_path / "proj").rename(tmp_path / "proj2")
+    monkeypatch.chdir(tmp_path / "proj2")
+    assert run("sentiment", "--out", "rel") == 0
+    _edit_catalog(Path("rel"))
+    capsys.readouterr()
+    assert run("energy", "--out", "rel") == 1
+    err = capsys.readouterr().err
+    assert "stale" in err and "catalog.tsv" in err
+
+
+def test_required_artifact_without_a_record_fails(tmp_path, capsys):
+    out = tmp_path / "run"
+    _run_through_topics(out)
+    manifest_path = out / "manifest.json"
+    data = json.loads(manifest_path.read_text())
+    # a record under a key that does not name the file, as in a manifest that
+    # spelled its keys differently
+    outputs = data["stages"]["topics"]["outputs"]
+    outputs["elsewhere/catalog.tsv"] = outputs.pop("catalog.tsv")
+    manifest_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("sentiment", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "catalog.tsv has no record" in err
+
+
+def test_edge_predictor_trains_on_a_community_without_edges(tmp_path):
+    out = tmp_path / "run"
+    _run_through_topics(out, max_depth=0)
+    assert (out / "community.tsv").read_text() == ""
+    assert run("sentiment", "--out", out) == 0
+    assert run("train", "--out", out, "--gaps", "1", "--predictor", "edge",
+               "--epochs", "20") == 0
+    assert run("evaluate", "--out", out, "--predictor", "edge") == 0
+
+
+def _ingest_text(tmp_path, name, corpus: bytes):
+    """Run ingest on ``corpus`` under a fresh output directory; return the exit code."""
+    path = tmp_path / f"{name}.tsv"
+    path.write_bytes(corpus)
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("[smile]\tpositive\n[cry]\tnegative\n", encoding="utf-8")
+    return run("ingest", "--out", tmp_path / name, "--corpus", path,
+               "--lexicon", lexicon, "--window", WINDOW_FLAG)
+
+
+def _corpus_lines(*texts) -> bytes:
+    ts = SYNTH_WINDOW.train_start
+    return "".join(
+        f"t{i}\tu{i % 2}\t{ts + i}\t-\t{text}\n" for i, text in enumerate(texts)
+    ).encode("utf-8")
+
+
+def test_ingest_rejects_duplicate_tweet_ids(tmp_path, capsys):
+    ts = SYNTH_WINDOW.train_start
+    corpus = f"17\tana\t{ts}\t-\thello [smile]\n17\tbo\t{ts + 1}\t-\tagain\n".encode()
+    assert _ingest_text(tmp_path, "dup", corpus) == 1
+    err = capsys.readouterr().err
+    assert "line 2: duplicate tweet id '17', first on line 1" in err
+    assert not (tmp_path / "dup" / "corpus_normalized.tsv").exists()
+
+
+def test_ingest_reports_a_lone_carriage_return_at_its_line(tmp_path, capsys):
+    corpus = _corpus_lines("one", "two", "th\rree", "four")
+    assert _ingest_text(tmp_path, "cr", corpus) == 1
+    assert "line 3: carriage return inside the record" in capsys.readouterr().err
+
+
+def test_ingest_normalizes_a_crlf_corpus_like_its_lf_twin(tmp_path):
+    lf = _corpus_lines("one [smile]", "#tag# two", "@u1 three [cry]")
+    assert _ingest_text(tmp_path, "lf", lf) == 0
+    assert _ingest_text(tmp_path, "crlf", lf.replace(b"\n", b"\r\n")) == 0
+    normalized = tmp_path / "lf" / "corpus_normalized.tsv"
+    assert normalized.read_bytes() == lf
+    assert (tmp_path / "crlf" / "corpus_normalized.tsv").read_bytes() == lf
+
+
+def test_stages_other_than_synth_do_not_import_it():
+    code = (
+        "import sys, sentpop.cli; "
+        "assert 'sentpop.synth' not in sys.modules, 'synth imported'"
+    )
+    src = str(Path(sentpop.cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

@@ -1,5 +1,7 @@
 """Corpus and lexicon parsing tests."""
 
+import dataclasses
+
 import pytest
 
 from sentpop.corpus import (
@@ -126,6 +128,13 @@ def test_round_trip_serialization(lexicon):
         assert parse_tweet_line(format_tweet_line(t), lexicon) == t
 
 
+@pytest.mark.parametrize("text", ["a\tb", "a\nb", "a\rb"])
+def test_format_rejects_text_that_would_not_read_back(lexicon, text):
+    t = dataclasses.replace(make_tweet(lexicon, "plain"), text=text)
+    with pytest.raises(ValueError, match="may not contain"):
+        format_tweet_line(t)
+
+
 class TestLexicon:
     def test_two_row_file(self, tmp_path):
         path = tmp_path / "lex.tsv"
@@ -189,6 +198,20 @@ class TestStreamCorpus:
         a = list(stream_corpus(path, lexicon, self.WINDOW, "train"))
         b = list(stream_corpus(path, lexicon, self.WINDOW, "train"))
         assert a == b
+
+    def test_lone_carriage_return_is_an_error_on_its_own_line(self, tmp_path, lexicon):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(b"a\tu\t10\t-\tone\nb\tu\t20\t-\ttwo\nc\tu\t30\t-\tth\rree\nd\tu\t40\t-\tx\n")
+        with pytest.raises(ParseError, match="^line 3: carriage return"):
+            list(stream_corpus(path, lexicon, self.WINDOW, "train"))
+
+    def test_crlf_line_ends_read_like_lf(self, tmp_path, lexicon):
+        lf = self._write(tmp_path, [10, 20, 150])
+        crlf = tmp_path / "crlf.tsv"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert list(stream_corpus(crlf, lexicon, self.WINDOW, "all")) == list(
+            stream_corpus(lf, lexicon, self.WINDOW, "all")
+        )
 
 
 def test_window_validation():

@@ -22,6 +22,7 @@ from sentpop.predictor import (
 from sentpop.topics import GapDataset, Topic
 
 from oracles import (
+    array_checked_sgd_step,
     closed_form_linear_fit,
     gradient_edge,
     gradient_edge_model,
@@ -303,15 +304,114 @@ class TestTrain:
 def test_sgd_step_updates_weights_in_place_and_returns_intercept():
     # error 2 on features (0.5, 0, 1): each weight moves by -eta * error * feature
     w = np.zeros(3)
-    rho = predictor.sgd_step(w, 2.0, np.array([[0.5, 0.0, 1.0]]), 0.0, 0.1, 0.0)
+    rho = predictor.sgd_step(w, 2.0, np.array([[0.5, 0.0, 1.0]]), 1.0, 0.0, 0.1, 0.0)
     assert w.tolist() == [-0.1, 0.0, -0.2]
     assert rho == pytest.approx(1.8, abs=1e-15)
     # zero error: only the L2 penalty moves the weight, never the intercept
     w = np.array([1.0])
-    rho = predictor.sgd_step(w, 0.0, np.array([[0.0]]), 0.0, 0.5, 0.2)
+    rho = predictor.sgd_step(w, 0.0, np.array([[0.0]]), 0.0, 0.0, 0.5, 0.2)
     assert w.tolist() == [0.9] and rho == 0.0
     with pytest.raises(TrainingDiverged, match="non-finite gradient"):
-        predictor.sgd_step(np.zeros(2), np.inf, np.ones((1, 2)), 0.0, 0.1, 0.0)
+        predictor.sgd_step(np.zeros(2), np.inf, np.ones((1, 2)), 1.0, 0.0, 0.1, 0.0)
+
+
+BIG = float(np.finfo(np.float64).max)
+
+
+def _step_trace(step, w, rho, rows, targets, eta, l2):
+    """Weights and intercept after each step, as raw bytes, ending with the step
+    that raised and its message."""
+    w = np.array(w, dtype=np.float64)
+    trace = []
+    with np.errstate(all="ignore"):
+        for k, (row, target) in enumerate(zip(rows, targets)):
+            row = np.array([row], dtype=np.float64)
+            try:
+                rho = step(w, rho, row, target, eta, l2)
+            except TrainingDiverged as exc:
+                trace.append(("raised", k, str(exc)))
+                break
+            trace.append((w.tobytes(), np.float64(rho).tobytes()))
+    return trace
+
+
+def _scalar_checked_step(w, rho, row, target, eta, l2):
+    return predictor.sgd_step(w, rho, row, float(np.abs(row).max(initial=0.0)), target, eta, l2)
+
+
+def _assert_same_steps(w, rho, rows, targets, eta, l2):
+    expected = _step_trace(array_checked_sgd_step, w, rho, rows, targets, eta, l2)
+    assert _step_trace(_scalar_checked_step, w, rho, rows, targets, eta, l2) == expected
+    return expected
+
+
+@pytest.mark.parametrize("w, rho, rows, targets, l2, raises", [
+    # inf * 0 is NaN
+    pytest.param([0.0, 0.0], np.inf, [[0.0, 0.0]], [0.0], 0.0, True,
+                 id="all-zero-row-infinite-residual"),
+    # no features at all: only the residual can diverge
+    pytest.param([], 0.5, [[], []], [1.0, np.inf], 0.0, True, id="no-features"),
+    pytest.param([], np.nan, [[]], [0.0], 0.0, True, id="no-features-nan-intercept"),
+    pytest.param([], 0.5, [[], []], [1.0, -2.0], 1e-3, False, id="no-features-l2"),
+    # a non-finite feature, after a finite step
+    pytest.param([1.0, 0.0], 0.0, [[1.0, 2.0], [np.nan, 1.0]], [3.0, 0.0], 0.0, True,
+                 id="nan-feature"),
+    pytest.param([0.0, 0.0], 0.0, [[1.0, 2.0], [np.inf, 0.0]], [3.0, 0.0], 0.0, True,
+                 id="inf-feature-zero-weight"),
+    pytest.param([1.0, 1.0], 0.0, [[1.0, 2.0], [0.0, -np.inf]], [3.0, 0.0], 0.0, True,
+                 id="inf-feature"),
+    pytest.param([0.0, 1e10], 0.0, [[1e300, 1.0]], [0.0], 0.0, True,
+                 id="gradient-overflows-finite-residual"),
+    # err * row_max exactly at the largest float, then with err one ulp above
+    pytest.param([0.0, 0.0], BIG / 2, [[2.0, -1.0]], [0.0], 0.0, False,
+                 id="gradient-at-largest-float"),
+    pytest.param([0.0, 0.0], np.nextafter(BIG / 2, np.inf), [[2.0, -1.0]], [0.0], 0.0, True,
+                 id="gradient-one-ulp-past-largest-float"),
+    # with a penalty, the penalty term and the sum can overflow on their own
+    pytest.param([BIG, 0.0], 0.0, [[0.0, 0.0]], [0.0], 10.0, True,
+                 id="l2-term-overflows"),
+    pytest.param([1e300, 0.0], 0.0, [[1.0, 0.0]], [-1e308], 1e8, True,
+                 id="l2-sum-overflows"),
+    pytest.param([1.0, -2.0], 0.5, [[0.5, 1.0], [1.0, 0.0]], [1.0, 2.0], 1e-3, False,
+                 id="l2-finite"),
+    pytest.param([1.0, 0.0], 0.0, [[1.0, 1.0]], [1.0], np.inf, True,
+                 id="l2-inf-zero-weight"),
+    pytest.param([1.0, -1.0], 0.0, [[1.0, 1.0]], [1.0], np.inf, True,
+                 id="l2-inf"),
+])
+def test_scalar_divergence_test_raises_at_the_array_checks_step(
+    w, rho, rows, targets, l2, raises
+):
+    trace = _assert_same_steps(w, rho, rows, targets, 0.1, l2)
+    assert (trace[-1][0] == "raised") is raises
+    if raises:
+        assert trace[-1] == ("raised", len(rows) - 1, "non-finite gradient")
+
+
+_EXTREMES = st.sampled_from(
+    [0.0, -0.0, 1e-300, 0.5, -3.0, 1e154, -1e200, 1e300, BIG, -BIG, np.inf, -np.inf, np.nan]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(0, 3),
+    data=st.data(),
+    eta=st.sampled_from([0.0, 1e-3, 0.5, 1e6, 1e300]),
+    l2=st.sampled_from([0.0, 1e-3, 1e8, np.inf]),
+)
+def test_scalar_divergence_test_matches_the_array_check_on_extreme_values(d, data, eta, l2):
+    value = st.one_of(_EXTREMES, st.floats(allow_nan=True, allow_infinity=True))
+    vector = st.lists(value, min_size=d, max_size=d)
+    n = data.draw(st.integers(1, 4))
+    _assert_same_steps(
+        data.draw(vector),
+        data.draw(value),
+        data.draw(st.lists(vector, min_size=n, max_size=n)),
+        data.draw(st.lists(value, min_size=n, max_size=n)),
+        eta,
+        l2,
+    )
 
 
 def test_train_calls_sgd_step_once_per_sample_and_epoch(monkeypatch):
@@ -355,7 +455,7 @@ def _outcome(kind, samples, config, trainer):
 @settings(max_examples=150, deadline=None)
 @given(
     kind=st.sampled_from(PREDICTOR_KINDS),
-    d=st.sampled_from([1, 2, 50]),
+    d=st.sampled_from([0, 1, 2, 50]),
     n=st.integers(1, 10),
     seed=st.integers(0, 2**32 - 1),
     constant_column=st.booleans(),
@@ -371,7 +471,7 @@ def test_train_matches_object_per_step_oracle_bit_for_bit(
 ):
     rng = np.random.default_rng(seed)
     feats = rng.uniform(0, 1, (n, d)) * rng.uniform(0.1, 100)
-    if constant_column:
+    if constant_column and d:
         feats[:, 0] = 0.5
     targets = rng.uniform(-20, 200, n)
     edges = tuple((f"u{j}", f"v{j}") for j in range(d))
