@@ -71,11 +71,8 @@ MANIFEST_FILE = "manifest.json"
 
 
 def _write_lines(lines: list[str], path: Path) -> int:
-    def write(tmp: Path) -> int:
-        tmp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        return len(lines)
-
-    return atomic_write(write, path)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return len(lines)
 
 
 def _out_meta(path: Path, rows: int) -> dict:
@@ -86,40 +83,69 @@ def _csv_ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v != ""]
 
 
-def _parse_window(text: str) -> CorpusWindow:
-    values = _csv_ints(text)
-    if len(values) != 4:
-        raise ValueError("--window needs train_start,train_end,test_start,test_end")
-    return CorpusWindow(*values)
+class Stage:
+    """The manifest bookkeeping of one command run on ``--out``.
+
+    A command verifies each file it reads through :meth:`read`, writes each
+    artifact through :meth:`write` and ends with :meth:`record`, which stores
+    its config with the digests it verified and wrote. The module's helpers
+    (``_out_meta``, ``_write_lines``, ``load_*``...) are looked up as globals
+    when called, so ``perfbench/trace_stage.py`` sees every call it wraps.
+    """
+
+    def __init__(self, out: str | Path):
+        self.out = Path(out)
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.manifest = RunManifest.load(self.out / MANIFEST_FILE, version=__version__)
+        self.inputs: dict[str, str] = {}
+        self.outputs: dict[str, dict] = {}
+
+    def read(
+        self, path_or_name: str | Path, reader: str | None = None, required: bool = True
+    ) -> Path:
+        """Verify an artifact of the run (by name) or any file (by ``Path``); return its path.
+
+        The digest that was checked is the one the stage records for it.
+        """
+        path = path_or_name if isinstance(path_or_name, Path) else self.out / path_or_name
+        self.inputs[str(path)] = self.manifest.verify_input(path, reader, required)
+        return path
+
+    def write(self, name: str, save, data) -> int:
+        """Write ``out/name`` atomically as ``save(data, path)``; return its row count."""
+        path = self.out / name
+        rows = atomic_write(lambda tmp: save(data, tmp), path) or 0  # save_model returns None
+        self.outputs[str(path)] = _out_meta(path, rows)
+        return rows
+
+    def record(self, name: str, args, **resolved) -> None:
+        """Record the stage; its config is the parsed flags, updated with ``resolved``."""
+        config = {k: v for k, v in vars(args).items() if k not in ("out", "func", "command")}
+        config.update(resolved)
+        self.manifest.record_stage(name, config, self.inputs, self.outputs)
+
+    def corpus(self):
+        """The normalized corpus path, the lexicon and the window that ``ingest`` recorded."""
+        cfg = self.manifest.stage_config("ingest")
+        lexicon_path = self.read(Path(cfg["lexicon"]), reader="ingest")
+        corpus_path = self.read(NORMALIZED_CORPUS)
+        return corpus_path, load_lexicon(lexicon_path), CorpusWindow(*cfg["window"])
+
+    def features(self, vectors: bool = True):
+        """The community, the catalog and (if ``vectors``) the vectors by topic, else None."""
+        graph_cfg = self.manifest.stage_config("graph")
+        community = community_from_edge_list(
+            self.read(COMMUNITY_FILE), graph_cfg["seed_user"], graph_cfg["max_depth"]
+        )
+        catalog = load_catalog(self.read(CATALOG_FILE))
+        vectors_by_topic = load_vectors(self.read(VECTORS_FILE)) if vectors else None
+        return community, catalog, vectors_by_topic
 
 
-def _load_manifest(args) -> tuple[Path, RunManifest]:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out, RunManifest.load(out / MANIFEST_FILE, version=__version__)
-
-
-def _verified(
-    manifest: RunManifest, path: Path, inputs: dict[str, str], reader: str | None = None
-) -> Path:
-    """Verify ``path`` and record, under ``inputs``, the digest that was checked."""
-    inputs[str(path)] = manifest.verify_input(path, reader)
-    return path
-
-
-def _ingest_context(out: Path, manifest: RunManifest, inputs: dict[str, str]):
-    cfg = manifest.stage_config("ingest")
-    window = CorpusWindow(*cfg["window"])
-    lexicon_path = _verified(manifest, Path(cfg["lexicon"]), inputs, reader="ingest")
-    corpus_path = _verified(manifest, out / NORMALIZED_CORPUS, inputs)
-    return corpus_path, load_lexicon(lexicon_path), window, cfg
-
-
-def cmd_synth(args) -> int:
+def cmd_synth(stage: Stage, args) -> int:
     # imported here so that the other stages do not pay for it
     from . import synth
 
-    out, manifest = _load_manifest(args)
     if args.planted == "linear":
         planted = synth.PlantedLinear(
             alpha=args.alpha, beta=args.beta, noise_sigma=args.noise_sigma
@@ -142,34 +168,16 @@ def cmd_synth(args) -> int:
         tweets_per_user=args.tweets_per_user,
         max_depth=args.max_depth,
     )
-    gen = synth.generate(config, out)
+    gen = synth.generate(config, stage.out)
     n_rows = gen.n_train_tweets + gen.n_test_tweets
-    manifest.record_stage(
-        "synth",
-        config={
-            "seed": args.seed,
-            "n_users": args.n_users,
-            "edge_density": args.edge_density,
-            "n_topics": args.n_topics,
-            "m": args.m,
-            "emoticon_rate": args.emoticon_rate,
-            "planted": args.planted,
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "rho": args.rho,
-            "weight_range": args.weight_range,
-            "noise_sigma": args.noise_sigma,
-            "tweets_per_user": args.tweets_per_user,
-            "max_depth": args.max_depth,
-        },
-        inputs={},
-        outputs={
-            str(gen.corpus_path): _out_meta(gen.corpus_path, n_rows),
-            str(gen.lexicon_path): _out_meta(gen.lexicon_path, len(synth.synthetic_lexicon())),
-            str(gen.stopwords_path): _out_meta(gen.stopwords_path, 10),
-            str(gen.expected_path): _out_meta(gen.expected_path, 0),
-        },
-    )
+    for path, rows in (
+        (gen.corpus_path, n_rows),
+        (gen.lexicon_path, len(synth.synthetic_lexicon())),
+        (gen.stopwords_path, 10),
+        (gen.expected_path, 0),
+    ):
+        stage.outputs[str(path)] = _out_meta(path, rows)
+    stage.record("synth", args)
     print(f"synth: {n_rows} tweets -> {gen.corpus_path}")
     print(
         "synth: window "
@@ -179,9 +187,11 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_ingest(args) -> int:
-    out, manifest = _load_manifest(args)
-    window = _parse_window(args.window)
+def cmd_ingest(stage: Stage, args) -> int:
+    bounds = _csv_ints(args.window)
+    if len(bounds) != 4:
+        raise ValueError("--window needs train_start,train_end,test_start,test_end")
+    window = CorpusWindow(*bounds)
     lexicon = load_lexicon(args.lexicon)
     kept: list[str] = []
     dropped = 0
@@ -200,45 +210,25 @@ def cmd_ingest(args) -> int:
                 kept.append(format_tweet_line(tweet))
             else:
                 dropped += 1
-    norm_path = out / NORMALIZED_CORPUS
-    rows = _write_lines(kept, norm_path)
-    manifest.record_stage(
-        "ingest",
-        config={
-            "corpus": str(args.corpus),
-            "lexicon": str(args.lexicon),
-            "window": [window.train_start, window.train_end, window.test_start, window.test_end],
-        },
-        inputs={
-            str(args.corpus): file_digest(args.corpus),
-            str(args.lexicon): file_digest(args.lexicon),
-        },
-        outputs={str(norm_path): _out_meta(norm_path, rows)},
-    )
-    print(f"ingest: kept {rows} tweets ({dropped} outside window) -> {norm_path}")
+    # a file that a stage wrote (synth) must still match its record, so that
+    # every recorded input was read under its writer's digest
+    stage.read(Path(args.corpus), required=False)
+    stage.read(Path(args.lexicon), required=False)
+    rows = stage.write(NORMALIZED_CORPUS, _write_lines, kept)
+    stage.record("ingest", args, window=bounds)
+    print(f"ingest: kept {rows} tweets ({dropped} outside window) -> "
+          f"{stage.out / NORMALIZED_CORPUS}")
     return 0
 
 
-def cmd_graph(args) -> int:
-    out, manifest = _load_manifest(args)
-    inputs: dict[str, str] = {}
-    corpus_path, lexicon, window, _ = _ingest_context(out, manifest, inputs)
+def cmd_graph(stage: Stage, args) -> int:
+    corpus_path, lexicon, window = stage.corpus()
     tweets = stream_corpus(corpus_path, lexicon, window, "all")
     graph = build_graph(tweets)
     community = extract_community(graph, args.seed_user, args.max_depth)
-    graph_path = out / GRAPH_FILE
-    community_path = out / COMMUNITY_FILE
-    g_rows = atomic_write(lambda p: save_edge_list(graph.edges, p), graph_path)
-    c_rows = atomic_write(lambda p: save_edge_list(community.edges, p), community_path)
-    manifest.record_stage(
-        "graph",
-        config={"seed_user": args.seed_user, "max_depth": args.max_depth},
-        inputs=inputs,
-        outputs={
-            str(graph_path): _out_meta(graph_path, g_rows),
-            str(community_path): _out_meta(community_path, c_rows),
-        },
-    )
+    g_rows = stage.write(GRAPH_FILE, save_edge_list, graph.edges)
+    c_rows = stage.write(COMMUNITY_FILE, save_edge_list, community.edges)
+    stage.record("graph", args)
     print(
         f"graph: {len(graph.nodes)} users, {g_rows} edges; community of "
         f"{args.seed_user!r} at depth {args.max_depth}: "
@@ -247,12 +237,9 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def cmd_topics(args) -> int:
-    out, manifest = _load_manifest(args)
-    inputs: dict[str, str] = {}
-    corpus_path, lexicon, window, _ = _ingest_context(out, manifest, inputs)
-    inputs[str(args.stopwords)] = manifest.verify_input(args.stopwords, required=False)
-    stopwords = load_stopwords(args.stopwords)
+def cmd_topics(stage: Stage, args) -> int:
+    corpus_path, lexicon, window = stage.corpus()
+    stopwords = load_stopwords(stage.read(Path(args.stopwords), required=False))
     test_tweets = list(stream_corpus(corpus_path, lexicon, window, "test"))
     first_month_end = args.first_month_end
     if first_month_end is None:
@@ -272,65 +259,32 @@ def cmd_topics(args) -> int:
         )
         for t in topics
     ]
-    catalog_path = out / CATALOG_FILE
-    rows = atomic_write(lambda p: save_catalog(topics, p), catalog_path)
-    manifest.record_stage(
-        "topics",
-        config={
-            "m": args.m,
-            "min_popularity": args.min_popularity,
-            "first_month_end": first_month_end,
-            "stopwords": str(args.stopwords),
-        },
-        inputs=inputs,
-        outputs={str(catalog_path): _out_meta(catalog_path, rows)},
-    )
-    print(f"topics: {rows} topics -> {catalog_path}")
+    rows = stage.write(CATALOG_FILE, save_catalog, topics)
+    stage.record("topics", args, first_month_end=first_month_end)
+    print(f"topics: {rows} topics -> {stage.out / CATALOG_FILE}")
     return 0
 
 
-def _community_from_manifest(out: Path, manifest: RunManifest, inputs: dict[str, str]):
-    graph_cfg = manifest.stage_config("graph")
-    community_path = _verified(manifest, out / COMMUNITY_FILE, inputs)
-    return community_from_edge_list(
-        community_path, graph_cfg["seed_user"], graph_cfg["max_depth"]
-    )
-
-
-def cmd_sentiment(args) -> int:
-    out, manifest = _load_manifest(args)
-    inputs: dict[str, str] = {}
-    corpus_path, lexicon, window, _ = _ingest_context(out, manifest, inputs)
-    community = _community_from_manifest(out, manifest, inputs)
-    catalog = load_catalog(_verified(manifest, out / CATALOG_FILE, inputs))
+def cmd_sentiment(stage: Stage, args) -> int:
+    corpus_path, lexicon, window = stage.corpus()
+    community, catalog, _ = stage.features(vectors=False)
     train_tweets = stream_corpus(corpus_path, lexicon, window, "train")
     tweets_by_user = group_tweets_by_user(train_tweets)
     vectors_by_topic = catalog_vectors(community.members, catalog, tweets_by_user)
-    vectors_path = out / VECTORS_FILE
-    rows = atomic_write(lambda p: save_vectors(vectors_by_topic, p), vectors_path)
-    manifest.record_stage(
-        "sentiment",
-        config={},
-        inputs=inputs,
-        outputs={str(vectors_path): _out_meta(vectors_path, rows)},
-    )
-    print(f"sentiment: {rows} nonzero vectors -> {vectors_path}")
+    rows = stage.write(VECTORS_FILE, save_vectors, vectors_by_topic)
+    stage.record("sentiment", args)
+    print(f"sentiment: {rows} nonzero vectors -> {stage.out / VECTORS_FILE}")
     return 0
 
 
-def _selected_combos(args) -> list[tuple[EnergyModel, EnergyFunction]]:
+def cmd_energy(stage: Stage, args) -> int:
+    community, catalog, vectors_by_topic = stage.features()
     models = [EnergyModel(args.model)] if args.model else list(EnergyModel)
     functions = [EnergyFunction(args.function)] if args.function else list(EnergyFunction)
-    return sorted(
+    combos = sorted(
         ((m, f) for m in models for f in functions),
         key=lambda mf: (mf[0].value, mf[1].value),
     )
-
-
-def cmd_energy(args) -> int:
-    out, manifest = _load_manifest(args)
-    community, catalog, vectors_by_topic, inputs = _feature_inputs(out, manifest)
-    combos = _selected_combos(args)
     energies = [
         community_energy(
             community, vectors_by_topic.get(t.hashtag, {}), model, function, topic=t.hashtag
@@ -338,23 +292,16 @@ def cmd_energy(args) -> int:
         for t in catalog
         for model, function in combos
     ]
-    energies_path = out / ENERGIES_FILE
-    rows = atomic_write(lambda p: save_energy_report(energies, p), energies_path)
-    manifest.record_stage(
-        "energy",
-        config={"model": args.model, "function": args.function},
-        inputs=inputs,
-        outputs={str(energies_path): _out_meta(energies_path, rows)},
-    )
-    print(f"energy: {rows} rows ({len(combos)} model/function combos) -> {energies_path}")
+    rows = stage.write(ENERGIES_FILE, save_energy_report, energies)
+    stage.record("energy", args)
+    print(f"energy: {rows} rows ({len(combos)} model/function combos) -> "
+          f"{stage.out / ENERGIES_FILE}")
     return 0
 
 
-def cmd_correlate(args) -> int:
-    out, manifest = _load_manifest(args)
-    inputs: dict[str, str] = {}
-    catalog = load_catalog(_verified(manifest, out / CATALOG_FILE, inputs))
-    energies_path = _verified(manifest, out / ENERGIES_FILE, inputs)
+def cmd_correlate(stage: Stage, args) -> int:
+    catalog = load_catalog(stage.read(CATALOG_FILE))
+    energies_path = stage.read(ENERGIES_FILE)
     by_key: dict[tuple[str, EnergyModel, EnergyFunction], float] = {}
     combos = set()
     for e in load_energy_report(energies_path):
@@ -372,32 +319,10 @@ def cmd_correlate(args) -> int:
             lines.append(
                 f"{gap}\t{model.value}+{function.value}\t{r!r}\t{p!r}\t{strength.value}"
             )
-    correlation_path = out / CORRELATION_FILE
-    rows = _write_lines(lines, correlation_path)
-    manifest.record_stage(
-        "correlate",
-        config={"gaps": gaps},
-        inputs=inputs,
-        outputs={str(correlation_path): _out_meta(correlation_path, rows)},
-    )
-    print(f"correlate: {rows} rows -> {correlation_path}")
+    rows = stage.write(CORRELATION_FILE, _write_lines, lines)
+    stage.record("correlate", args, gaps=gaps)
+    print(f"correlate: {rows} rows -> {stage.out / CORRELATION_FILE}")
     return 0
-
-
-def _feature_inputs(out: Path, manifest: RunManifest):
-    inputs: dict[str, str] = {}
-    community = _community_from_manifest(out, manifest, inputs)
-    catalog = load_catalog(_verified(manifest, out / CATALOG_FILE, inputs))
-    vectors_by_topic = load_vectors(_verified(manifest, out / VECTORS_FILE, inputs))
-    return community, catalog, vectors_by_topic, inputs
-
-
-def _model_path(out: Path, kind: str, gap: int) -> Path:
-    return out / f"model_{kind}_gap{gap}.tsv"
-
-
-def _splits_path(out: Path, kind: str) -> Path:
-    return out / f"splits_{kind}.tsv"
 
 
 def _sgd_summary(curve: list[float], plateaued: bool) -> str:
@@ -410,9 +335,8 @@ def _sgd_summary(curve: list[float], plateaued: bool) -> str:
     return text
 
 
-def cmd_train(args) -> int:
-    out, manifest = _load_manifest(args)
-    community, catalog, vectors_by_topic, inputs = _feature_inputs(out, manifest)
+def cmd_train(stage: Stage, args) -> int:
+    community, catalog, vectors_by_topic = stage.features()
     function = EnergyFunction(args.function)
     config = predictor.TrainConfig(
         learning_rate=args.eta,
@@ -422,7 +346,6 @@ def cmd_train(args) -> int:
     )
     gaps = _csv_ints(args.gaps)
     split_lines: list[str] = []
-    outputs: dict[str, dict] = {}
     for gap in gaps:
         dataset = gap_filter(catalog, gap)
         train_topics, test_topics = predictor.split_train_test(dataset, args.seed)
@@ -430,82 +353,57 @@ def cmd_train(args) -> int:
         split_lines.extend(f"{gap}\t{t.hashtag}\ttest" for t in test_topics)
         samples = predictor.make_samples(community, vectors_by_topic, train_topics, function)
         result = predictor.train(args.predictor, samples, config)
-        model_path = _model_path(out, args.predictor, gap)
-        atomic_write(lambda p: predictor.save_model(result.model, p) or 0, model_path)
-        outputs[str(model_path)] = _out_meta(model_path, 0)
-        log_path = out / f"train_log_{args.predictor}_gap{gap}.tsv"
-        log_rows = _write_lines(
+        stage.write(f"model_{args.predictor}_gap{gap}.tsv", predictor.save_model, result.model)
+        stage.write(
+            f"train_log_{args.predictor}_gap{gap}.tsv",
+            _write_lines,
             [f"{epoch}\t{value!r}" for epoch, value in enumerate(result.loss_curve)],
-            log_path,
         )
-        outputs[str(log_path)] = _out_meta(log_path, log_rows)
         summary = _sgd_summary(result.loss_curve, result.plateaued)
         print(f"train: gap {gap}: {len(samples)} topics, {summary}")
-    splits_path = _splits_path(out, args.predictor)
-    rows = _write_lines(split_lines, splits_path)
-    outputs[str(splits_path)] = _out_meta(splits_path, rows)
-    manifest.record_stage(
+    stage.write(f"splits_{args.predictor}.tsv", _write_lines, split_lines)
+    stage.record(
         f"train:{args.predictor}",
-        config={
-            "predictor": args.predictor,
-            "function": args.function,
-            "gaps": gaps,
-            "eta": args.eta,
-            "epochs": args.epochs,
-            "seed": args.seed,
-            "l2": args.l2,
-            "init": config.init,
-            "shuffle": config.shuffle,
-            "stop_tol": config.stop_tol,
-        },
-        inputs=inputs,
-        outputs=outputs,
+        args,
+        gaps=gaps,
+        init=config.init,
+        shuffle=config.shuffle,
+        stop_tol=config.stop_tol,
     )
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    out, manifest = _load_manifest(args)
-    train_cfg = manifest.stage_config(f"train:{args.predictor}")
-    community, catalog, vectors_by_topic, inputs = _feature_inputs(out, manifest)
+def cmd_evaluate(stage: Stage, args) -> int:
+    train_cfg = stage.manifest.stage_config(f"train:{args.predictor}")
+    community, catalog, vectors_by_topic = stage.features()
     function = EnergyFunction(train_cfg["function"])
     gaps = _csv_ints(args.gaps) if args.gaps else list(train_cfg["gaps"])
-    splits_path = _verified(manifest, _splits_path(out, args.predictor), inputs)
     test_tags: dict[int, set[str]] = {}
-    with open(splits_path, encoding="utf-8") as fh:
+    with open(stage.read(f"splits_{args.predictor}.tsv"), encoding="utf-8") as fh:
         for line in fh:
             gap_s, tag, role = line.rstrip("\n").split("\t")
             if role == "test":
                 test_tags.setdefault(int(gap_s), set()).add(tag)
     lines = []
-    outputs: dict[str, dict] = {}
     for gap in gaps:
         if gap not in test_tags:
             raise StaleArtifactError(f"no recorded split for gap {gap}; run train first")
-        model = predictor.load_model(
-            _verified(manifest, _model_path(out, args.predictor, gap), inputs)
-        )
+        model = predictor.load_model(stage.read(f"model_{args.predictor}_gap{gap}.tsv"))
         test_topics = [t for t in catalog if t.hashtag in test_tags[gap]]
         samples = predictor.make_samples(community, vectors_by_topic, test_topics, function)
         result = predictor.evaluate(model, samples)
         lines.append(f"{gap}\t{args.predictor}\t{result.rse!r}")
-        residual_lines = [
-            f"{tag}\t{actual!r}\t{pred!r}\t{pred - actual!r}"
-            for tag, actual, pred in result.residuals
-        ]
-        residuals_path = out / f"residuals_{args.predictor}_gap{gap}.tsv"
-        r_rows = _write_lines(residual_lines, residuals_path)
-        outputs[str(residuals_path)] = _out_meta(residuals_path, r_rows)
+        stage.write(
+            f"residuals_{args.predictor}_gap{gap}.tsv",
+            _write_lines,
+            [
+                f"{tag}\t{actual!r}\t{pred!r}\t{pred - actual!r}"
+                for tag, actual, pred in result.residuals
+            ],
+        )
         print(f"evaluate: gap {gap}: rse {result.rse:.4f} r2 {result.r_squared:.4f}")
-    report_path = out / f"evaluation_{args.predictor}.tsv"
-    rows = _write_lines(lines, report_path)
-    outputs[str(report_path)] = _out_meta(report_path, rows)
-    manifest.record_stage(
-        f"evaluate:{args.predictor}",
-        config={"predictor": args.predictor, "gaps": gaps},
-        inputs=inputs,
-        outputs=outputs,
-    )
+    stage.write(f"evaluation_{args.predictor}.tsv", _write_lines, lines)
+    stage.record(f"evaluate:{args.predictor}", args, gaps=gaps)
     return 0
 
 
@@ -589,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(Stage(args.out), args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

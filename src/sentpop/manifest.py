@@ -2,13 +2,15 @@
 
 Every pipeline stage records the digests of the inputs it read and the
 outputs it wrote. A stage that consumes an artifact recorded earlier verifies
-the digest first, so silently edited or regenerated-with-different-flags
+the digest first, and then that no input upstream of it has been rewritten
+since it was made, so silently edited or regenerated-with-different-flags
 files fail loudly instead of producing mismatched reports. The manifest holds
 no timestamps; reruns with identical inputs produce identical manifests.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -94,15 +96,25 @@ class RunManifest:
     ) -> None:
         """Replace the stage entry; rerunning a stage overwrites its record.
 
-        Input and output paths are recorded under :meth:`key`.
+        Input and output paths are recorded under :meth:`key`. The manifest is
+        read again and saved under an exclusive lock on the run directory, so
+        stages that finish at the same time on one run each keep their entry.
         """
-        self.data["stages"][stage] = {
+        entry = {
             "config": config,
             "config_digest": config_digest(config),
             "inputs": {self.key(p): digest for p, digest in inputs.items()},
             "outputs": {self.key(p): meta for p, meta in outputs.items()},
         }
-        self.save()
+        fd = os.open(self.root, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            if self.path.exists():
+                self.data = self.load(self.path).data
+            self.data["stages"][stage] = entry
+            self.save()
+        finally:
+            os.close(fd)
 
     def stage_config(self, stage: str) -> dict:
         entry = self.data["stages"].get(stage)
@@ -112,48 +124,75 @@ class RunManifest:
             )
         return entry["config"]
 
-    def recorded_digest(self, path: str | Path, reader: str | None = None) -> str | None:
-        """Digest under which a stage last wrote ``path``, else under which ``reader`` read it.
-
-        A file that no stage wrote is checked only against the stage that reads
-        it from outside the run (``reader``): the stages that merely re-verify
-        it record it too, and their older records must not outrank a rerun of
-        its reader.
-        """
-        key = self.key(path)
-        found = None
-        for entry in self.data["stages"].values():
+    def _writer(self, key: str) -> tuple[str | None, str | None]:
+        """The stage that last recorded ``key`` as an output, and the digest it recorded."""
+        found = None, None
+        for name, entry in self.data["stages"].items():
             meta = entry["outputs"].get(key)
             if meta is not None:
-                found = meta["digest"]
-        if found is None and reader is not None:
-            found = self.data["stages"].get(reader, {}).get("inputs", {}).get(key)
+                found = name, meta["digest"]
         return found
+
+    def _rewritten_input(self, stage: str, memo: dict) -> tuple[str, str] | None:
+        """A stage at or upstream of ``stage`` and an input rewritten since it ran.
+
+        Every stage read its inputs under the digest their writer had recorded,
+        so a writer's record that now differs means the writer ran again. Only
+        records are compared; files that no stage wrote are not followed.
+        """
+        if stage not in memo:
+            memo[stage] = None  # also ends a walk that comes back to ``stage``
+            for key, digest in self.data["stages"][stage]["inputs"].items():
+                writer, current = self._writer(key)
+                if writer is None:
+                    continue
+                found = (stage, key) if current != digest else self._rewritten_input(writer, memo)
+                if found is not None:
+                    memo[stage] = found
+                    break
+        return memo[stage]
 
     def verify_input(
         self, path: str | Path, reader: str | None = None, required: bool = True
     ) -> str:
         """Digest ``path`` and compare against the manifest record.
 
-        A ``required`` artifact must have a record: one that a stage wrote, or
-        that ``reader`` read. Without one (a manifest from another directory,
-        or from before this keying) nothing could be verified, so the stage
-        fails instead of reading the file unchecked. A file supplied from
-        outside the run and read by the calling stage alone is not required.
+        The record is the digest under which a stage last wrote ``path``, else
+        the one under which ``reader`` read it. A file that no stage wrote is
+        checked only against the stage that reads it from outside the run
+        (``reader``): the stages that merely re-verify it record it too, and
+        their older records must not outrank a rerun of its reader.
+
+        A ``required`` artifact must have a record. Without one (a manifest
+        from another directory, or from before this keying) nothing could be
+        verified, so the stage fails instead of reading the file unchecked. A
+        file supplied from outside the run and read by the calling stage alone
+        is not required. An artifact whose writer, or any stage upstream of
+        it, read an input that a stage has rewritten since is stale as well.
         """
         path = Path(path)
         if not path.exists():
             raise StaleArtifactError(f"upstream artifact {path} is missing")
         actual = file_digest(path)
-        recorded = self.recorded_digest(path, reader)
+        key = self.key(path)
+        writer, recorded = self._writer(key)
+        if recorded is None and reader is not None:
+            recorded = self.data["stages"].get(reader, {}).get("inputs", {}).get(key)
         if recorded is None and required:
+            rerun = reader or "the stage that writes it"
             raise StaleArtifactError(
-                f"upstream artifact {path} has no record in {self.path}; "
-                "rerun the stage that writes it"
+                f"upstream artifact {path} has no record in {self.path}; rerun {rerun}"
             )
         if recorded is not None and recorded != actual:
             raise StaleArtifactError(
                 f"stale upstream artifact {path}: recorded digest {recorded} "
                 f"but file now digests to {actual}"
+            )
+        rewritten = writer and self._rewritten_input(writer, {})
+        if rewritten:
+            stage, key = rewritten
+            raise StaleArtifactError(
+                f"stale upstream artifact {path}: stage {stage!r} read {key}, "
+                f"which has been rewritten since; rerun {stage}"
             )
         return actual

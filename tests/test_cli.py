@@ -25,6 +25,22 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def pipeline_argv(out):
+    """The analysis stages of the ``pipeline_dir`` run, by stage, in order."""
+    return {
+        "ingest": ("ingest", "--out", out, "--corpus", out / "corpus.tsv",
+                   "--lexicon", out / "lexicon.tsv", "--window", WINDOW_FLAG),
+        "graph": ("graph", "--out", out, "--seed-user", "u00000", "--max-depth", "3"),
+        "topics": ("topics", "--out", out, "--stopwords", out / "stopwords.tsv"),
+        "sentiment": ("sentiment", "--out", out),
+        "energy": ("energy", "--out", out),
+        "correlate": ("correlate", "--out", out, "--gaps", "1,3"),
+        "train": ("train", "--out", out, "--gaps", "1", "--predictor", "linear",
+                  "--epochs", "120", "--seed", "7"),
+        "evaluate": ("evaluate", "--out", out, "--predictor", "linear"),
+    }
+
+
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
     """A fully executed pipeline over a small planted-linear corpus."""
@@ -33,16 +49,8 @@ def pipeline_dir(tmp_path_factory):
                "--edge-density", "0.12", "--n-topics", "12",
                "--planted", "linear", "--alpha", "2.0", "--beta", "150",
                "--noise-sigma", "0.02") == 0
-    assert run("ingest", "--out", out, "--corpus", out / "corpus.tsv",
-               "--lexicon", out / "lexicon.tsv", "--window", WINDOW_FLAG) == 0
-    assert run("graph", "--out", out, "--seed-user", "u00000", "--max-depth", "3") == 0
-    assert run("topics", "--out", out, "--stopwords", out / "stopwords.tsv") == 0
-    assert run("sentiment", "--out", out) == 0
-    assert run("energy", "--out", out) == 0
-    assert run("correlate", "--out", out, "--gaps", "1,3") == 0
-    assert run("train", "--out", out, "--gaps", "1", "--predictor", "linear",
-               "--epochs", "120", "--seed", "7") == 0
-    assert run("evaluate", "--out", out, "--predictor", "linear") == 0
+    for argv in pipeline_argv(out).values():
+        assert run(*argv) == 0, argv[0]
     return Path(out)
 
 
@@ -120,31 +128,84 @@ def test_manifest_records_stages_and_digests(pipeline_dir):
     norm = "corpus_normalized.tsv"
     assert norm in stages["ingest"]["outputs"]
     assert stages["ingest"]["outputs"][norm]["rows"] > 0
+    # each config is the stage's flags as parsed, with the values it resolved
+    w = SYNTH_WINDOW
+    out = str(pipeline_dir)
+    assert {name: entry["config"] for name, entry in stages.items()} == {
+        "synth": {
+            "seed": 5, "n_users": 40, "edge_density": 0.12, "n_topics": 12, "m": 10,
+            "emoticon_rate": 0.5, "planted": "linear", "alpha": 2.0, "beta": 150.0,
+            "rho": 150.0, "weight_range": "0.5,2.0", "noise_sigma": 0.02,
+            "tweets_per_user": 8, "max_depth": 3,
+        },
+        "ingest": {
+            "corpus": f"{out}/corpus.tsv", "lexicon": f"{out}/lexicon.tsv",
+            "window": [w.train_start, w.train_end, w.test_start, w.test_end],
+        },
+        "graph": {"seed_user": "u00000", "max_depth": 3},
+        "topics": {
+            "m": 10, "min_popularity": 100, "stopwords": f"{out}/stopwords.tsv",
+            "first_month_end": w.test_start + (w.test_end - w.test_start) // 2,
+        },
+        "sentiment": {},
+        "energy": {"model": None, "function": None},
+        "correlate": {"gaps": [1, 3]},
+        "train:linear": {
+            "predictor": "linear", "function": "cosine", "gaps": [1], "eta": 0.01,
+            "epochs": 120, "seed": 7, "l2": 0.0, "init": "zeros", "shuffle": True,
+            "stop_tol": 1e-9,
+        },
+        "evaluate:linear": {"predictor": "linear", "gaps": [1]},
+    }
 
 
 def test_rerun_is_byte_identical(pipeline_dir):
     before = {
         p.name: p.read_bytes()
         for p in pipeline_dir.iterdir()
-        if p.suffix == ".tsv"
+        if p.suffix == ".tsv" or p.name == "manifest.json"
     }
-    out = pipeline_dir
-    assert run("ingest", "--out", out, "--corpus", out / "corpus.tsv",
-               "--lexicon", out / "lexicon.tsv", "--window", WINDOW_FLAG) == 0
-    assert run("graph", "--out", out, "--seed-user", "u00000", "--max-depth", "3") == 0
-    assert run("topics", "--out", out, "--stopwords", out / "stopwords.tsv") == 0
-    assert run("sentiment", "--out", out) == 0
-    assert run("energy", "--out", out) == 0
-    assert run("correlate", "--out", out, "--gaps", "1,3") == 0
-    assert run("train", "--out", out, "--gaps", "1", "--predictor", "linear",
-               "--epochs", "120", "--seed", "7") == 0
-    assert run("evaluate", "--out", out, "--predictor", "linear") == 0
+    for argv in pipeline_argv(pipeline_dir).values():
+        assert run(*argv) == 0, argv[0]
     after = {
         p.name: p.read_bytes()
         for p in pipeline_dir.iterdir()
-        if p.suffix == ".tsv"
+        if p.suffix == ".tsv" or p.name == "manifest.json"
     }
+    assert "manifest.json" in after
     assert before == after
+
+
+# every file each stage verifies; appending a byte to one must stop the stage
+VERIFIED = {
+    "ingest": ("corpus.tsv", "lexicon.tsv"),
+    "graph": ("lexicon.tsv", "corpus_normalized.tsv"),
+    "topics": ("lexicon.tsv", "corpus_normalized.tsv", "stopwords.tsv"),
+    "sentiment": ("lexicon.tsv", "corpus_normalized.tsv", "community.tsv", "catalog.tsv"),
+    "energy": ("community.tsv", "catalog.tsv", "vectors.tsv"),
+    "correlate": ("catalog.tsv", "energies.tsv"),
+    "train": ("community.tsv", "catalog.tsv", "vectors.tsv"),
+    "evaluate": ("community.tsv", "catalog.tsv", "vectors.tsv", "splits_linear.tsv",
+                 "model_linear_gap1.tsv"),
+}
+
+
+@pytest.mark.parametrize("stage, name", [
+    (stage, name) for stage, names in VERIFIED.items() for name in names
+])
+def test_tampered_input_stops_its_stage(pipeline_dir, capsys, stage, name):
+    path = pipeline_dir / name
+    original = path.read_bytes()
+    argv = pipeline_argv(pipeline_dir)[stage]
+    try:
+        path.write_bytes(original + b"\n")
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "stale" in err and name in err, err
+    finally:
+        path.write_bytes(original)
+    assert run(*argv) == 0
 
 
 @pytest.mark.parametrize("stage, argv", [
@@ -375,6 +436,82 @@ def test_required_artifact_without_a_record_fails(tmp_path, capsys):
     assert run("sentiment", "--out", out) == 1
     err = capsys.readouterr().err
     assert "catalog.tsv has no record" in err
+
+
+def test_rerun_upstream_stage_makes_downstream_artifacts_stale(tmp_path, capsys):
+    """energies.tsv and vectors.tsv built from a catalog that topics has since
+    rewritten are stale, though each still matches its own record."""
+    out = tmp_path / "run"
+    _run_through_topics(out)
+    assert run("sentiment", "--out", out) == 0
+    assert run("energy", "--out", out) == 0
+    assert run("topics", "--out", out, "--stopwords", out / "stopwords.tsv", "--m", "5") == 0
+    capsys.readouterr()
+    assert run("correlate", "--out", out, "--gaps", "1") == 1
+    err = capsys.readouterr().err
+    assert "stale" in err and "energies.tsv" in err and "catalog.tsv" in err, err
+    assert err.rstrip().endswith("rerun energy"), err
+    assert run("train", "--out", out, "--gaps", "1") == 1
+    err = capsys.readouterr().err
+    assert "vectors.tsv" in err and err.rstrip().endswith("rerun sentiment"), err
+    assert run("sentiment", "--out", out) == 0
+    assert run("energy", "--out", out) == 0
+    assert run("correlate", "--out", out, "--gaps", "1") == 0
+    assert run("train", "--out", out, "--gaps", "1") == 0
+
+
+def test_stages_recorded_from_stale_manifests_keep_both_entries(tmp_path):
+    """Each record re-reads the manifest, so a concurrent stage's entry survives."""
+    path = tmp_path / "manifest.json"
+    first = sentpop.manifest.RunManifest.load(path, version="v")
+    second = sentpop.manifest.RunManifest.load(path, version="v")
+    first.record_stage("train:linear", {"predictor": "linear"}, {}, {})
+    second.record_stage("train:edge", {"predictor": "edge"}, {}, {})
+    stages = json.loads(path.read_text())["stages"]
+    assert sorted(stages) == ["train:edge", "train:linear"]
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+def test_stages_recording_in_parallel_keep_every_entry(tmp_path):
+    code = (
+        "import sys; from sentpop.manifest import RunManifest\n"
+        "for i in range(25):\n"
+        "    m = RunManifest.load(sys.argv[1])\n"
+        "    m.record_stage(f'{sys.argv[2]}:{i}', {}, {}, {})\n"
+    )
+    src = str(Path(sentpop.cli.__file__).resolve().parents[1])
+    procs = [
+        subprocess.Popen([sys.executable, "-c", code, tmp_path / "manifest.json", f"w{w}"],
+                         env={**os.environ, "PYTHONPATH": src})
+        for w in range(4)
+    ]
+    assert [p.wait(timeout=60) for p in procs] == [0] * 4
+    stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
+    assert len(stages) == 100
+
+
+def test_moved_lexicon_outside_the_run_asks_for_ingest(tmp_path, monkeypatch, capsys):
+    (tmp_path / "proj").mkdir()
+    monkeypatch.chdir(tmp_path / "proj")
+    out = Path("rel")
+    assert run("synth", "--out", out, "--seed", "11", "--n-users", "14",
+               "--edge-density", "0.35", "--n-topics", "6") == 0
+    Path("own").mkdir()
+    Path("own/lexicon.tsv").write_bytes((out / "lexicon.tsv").read_bytes())
+
+    def ingest():
+        return run("ingest", "--out", out, "--corpus", out / "corpus.tsv",
+                   "--lexicon", "own/lexicon.tsv", "--window", WINDOW_FLAG)
+
+    assert ingest() == 0
+    (tmp_path / "proj").rename(tmp_path / "proj2")
+    monkeypatch.chdir(tmp_path / "proj2")
+    capsys.readouterr()
+    assert run("graph", "--out", out, "--seed-user", "u00000") == 1
+    err = capsys.readouterr().err
+    assert "lexicon.tsv has no record" in err and err.rstrip().endswith("rerun ingest"), err
+    assert ingest() == 0
+    assert run("graph", "--out", out, "--seed-user", "u00000") == 0
 
 
 def test_edge_predictor_trains_on_a_community_without_edges(tmp_path):
