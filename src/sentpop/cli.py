@@ -11,6 +11,7 @@ manifest.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -127,7 +128,7 @@ class Stage:
     def corpus(self):
         """The normalized corpus path, the lexicon and the window that ``ingest`` recorded."""
         cfg = self.manifest.stage_config("ingest")
-        lexicon_path = self.read(Path(cfg["lexicon"]), reader="ingest")
+        lexicon_path = self.read((self.manifest.root / cfg["lexicon"]).resolve(), reader="ingest")
         corpus_path = self.read(NORMALIZED_CORPUS)
         return corpus_path, load_lexicon(lexicon_path), CorpusWindow(*cfg["window"])
 
@@ -215,7 +216,9 @@ def cmd_ingest(stage: Stage, args) -> int:
     stage.read(Path(args.corpus), required=False)
     stage.read(Path(args.lexicon), required=False)
     rows = stage.write(NORMALIZED_CORPUS, _write_lines, kept)
-    stage.record("ingest", args, window=bounds)
+    # relative to the run directory, so later stages find it from any directory
+    lexicon = os.path.relpath(Path(args.lexicon).resolve(), stage.manifest.root)
+    stage.record("ingest", args, window=bounds, lexicon=lexicon)
     print(f"ingest: kept {rows} tweets ({dropped} outside window) -> "
           f"{stage.out / NORMALIZED_CORPUS}")
     return 0
@@ -401,7 +404,8 @@ def cmd_evaluate(stage: Stage, args) -> int:
                 for tag, actual, pred in result.residuals
             ],
         )
-        print(f"evaluate: gap {gap}: rse {result.rse:.4f} r2 {result.r_squared:.4f}")
+        verdict = " (worse than predicting the mean)" if result.rse > 1.0 else ""
+        print(f"evaluate: gap {gap}: rse {result.rse:.4f} r2 {result.r_squared:.4f}{verdict}")
     stage.write(f"evaluation_{args.predictor}.tsv", _write_lines, lines)
     stage.record(f"evaluate:{args.predictor}", args, gaps=gaps)
     return 0
@@ -484,7 +488,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# BLAS reads these when numpy first loads; any one of them set is the user's choice
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def main(argv: list[str] | None = None) -> int:
+    # every BLAS call here is tiny, so starting a thread pool would only cost time
+    if not any(var in os.environ for var in _BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     args = build_parser().parse_args(argv)
     try:
         return args.func(Stage(args.out), args)

@@ -217,13 +217,27 @@ def stream_corpus(
     window: CorpusWindow,
     split: str = "all",
 ) -> Iterator[Tweet]:
-    """Yield tweets whose timestamp falls in the requested split, in file order."""
+    """Yield tweets whose timestamp falls in the requested split, in file order.
+
+    For the ``train`` and ``test`` splits, a line whose timestamp field reads
+    as outside the split is skipped without being parsed; a line whose
+    timestamp cannot be read is parsed, so a malformed record still raises
+    :class:`ParseError` at its line. ``all`` parses every line.
+    """
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
     with open_corpus(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            if split != "all":
+                try:
+                    timestamp = int(line.split("\t", 3)[2])
+                except (IndexError, ValueError):
+                    pass
+                else:
+                    if not window.contains(timestamp, split):
+                        continue
             tweet = parse_tweet_line(line, lexicon, line_no)
             if window.contains(tweet.timestamp, split):
                 yield tweet

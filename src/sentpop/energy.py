@@ -15,8 +15,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from ._lazy import np
 from .graph import CommunityGraph, Edge
 
 

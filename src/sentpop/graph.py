@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-import numpy as np
-
+from ._lazy import np
 from .corpus import Tweet
 
 Edge = tuple[str, str]

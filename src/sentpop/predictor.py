@@ -21,9 +21,8 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import stats
+from ._lazy import np
 from .energy import EnergyFunction, per_edge_energies
 from .graph import CommunityGraph, Edge
 from .topics import GapDataset, Topic

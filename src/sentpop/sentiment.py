@@ -9,13 +9,13 @@ contribute neutral mass to that mean.
 from __future__ import annotations
 
 import re
+from array import array
 from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from ._lazy import np
 from .corpus import Tweet
 from .topics import Topic
 
@@ -105,7 +105,7 @@ def catalog_vectors(
     topics: Sequence[Topic],
     tweets_by_user: Mapping[str, Sequence[Tweet]],
     mean_over_matching: bool = False,
-) -> dict[str, dict[str, np.ndarray]]:
+) -> dict[str, dict[str, array]]:
     """Nonzero sentiment vectors of community members on every topic, by hashtag.
 
     Equal to testing ``phrase in tweet.text`` for every topic, member, tweet
@@ -122,6 +122,9 @@ def catalog_vectors(
     By default only tweets with a signed emoticon add to the sums and every
     tweet of the member divides them; with ``mean_over_matching`` only the
     tweets containing a phrase divide its sum.
+
+    Each vector is an ``array('d')`` of float64 values, so this stage needs no
+    numpy; ``np.asarray`` reads one without copying through the buffer protocol.
     """
     slots: dict[str, list[int]] = {}  # phrase -> positions in the flat catalog
     spans: dict[str, tuple[int, int]] = {}  # hashtag -> its slice of the catalog
@@ -149,7 +152,7 @@ def catalog_vectors(
                         inside.add(run[i : i + n])
         return inside
 
-    vectors: dict[str, dict[str, np.ndarray]] = {hashtag: {} for hashtag in spans}
+    vectors: dict[str, dict[str, array]] = {hashtag: {} for hashtag in spans}
     for user in sorted(set(members)):
         tweets = tweets_by_user.get(user, ())
         if not tweets:
@@ -184,13 +187,11 @@ def catalog_vectors(
                 continue
             if mean_over_matching:
                 count = matches[start:stop]
-                values = np.array(
-                    [t / c if c else 0.0 for t, c in zip(total, count)], dtype=np.float64
-                )
+                values = array("d", [t / c if c else 0.0 for t, c in zip(total, count)])
             else:
-                values = np.array(total, dtype=np.float64)
-                values /= len(tweets)
-            if np.any(values != 0.0):
+                n = len(tweets)
+                values = array("d", [t / n for t in total])
+            if any(values):
                 vectors[hashtag][user] = values
     return vectors
 
@@ -200,7 +201,7 @@ def community_topic_vectors(
     topic: Topic,
     tweets_by_user: Mapping[str, Sequence[Tweet]],
     mean_over_matching: bool = False,
-) -> dict[str, np.ndarray]:
+) -> dict[str, array]:
     """Nonzero sentiment vectors for community members (absent user = zero vector)."""
     return catalog_vectors(members, [topic], tweets_by_user, mean_over_matching)[
         topic.hashtag
@@ -208,7 +209,7 @@ def community_topic_vectors(
 
 
 def save_vectors(
-    vectors_by_topic: Mapping[str, Mapping[str, np.ndarray]], path: str | Path
+    vectors_by_topic: Mapping[str, Mapping[str, Sequence[float]]], path: str | Path
 ) -> int:
     """Persist nonzero vectors as ``hashtag<TAB>user<TAB>v1,...,v_m`` rows."""
     rows = 0

@@ -14,7 +14,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
+from ._lazy import np
 
 _CF_EPS = 3e-14
 _CF_FPMIN = 1e-300

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
+from ._lazy import np
 from .corpus import CorpusWindow, EmoticonLexicon, parse_tweet_line
 from .manifest import atomic_write_text
 from .energy import EnergyFunction, per_edge_energies

@@ -139,7 +139,7 @@ def test_manifest_records_stages_and_digests(pipeline_dir):
             "tweets_per_user": 8, "max_depth": 3,
         },
         "ingest": {
-            "corpus": f"{out}/corpus.tsv", "lexicon": f"{out}/lexicon.tsv",
+            "corpus": f"{out}/corpus.tsv", "lexicon": "lexicon.tsv",
             "window": [w.train_start, w.train_end, w.test_start, w.test_end],
         },
         "graph": {"seed_user": "u00000", "max_depth": 3},
@@ -512,6 +512,41 @@ def test_moved_lexicon_outside_the_run_asks_for_ingest(tmp_path, monkeypatch, ca
     assert "lexicon.tsv has no record" in err and err.rstrip().endswith("rerun ingest"), err
     assert ingest() == 0
     assert run("graph", "--out", out, "--seed-user", "u00000") == 0
+
+
+def test_later_stages_find_the_lexicon_from_any_directory(tmp_path, monkeypatch):
+    """ingest records the lexicon relative to the run, not to where it ran."""
+    proj = tmp_path / "proj"
+    proj.mkdir()
+    monkeypatch.chdir(proj)
+    assert run("synth", "--out", "syn", "--seed", "11", "--n-users", "14",
+               "--edge-density", "0.35", "--n-topics", "6") == 0
+    assert run("ingest", "--out", "run", "--corpus", "syn/corpus.tsv",
+               "--lexicon", "syn/lexicon.tsv", "--window", WINDOW_FLAG) == 0
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert run("graph", "--out", proj / "run", "--seed-user", "u00000") == 0
+    assert run("topics", "--out", proj / "run", "--stopwords", proj / "syn/stopwords.tsv") == 0
+    assert run("sentiment", "--out", proj / "run") == 0
+    stages = json.loads((proj / "run/manifest.json").read_text())["stages"]
+    assert stages["ingest"]["config"]["lexicon"] == "../syn/lexicon.tsv"
+
+
+def test_evaluate_flags_a_model_worse_than_predicting_the_mean(tmp_path, capsys):
+    out = tmp_path / "run"
+    _run_through_topics(out)
+    assert run("sentiment", "--out", out) == 0
+    verdict = " (worse than predicting the mean)"
+    # --eta 0 takes no SGD step: the model predicts 0, far below every popularity
+    for eta, flagged in (("0", True), ("0.01", False)):
+        assert run("train", "--out", out, "--gaps", "1", "--eta", eta, "--epochs", "300") == 0
+        capsys.readouterr()
+        assert run("evaluate", "--out", out) == 0
+        printed = capsys.readouterr().out
+        row = (out / "evaluation_linear.tsv").read_text()
+        gap, kind, rse = row.rstrip("\n").split("\t")
+        assert (float(rse) > 1.0) == flagged, row
+        assert printed.rstrip("\n").endswith(verdict) == flagged, printed
 
 
 def test_edge_predictor_trains_on_a_community_without_edges(tmp_path):

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import sentpop.corpus
 from sentpop.corpus import (
     CorpusWindow,
     EmoticonCounts,
@@ -204,6 +205,36 @@ class TestStreamCorpus:
         path.write_bytes(b"a\tu\t10\t-\tone\nb\tu\t20\t-\ttwo\nc\tu\t30\t-\tth\rree\nd\tu\t40\t-\tx\n")
         with pytest.raises(ParseError, match="^line 3: carriage return"):
             list(stream_corpus(path, lexicon, self.WINDOW, "train"))
+
+    def test_lines_outside_the_split_are_not_parsed(self, tmp_path, lexicon, monkeypatch):
+        path = self._write(tmp_path, [10, 20, 99, 150, 199, 250])
+        parsed = []
+        real = sentpop.corpus.parse_tweet_line
+
+        def counting(line, lex, line_no=None):
+            parsed.append(line_no)
+            return real(line, lex, line_no)
+
+        monkeypatch.setattr(sentpop.corpus, "parse_tweet_line", counting)
+        for split, lines in (("train", [1, 2, 3]), ("test", [4, 5]), ("all", [1, 2, 3, 4, 5, 6])):
+            parsed.clear()
+            tweets = list(stream_corpus(path, lexicon, self.WINDOW, split))
+            assert [t.id for t in tweets] == [f"id{n - 1}" for n in lines if n != 6], split
+            assert parsed == lines, split
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("record, message", [
+        ("c\tu\tsoon\t-\tthree", "bad timestamp 'soon'"),
+        ("c\tu", "expected 5 tab-separated fields, got 2"),
+        ("c\tu\t1\r0\t-\tthree", "carriage return inside the record"),
+    ], ids=["bad-timestamp", "short-record", "carriage-return"])
+    def test_unreadable_timestamp_still_raises_at_its_line(
+        self, tmp_path, lexicon, split, record, message
+    ):
+        path = tmp_path / "corpus.tsv"
+        path.write_text(f"a\tu\t10\t-\tone\nb\tu\t150\t-\ttwo\n{record}\n", newline="")
+        with pytest.raises(ParseError, match=f"^line 3: {message}"):
+            list(stream_corpus(path, lexicon, self.WINDOW, split))
 
     def test_crlf_line_ends_read_like_lf(self, tmp_path, lexicon):
         lf = self._write(tmp_path, [10, 20, 150])
