@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import __version__, predictor
@@ -39,6 +40,7 @@ from .graph import (
     save_edge_list,
 )
 from .manifest import RunManifest, StaleArtifactError, atomic_write, file_digest
+from .manifest import write_lines as _write_lines
 
 # community_topic_vectors is not called here; it stays importable from this
 # module because perfbench/trace_stage.py times it where callers look it up
@@ -69,11 +71,6 @@ VECTORS_FILE = "vectors.tsv"
 ENERGIES_FILE = "energies.tsv"
 CORRELATION_FILE = "correlation.tsv"
 MANIFEST_FILE = "manifest.json"
-
-
-def _write_lines(lines: list[str], path: Path) -> int:
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return len(lines)
 
 
 def _out_meta(path: Path, rows: int) -> dict:
@@ -194,28 +191,34 @@ def cmd_ingest(stage: Stage, args) -> int:
         raise ValueError("--window needs train_start,train_end,test_start,test_end")
     window = CorpusWindow(*bounds)
     lexicon = load_lexicon(args.lexicon)
-    kept: list[str] = []
     dropped = 0
-    first_line: dict[str, int] = {}  # tweet id -> line it first appeared on
-    with open_corpus(args.corpus) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            tweet = parse_tweet_line(line, lexicon, line_no)
-            seen = first_line.setdefault(tweet.id, line_no)
-            if seen != line_no:
-                raise ParseError(
-                    f"duplicate tweet id {tweet.id!r}, first on line {seen}", line_no
-                )
-            if window.contains(tweet.timestamp, "all"):
-                kept.append(format_tweet_line(tweet))
-            else:
-                dropped += 1
-    # a file that a stage wrote (synth) must still match its record, so that
-    # every recorded input was read under its writer's digest
-    stage.read(Path(args.corpus), required=False)
-    stage.read(Path(args.lexicon), required=False)
-    rows = stage.write(NORMALIZED_CORPUS, _write_lines, kept)
+
+    def kept() -> Iterator[str]:
+        """The normalized lines in the window, written as they are parsed."""
+        nonlocal dropped
+        first_line: dict[str, int] = {}  # tweet id -> line it first appeared on
+        with open_corpus(args.corpus) as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                tweet = parse_tweet_line(line, lexicon, line_no)
+                seen = first_line.setdefault(tweet.id, line_no)
+                if seen != line_no:
+                    raise ParseError(
+                        f"duplicate tweet id {tweet.id!r}, first on line {seen}", line_no
+                    )
+                if window.contains(tweet.timestamp, "all"):
+                    yield format_tweet_line(tweet)
+                else:
+                    dropped += 1
+        # A file that a stage wrote (synth) must still match its record, so
+        # that every recorded input was read under its writer's digest. This
+        # runs after the last line and before the rename, so a stale input,
+        # like a malformed line, leaves the earlier artifact in place.
+        stage.read(Path(args.corpus), required=False)
+        stage.read(Path(args.lexicon), required=False)
+
+    rows = stage.write(NORMALIZED_CORPUS, _write_lines, kept())
     # relative to the run directory, so later stages find it from any directory
     lexicon = os.path.relpath(Path(args.lexicon).resolve(), stage.manifest.root)
     stage.record("ingest", args, window=bounds, lexicon=lexicon)

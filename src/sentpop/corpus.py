@@ -51,6 +51,14 @@ class EmoticonCounts(NamedTuple):
     neu: int
 
 
+_NO_EMOTICONS = EmoticonCounts(0, 0, 0)
+
+# counting looks up only _EMOTICON_RE matches, so a lexicon token must be one
+_NOT_BRACKETED = (
+    "token {!r} is not one bracketed emoticon such as '[smile]', so no text could count it"
+)
+
+
 @dataclass(frozen=True)
 class EmoticonLexicon:
     """Maps bracketed emoticon tokens (e.g. ``[smile]``) to a polarity."""
@@ -59,6 +67,8 @@ class EmoticonLexicon:
 
     def __post_init__(self):
         for token, polarity in self.entries.items():
+            if not _EMOTICON_RE.fullmatch(token):
+                raise LexiconError(_NOT_BRACKETED.format(token))
             if polarity not in POLARITIES:
                 raise LexiconError(f"unknown polarity {polarity!r} for {token!r}")
 
@@ -70,6 +80,8 @@ class EmoticonLexicon:
 
         Bracketed tokens absent from the lexicon are ignored.
         """
+        if "[" not in text:
+            return _NO_EMOTICONS
         pos = neg = neu = 0
         for token in _EMOTICON_RE.findall(text):
             polarity = self.entries.get(token)
@@ -127,14 +139,6 @@ class CorpusWindow:
         raise ValueError(f"unknown split {split!r}")
 
 
-def extract_hashtags(text: str) -> tuple[str, ...]:
-    return tuple(_HASHTAG_RE.findall(text))
-
-
-def extract_mentions(text: str) -> tuple[str, ...]:
-    return tuple(_MENTION_RE.findall(text))
-
-
 def parse_tweet_line(
     line: str, lexicon: EmoticonLexicon, line_no: int | None = None
 ) -> Tweet:
@@ -158,13 +162,15 @@ def parse_tweet_line(
     retweet_of = None if retweet_raw == NO_RETWEET else retweet_raw
     if retweet_of == "":
         raise ParseError("empty retweet field (use '-' for none)", line_no)
+    # Each scan needs its marker character to match, so a text without it
+    # skips the regex.
     return Tweet(
         id=tweet_id,
         user=user,
         timestamp=timestamp,
         text=text,
-        hashtags=extract_hashtags(text),
-        mentions=extract_mentions(text),
+        hashtags=tuple(_HASHTAG_RE.findall(text)) if "#" in text else (),
+        mentions=tuple(_MENTION_RE.findall(text)) if "@" in text else (),
         retweet_of=retweet_of,
         emoticon_counts=lexicon.count(text),
     )
@@ -191,7 +197,8 @@ def open_corpus(path: str | Path) -> TextIO:
 def load_lexicon(path: str | Path) -> EmoticonLexicon:
     """Load a ``token<TAB>polarity`` TSV lexicon.
 
-    Duplicate tokens and unknown polarity labels are errors.
+    Duplicate tokens, unknown polarity labels and tokens that are not one
+    bracketed emoticon (``smile``, ``[a]b]``) are errors.
     """
     entries: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -203,6 +210,8 @@ def load_lexicon(path: str | Path) -> EmoticonLexicon:
             if len(fields) != 2:
                 raise LexiconError(f"line {line_no}: expected 2 fields, got {len(fields)}")
             token, polarity = fields
+            if not _EMOTICON_RE.fullmatch(token):
+                raise LexiconError(f"line {line_no}: " + _NOT_BRACKETED.format(token))
             if polarity not in POLARITIES:
                 raise LexiconError(f"line {line_no}: unknown polarity {polarity!r}")
             if token in entries:

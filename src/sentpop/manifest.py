@@ -14,6 +14,7 @@ import fcntl
 import hashlib
 import json
 import os
+from collections.abc import Iterable
 from pathlib import Path
 
 
@@ -54,6 +55,19 @@ def atomic_write(write, path: str | Path):
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write(lambda tmp: tmp.write_text(text, encoding="utf-8"), path)
+
+
+def write_lines(lines: Iterable[str], path: str | Path) -> int:
+    """Write each line and a newline as it comes; return the number of lines.
+
+    Lines are not collected first, so a generator's output is never held whole.
+    """
+    rows = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+            rows += 1
+    return rows
 
 
 class RunManifest:

@@ -15,12 +15,14 @@ its exact (unrounded) target and the realized tweet count.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from ._lazy import np
 from .corpus import CorpusWindow, EmoticonLexicon, parse_tweet_line
-from .manifest import atomic_write_text
+from .manifest import atomic_write, atomic_write_text, write_lines
 from .energy import EnergyFunction, per_edge_energies
 from .graph import Edge, build_graph, extract_community
 # community_topic_vectors is not called here; it stays importable from this
@@ -293,25 +295,28 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GeneratedCorpus:
             f"would generate {total_tweets} tweets (cap {MAX_TOTAL_TWEETS})"
         )
 
-    test_lines: list[str] = []
-    counter = 0
-    for k in range(config.n_topics):
-        tag = _hashtag(k)
-        body = " ".join(phrase_lists[k])
-        spacing = max(1, (test_len * 9 // 10) // int(pops[k]))
-        for j in range(int(pops[k])):
-            ts = window.test_start + j * spacing
-            author = users[(counter + j) % config.n_users]
-            fillers = f"{_filler(2 * counter)} {_filler(2 * counter + 1)}"
-            test_lines.append(f"p{counter:07d}\t{author}\t{ts}\t-\t#{tag}# {body} {fillers}")
-            counter += 1
+    def test_lines() -> Iterator[str]:
+        """Each topic's test-window tweets, made as the corpus file takes them."""
+        counter = 0
+        for k in range(config.n_topics):
+            tag = _hashtag(k)
+            body = " ".join(phrase_lists[k])
+            spacing = max(1, (test_len * 9 // 10) // int(pops[k]))
+            for j in range(int(pops[k])):
+                ts = window.test_start + j * spacing
+                author = users[(counter + j) % config.n_users]
+                fillers = f"{_filler(2 * counter)} {_filler(2 * counter + 1)}"
+                yield f"p{counter:07d}\t{author}\t{ts}\t-\t#{tag}# {body} {fillers}"
+                counter += 1
 
     corpus_path = out / "corpus.tsv"
     lexicon_path = out / "lexicon.tsv"
     stopwords_path = out / "stopwords.tsv"
     expected_path = out / "expected.tsv"
 
-    atomic_write_text(corpus_path, "\n".join(train_lines + test_lines) + "\n")
+    corpus_lines = chain(train_lines, test_lines())
+    n_rows = atomic_write(lambda tmp: write_lines(corpus_lines, tmp), corpus_path)
+    n_test_tweets = n_rows - len(train_lines)
     atomic_write_text(
         lexicon_path,
         "".join(f"{token}\t{polarity}\n" for token, polarity in sorted(lexicon.entries.items())),
@@ -350,7 +355,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GeneratedCorpus:
     param("first_month_end", FIRST_TEST_MONTH_END)
     param("n_community_edges", len(community_edges))
     param("n_train_tweets", len(train_lines))
-    param("n_test_tweets", len(test_lines))
+    param("n_test_tweets", n_test_tweets)
     if isinstance(config.planted, PlantedLinear):
         param("alpha", repr(config.planted.alpha))
         param("beta", repr(config.planted.beta))
@@ -374,7 +379,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GeneratedCorpus:
         seed_user=seed_user,
         max_depth=config.max_depth,
         n_train_tweets=len(train_lines),
-        n_test_tweets=len(test_lines),
+        n_test_tweets=n_test_tweets,
     )
 
 

@@ -123,10 +123,12 @@ def extract_key_phrases(
     substring matching used for sentiment scoring stays consistent). Ties
     break lexicographically. ``exclude`` drops the topic's own hashtag string.
     """
-    counts: Counter[str] = Counter()
-    for item in topic_tweets:
-        text = item.text if isinstance(item, Tweet) else item
-        counts.update(_WORD_RE.findall(text))
+    # one scan of the whole document; "\n" is no word character, so joining
+    # splits no token and merges none
+    document = "\n".join(
+        item.text if isinstance(item, Tweet) else item for item in topic_tweets
+    )
+    counts = Counter(_WORD_RE.findall(document))
     candidates = [
         (token, n)
         for token, n in counts.items()

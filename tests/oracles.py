@@ -5,6 +5,16 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from sentpop.corpus import (
+    _EMOTICON_RE,
+    _HASHTAG_RE,
+    _MENTION_RE,
+    NO_RETWEET,
+    EmoticonCounts,
+    EmoticonLexicon,
+    ParseError,
+    Tweet,
+)
 from sentpop.graph import Edge
 from sentpop.predictor import (
     PREDICTOR_KINDS,
@@ -19,6 +29,39 @@ from sentpop.predictor import (
     _standardize,
 )
 from sentpop.sentiment import tweet_sentiment, user_phrase_sentiment
+
+
+def parse_tweet_line(line: str, lexicon: EmoticonLexicon, line_no: int | None = None) -> Tweet:
+    """The plain parser ``corpus.parse_tweet_line`` meets: every text scanned for every marker."""
+    line = line.removesuffix("\n").removesuffix("\r")
+    if "\r" in line:
+        raise ParseError("carriage return inside the record", line_no)
+    fields = line.split("\t")
+    if len(fields) != 5:
+        raise ParseError(f"expected 5 tab-separated fields, got {len(fields)}", line_no)
+    tweet_id, user, ts_raw, retweet_raw, text = fields
+    if not tweet_id or not user:
+        raise ParseError("empty id or user field", line_no)
+    try:
+        timestamp = int(ts_raw)
+    except ValueError:
+        raise ParseError(f"bad timestamp {ts_raw!r}", line_no) from None
+    retweet_of = None if retweet_raw == NO_RETWEET else retweet_raw
+    if retweet_of == "":
+        raise ParseError("empty retweet field (use '-' for none)", line_no)
+    polarities = [lexicon.entries.get(token) for token in _EMOTICON_RE.findall(text)]
+    return Tweet(
+        id=tweet_id,
+        user=user,
+        timestamp=timestamp,
+        text=text,
+        hashtags=tuple(_HASHTAG_RE.findall(text)),
+        mentions=tuple(_MENTION_RE.findall(text)),
+        retweet_of=retweet_of,
+        emoticon_counts=EmoticonCounts(
+            *(polarities.count(p) for p in ("positive", "negative", "neutral"))
+        ),
+    )
 
 
 def raw_scan_vectors(members, topics, tweets_by_user, mean_over_matching=False):

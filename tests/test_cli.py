@@ -199,10 +199,13 @@ def test_tampered_input_stops_its_stage(pipeline_dir, capsys, stage, name):
     argv = pipeline_argv(pipeline_dir)[stage]
     try:
         path.write_bytes(original + b"\n")
+        before = {p.name: p.read_bytes() for p in pipeline_dir.iterdir()}
         capsys.readouterr()
         assert run(*argv) == 1
         err = capsys.readouterr().err
         assert "stale" in err and name in err, err
+        # the stage stopped before replacing any artifact, and left no temp file
+        assert {p.name: p.read_bytes() for p in pipeline_dir.iterdir()} == before
     finally:
         path.write_bytes(original)
     assert run(*argv) == 0
@@ -396,10 +399,38 @@ def _edit_catalog(out):
     catalog.write_bytes(catalog.read_bytes().replace(b"\t", b"\t9", 1))
 
 
+def _run_every_stage(out):
+    """synth and every analysis stage on the small corpus of ``_run_through_topics``."""
+    _run_through_topics(out)
+    for stage in ("sentiment", "energy", "correlate", "train", "evaluate"):
+        assert run(*pipeline_argv(out)[stage]) == 0, stage
+
+
+def _stage_finds_its_records(stage, spelling, capsys):
+    """Run ``stage`` with ``--out`` spelled ``spelling``: it passes as is, and an
+    edit to the last file it verifies stops it naming that file."""
+    argv = list(pipeline_argv(Path("rel"))[stage])
+    argv[2] = spelling
+    assert run(*argv) == 0, (stage, spelling)
+    path = Path("rel") / VERIFIED[stage][-1]
+    original = path.read_bytes()
+    try:
+        path.write_bytes(original + b"\n")
+        capsys.readouterr()
+        assert run(*argv) == 1, (stage, spelling)
+        err = capsys.readouterr().err
+        assert "stale" in err and path.name in err, (stage, spelling, err)
+    finally:
+        path.write_bytes(original)
+
+
 def test_stale_artifact_detected_however_out_is_spelled(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     out = Path("rel")
-    _run_through_topics(out)
+    _run_every_stage(out)
+    for stage in pipeline_argv(out):
+        for spelling in ("rel", "./rel", str(tmp_path / "rel"), "rel/../rel"):
+            _stage_finds_its_records(stage, spelling, capsys)
     _edit_catalog(out)
     for spelling in ("rel", "./rel", str(tmp_path / "rel"), "rel/../rel"):
         capsys.readouterr()
@@ -411,10 +442,13 @@ def test_stale_artifact_detected_however_out_is_spelled(tmp_path, monkeypatch, c
 def test_moved_run_directory_keeps_its_records(tmp_path, monkeypatch, capsys):
     (tmp_path / "proj").mkdir()
     monkeypatch.chdir(tmp_path / "proj")
-    _run_through_topics(Path("rel"))
+    _run_every_stage(Path("rel"))
     (tmp_path / "proj").rename(tmp_path / "proj2")
     monkeypatch.chdir(tmp_path / "proj2")
-    assert run("sentiment", "--out", "rel") == 0
+    # last stage first, so each stage reads records written before the move,
+    # not ones an upstream stage rewrote after it
+    for stage in reversed(list(pipeline_argv(Path("rel")))):
+        _stage_finds_its_records(stage, "rel", capsys)
     _edit_catalog(Path("rel"))
     capsys.readouterr()
     assert run("energy", "--out", "rel") == 1
@@ -598,6 +632,80 @@ def test_ingest_normalizes_a_crlf_corpus_like_its_lf_twin(tmp_path):
     normalized = tmp_path / "lf" / "corpus_normalized.tsv"
     assert normalized.read_bytes() == lf
     assert (tmp_path / "crlf" / "corpus_normalized.tsv").read_bytes() == lf
+
+
+@pytest.mark.parametrize("last_line", [
+    "bad\tu0\tnot-a-time\t-\tlast",  # malformed
+    f"t1\tu1\t{SYNTH_WINDOW.train_start + 9}\t-\tlast",  # repeats the id on line 2
+], ids=["malformed", "duplicate-id"])
+def test_failed_ingest_rerun_keeps_the_earlier_artifacts(tmp_path, capsys, last_line):
+    """ingest writes as it parses; a bad last line still leaves the earlier run intact."""
+    good = _corpus_lines("one [smile]", "#tag# two", "@u1 three [cry]")
+    assert _ingest_text(tmp_path, "run", good) == 0
+    out = tmp_path / "run"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(before) == {"corpus_normalized.tsv", "manifest.json"}
+    capsys.readouterr()
+    assert _ingest_text(tmp_path, "run", good + f"{last_line}\n".encode()) == 1
+    assert "line 4: " in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_ingest_of_an_edited_synth_corpus_keeps_the_earlier_artifacts(tmp_path, capsys):
+    """The inputs are verified after the last line is written and before the rename."""
+    out = tmp_path / "run"
+    assert run("synth", "--out", out, "--seed", "11", "--n-users", "14",
+               "--edge-density", "0.35", "--n-topics", "6") == 0
+    argv = pipeline_argv(out)["ingest"]
+    assert run(*argv) == 0
+    corpus = out / "corpus.tsv"
+    corpus.write_bytes(corpus.read_bytes().replace(b"\t-\t", b"\t-\tedited ", 1))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert "stale" in err and "corpus.tsv" in err, err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+# The peak RSS of this process image. ru_maxrss would also count the forking
+# pytest process, whose larger peak a child inherits across exec.
+_PEAK_RSS_OF_INGEST = """
+import re, sys
+from sentpop.cli import main
+assert main(sys.argv[1:]) == 0
+with open("/proc/self/status") as fh:
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
+def test_ingest_memory_grows_less_than_its_corpus(tmp_path):
+    """Streaming keeps no copy of the corpus text: from 20k to 80k lines of about 75
+    bytes the peak RSS grows by less than 2.5 times the added bytes. What still grows
+    is the id index of the duplicate check, about 130 bytes a line."""
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("[smile]\tpositive\n[cry]\tnegative\n", encoding="utf-8")
+    src = str(Path(sentpop.cli.__file__).resolve().parents[1])
+    peak, size = {}, {}
+    for n in (20_000, 80_000):
+        corpus = tmp_path / f"corpus{n}.tsv"
+        with open(corpus, "w", encoding="utf-8") as fh:
+            for i in range(n):
+                fh.write(f"s{i:07d}\tu{i % 500:05d}\t{i % 10**6}\t-\t#t{i % 50:03d}# "
+                         f"@u{i % 7:05d} k{i % 97:03d}p01 k{i % 89:03d}p02 w{i % 200:03d} "
+                         "[smile] [cry]\n")
+        size[n] = corpus.stat().st_size
+        done = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_OF_INGEST, "ingest", "--out", tmp_path / f"run{n}",
+             "--corpus", corpus, "--lexicon", lexicon, "--window", WINDOW_FLAG],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        peak[n] = 1024 * int(done.stdout.split()[-1])
+    growth = peak[80_000] - peak[20_000]
+    assert growth < 2.5 * (size[80_000] - size[20_000]), (growth, size)
 
 
 def test_stages_other_than_synth_do_not_import_it():

@@ -3,11 +3,15 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import sentpop.corpus
 from sentpop.corpus import (
     CorpusWindow,
     EmoticonCounts,
+    EmoticonLexicon,
     LexiconError,
     ParseError,
     format_tweet_line,
@@ -60,6 +64,56 @@ class TestParseTweetLine:
     def test_bad_timestamp(self, lexicon):
         with pytest.raises(ParseError, match="timestamp"):
             parse_tweet_line("id\tu\tnot_a_number\t-\ttext", lexicon, line_no=1)
+
+
+_ORACLE_LEXICON = EmoticonLexicon(
+    {"[smile]": "positive", "[cry]": "negative", "[meh]": "neutral", "[日]": "positive"}
+)
+# words with and without each marker: lexicon and unknown bracket tokens, nested
+# and empty brackets, paired and unpaired '#', mentions cut by punctuation,
+# non-ASCII words and digits; rarely, a separator that a record must not hold
+_PIECES = st.one_of(
+    st.sampled_from([
+        "[smile]", "[cry]", "[meh]", "[日]", "[nosuch]", "[", "]", "[]", "[a[b]", "[[smile]]",
+        "#", "#tag#", "#two words#", "##", "@bob", "@", "@é_9,", "café", "東京", "naïve", "٣",
+        " ", "x-y", "plain",
+    ]),
+    st.text(alphabet="ab é日٣#@[]-", max_size=4),
+)
+_TEXT = st.lists(_PIECES, max_size=8).map("".join)
+_BAD_TEXT = st.tuples(_TEXT, st.sampled_from(["\t", "\r", "\n"]), _TEXT).map("".join)
+_FIELD = st.sampled_from(["t1", "", "ü7", "u 2"])
+_TIMESTAMP = st.one_of(
+    st.integers(-10**6, 10**12).map(str), st.sampled_from(["", "x", "1.5", " 3", "٣٤", "1_0"])
+)
+_RECORDS = st.one_of(
+    st.tuples(st.just("t1"), st.just("u"), st.integers(0, 10**10).map(str), st.just("-"), _TEXT),
+    st.tuples(_FIELD, _FIELD, _TIMESTAMP, st.sampled_from(["-", "", "bob"]),
+              st.one_of(_TEXT, _BAD_TEXT)),
+    st.lists(_TEXT, max_size=7).map(tuple),  # any number of fields
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_RECORDS, st.sampled_from(["", "\n", "\r\n", "\r", "\n\r"]))
+def test_parse_matches_the_plain_parser(fields, ending):
+    """Equal tweets (same repr and hash) or the same ParseError, on well-formed and
+    malformed records alike."""
+    line = "\t".join(fields) + ending
+
+    def outcome(parse):
+        try:
+            return parse(line, _ORACLE_LEXICON, 9)
+        except ParseError as exc:
+            return f"ParseError({exc}, {exc.line_no})"
+
+    got, expected = outcome(parse_tweet_line), outcome(oracles.parse_tweet_line)
+    assert got == expected
+    assert repr(got) == repr(expected)
+    if not isinstance(expected, str):
+        assert hash(got) == hash(expected)
+        assert type(got.emoticon_counts) is EmoticonCounts
+        assert dataclasses.replace(got, text="x") == dataclasses.replace(expected, text="x")
 
 
 # Hand-written reference tokenizer: walk the text and collect spans between
@@ -153,6 +207,15 @@ class TestLexicon:
         path.write_text("[smile]\thappyish\n")
         with pytest.raises(LexiconError, match="polarity"):
             load_lexicon(path)
+
+    @pytest.mark.parametrize("token", ["smile", "[a]b]", "[]", "[smile] ", "[[smile]]"])
+    def test_token_no_text_could_count_is_rejected(self, tmp_path, token):
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"[cry]\tnegative\n{token}\tpositive\n")
+        with pytest.raises(LexiconError, match=r"^line 2: token .* not one bracketed emoticon"):
+            load_lexicon(path)
+        with pytest.raises(LexiconError, match="not one bracketed emoticon"):
+            EmoticonLexicon({"[cry]": "negative", token: "positive"})
 
     def test_full_sized_lexicon(self, tmp_path):
         # same scale as the SINA Weibo emoticon set
