@@ -20,6 +20,7 @@ from . import __version__, predictor
 from .corpus import (
     CorpusWindow,
     ParseError,
+    Tweet,
     format_tweet_line,
     load_lexicon,
     open_corpus,
@@ -42,8 +43,9 @@ from .graph import (
 from .manifest import RunManifest, StaleArtifactError, atomic_write, file_digest
 from .manifest import write_lines as _write_lines
 
-# community_topic_vectors is not called here; it stays importable from this
-# module because perfbench/trace_stage.py times it where callers look it up
+# community_topic_vectors and group_tweets_by_user are not called here; they
+# stay importable from this module because perfbench/trace_stage.py times
+# them where callers look them up
 from .sentiment import (  # noqa: F401
     catalog_vectors,
     community_topic_vectors,
@@ -168,12 +170,7 @@ def cmd_synth(stage: Stage, args) -> int:
     )
     gen = synth.generate(config, stage.out)
     n_rows = gen.n_train_tweets + gen.n_test_tweets
-    for path, rows in (
-        (gen.corpus_path, n_rows),
-        (gen.lexicon_path, len(synth.synthetic_lexicon())),
-        (gen.stopwords_path, 10),
-        (gen.expected_path, 0),
-    ):
+    for path, rows in gen.rows.items():
         stage.outputs[str(path)] = _out_meta(path, rows)
     stage.record("synth", args)
     print(f"synth: {n_rows} tweets -> {gen.corpus_path}")
@@ -246,19 +243,21 @@ def cmd_graph(stage: Stage, args) -> int:
 def cmd_topics(stage: Stage, args) -> int:
     corpus_path, lexicon, window = stage.corpus()
     stopwords = load_stopwords(stage.read(Path(args.stopwords), required=False))
-    test_tweets = list(stream_corpus(corpus_path, lexicon, window, "test"))
     first_month_end = args.first_month_end
     if first_month_end is None:
         first_month_end = window.test_start + (window.test_end - window.test_start) // 2
+    texts: dict[str, list[str]] = {}  # hashtag -> its tweets' texts, in corpus order
+
+    def test_tweets() -> Iterator[Tweet]:
+        """The test split, once; each text is kept for every distinct hashtag it has."""
+        for tweet in stream_corpus(corpus_path, lexicon, window, "test"):
+            for tag in set(tweet.hashtags):
+                texts.setdefault(tag, []).append(tweet.text)
+            yield tweet
+
     topics = dedupe_equal_popularity(
-        extract_topics(test_tweets, first_month_end, args.min_popularity)
+        extract_topics(test_tweets(), first_month_end, args.min_popularity)
     )
-    selected = {t.hashtag for t in topics}
-    texts: dict[str, list[str]] = {tag: [] for tag in selected}
-    for tweet in test_tweets:
-        for tag in set(tweet.hashtags):
-            if tag in selected:
-                texts[tag].append(tweet.text)
     topics = [
         attach_key_phrases(
             t, extract_key_phrases(texts[t.hashtag], args.m, stopwords, exclude=t.hashtag)
@@ -275,8 +274,7 @@ def cmd_sentiment(stage: Stage, args) -> int:
     corpus_path, lexicon, window = stage.corpus()
     community, catalog, _ = stage.features(vectors=False)
     train_tweets = stream_corpus(corpus_path, lexicon, window, "train")
-    tweets_by_user = group_tweets_by_user(train_tweets)
-    vectors_by_topic = catalog_vectors(community.members, catalog, tweets_by_user)
+    vectors_by_topic = catalog_vectors(community.members, catalog, train_tweets)
     rows = stage.write(VECTORS_FILE, save_vectors, vectors_by_topic)
     stage.record("sentiment", args)
     print(f"sentiment: {rows} nonzero vectors -> {stage.out / VECTORS_FILE}")

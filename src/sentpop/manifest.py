@@ -24,9 +24,11 @@ class StaleArtifactError(RuntimeError):
 
 def file_digest(path: str | Path) -> str:
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    buf = bytearray(1 << 18)  # one buffer for the whole file, refilled in place
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 

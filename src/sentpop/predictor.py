@@ -207,11 +207,17 @@ def sgd_step(
 
 
 def _standardize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column z-scores; constant columns keep scale 1 so they map to zero."""
+    """Column z-scores of ``values``, computed in place; returns them with ``mu`` and ``sd``.
+
+    Constant columns keep scale 1 so they map to zero. The elementwise
+    arithmetic is that of ``(values - mu) / sd``, without its two temporaries.
+    """
     mu = values.mean(axis=0)
     sd = values.std(axis=0)
     sd = np.where(sd == 0.0, 1.0, sd)
-    return (values - mu) / sd, mu, sd
+    values -= mu
+    values /= sd
+    return values, mu, sd
 
 
 def train(
@@ -246,8 +252,9 @@ def train(
     target_list = targets.tolist()
     # (1, d) rows keep the residual's BLAS summation order of a batch of one
     rows = [z[i : i + 1] for i in range(n)]
-    # initial=0.0: a row with no features (no edges) has nothing to overflow
-    row_max = np.abs(z).max(axis=1, initial=0.0).tolist()
+    # the largest |z| per row, without an |z| copy; initial=0.0: a row with no
+    # features (no edges) has nothing to overflow
+    row_max = np.maximum(z.max(axis=1, initial=0.0), -z.min(axis=1, initial=0.0)).tolist()
     d = z.shape[1]
     if config.init == "uniform":
         lo, hi = config.init_range

@@ -103,25 +103,32 @@ def group_tweets_by_user(tweets: Iterable[Tweet]) -> dict[str, list[Tweet]]:
 def catalog_vectors(
     members: Iterable[str],
     topics: Sequence[Topic],
-    tweets_by_user: Mapping[str, Sequence[Tweet]],
+    tweets: Iterable[Tweet],
     mean_over_matching: bool = False,
 ) -> dict[str, dict[str, array]]:
     """Nonzero sentiment vectors of community members on every topic, by hashtag.
 
-    Equal to testing ``phrase in tweet.text`` for every topic, member, tweet
-    and phrase, but each member's tweets are scanned once for the whole
-    catalog. A phrase that is one ``\\w+`` run occurs in a text exactly when
-    it is a substring of one of the text's maximal ``\\w+`` runs, and since
-    whitespace is never a word character, each run lies inside one
+    ``tweets`` is read once, as a stream in corpus order; tweets of users
+    outside ``members`` are skipped. Equal to testing ``phrase in tweet.text``
+    for every topic, member, tweet and phrase, but each tweet is scanned once
+    for the whole catalog. A phrase that is one ``\\w+`` run occurs in a text
+    exactly when it is a substring of one of the text's maximal ``\\w+`` runs,
+    and since whitespace is never a word character, each run lies inside one
     whitespace-separated token. So the phrases in each distinct token are
     found once, among the substrings of its runs that have a phrase's length.
-    Other phrases are tested with ``in`` on every tweet. Sums accumulate in
-    tweet order, which keeps them bit-identical to a per-phrase ``sum``. A
-    member absent from a topic's vectors has a zero vector there.
+    Other phrases are tested with ``in`` on every tweet. Each member's sums
+    accumulate in that member's tweet order, which keeps them bit-identical to
+    a per-phrase ``sum``. A member absent from a topic's vectors has a zero
+    vector there.
 
     By default only tweets with a signed emoticon add to the sums and every
     tweet of the member divides them; with ``mean_over_matching`` only the
     tweets containing a phrase divide its sum.
+
+    No tweet is held: the memory is one tweet count per member, plus
+    ``8 * n_slots`` bytes of running sums per member with a scored tweet
+    (twice that with ``mean_over_matching``, for the match counts), where
+    ``n_slots`` is the number of key phrases over the whole catalog.
 
     Each vector is an ``array('d')`` of float64 values, so this stage needs no
     numpy; ``np.asarray`` reads one without copying through the buffer protocol.
@@ -152,44 +159,57 @@ def catalog_vectors(
                         inside.add(run[i : i + n])
         return inside
 
-    vectors: dict[str, dict[str, array]] = {hashtag: {} for hashtag in spans}
-    for user in sorted(set(members)):
-        tweets = tweets_by_user.get(user, ())
-        if not tweets:
+    counts = dict.fromkeys(members, 0)  # member -> its tweets so far
+    totals: dict[str, array] = {}  # member with a scored tweet -> per-slot sums
+    matches: dict[str, array] = {}  # the same, per-slot tweet counts (mean_over_matching)
+    zeros = bytes(8 * n_slots)
+    for tweet in tweets:
+        user = tweet.user
+        seen = counts.get(user)
+        if seen is None:
             continue
-        totals = [0.0] * n_slots
-        matches = [0] * n_slots
-        for tweet in tweets:
-            pos, neg = tweet.emoticon_counts.pos, tweet.emoticon_counts.neg
-            if pos + neg == 0 and not mean_over_matching:
-                continue
-            text = tweet.text
-            found: set[str] = set()
-            for token in text.split():
-                hits = in_token.get(token)
-                if hits is None:
-                    hits = in_token[token] = phrases_in(token)
-                if hits:
-                    found |= hits
-            for phrase in other_phrases:
-                if phrase in text:
-                    found.add(phrase)
-            if not found:
-                continue
-            score = tweet_sentiment(pos, neg)
-            for phrase in found:
-                for slot in slots[phrase]:
-                    totals[slot] += score
-                    matches[slot] += 1
+        counts[user] = seen + 1
+        pos, neg = tweet.emoticon_counts.pos, tweet.emoticon_counts.neg
+        if pos + neg == 0 and not mean_over_matching:
+            continue
+        text = tweet.text
+        found: set[str] = set()
+        for token in text.split():
+            hits = in_token.get(token)
+            if hits is None:
+                hits = in_token[token] = phrases_in(token)
+            if hits:
+                found |= hits
+        for phrase in other_phrases:
+            if phrase in text:
+                found.add(phrase)
+        if not found:
+            continue
+        score = tweet_sentiment(pos, neg)
+        sums = totals.get(user)
+        if sums is None:
+            sums = totals[user] = array("d", zeros)
+            if mean_over_matching:
+                matches[user] = array("q", zeros)
+        hits_of = matches.get(user)
+        for phrase in found:
+            for slot in slots[phrase]:
+                sums[slot] += score
+                if hits_of is not None:
+                    hits_of[slot] += 1
+
+    vectors: dict[str, dict[str, array]] = {hashtag: {} for hashtag in spans}
+    for user in sorted(totals):
+        sums = totals.pop(user)  # freed as it is divided, for what the caller does next
         for hashtag, (start, stop) in spans.items():
-            total = totals[start:stop]
+            total = sums[start:stop]
             if not any(total):
                 continue
             if mean_over_matching:
-                count = matches[start:stop]
+                count = matches[user][start:stop]
                 values = array("d", [t / c if c else 0.0 for t, c in zip(total, count)])
             else:
-                n = len(tweets)
+                n = counts[user]
                 values = array("d", [t / n for t in total])
             if any(values):
                 vectors[hashtag][user] = values
@@ -199,13 +219,11 @@ def catalog_vectors(
 def community_topic_vectors(
     members: Iterable[str],
     topic: Topic,
-    tweets_by_user: Mapping[str, Sequence[Tweet]],
+    tweets: Iterable[Tweet],
     mean_over_matching: bool = False,
 ) -> dict[str, array]:
     """Nonzero sentiment vectors for community members (absent user = zero vector)."""
-    return catalog_vectors(members, [topic], tweets_by_user, mean_over_matching)[
-        topic.hashtag
-    ]
+    return catalog_vectors(members, [topic], tweets, mean_over_matching)[topic.hashtag]
 
 
 def save_vectors(

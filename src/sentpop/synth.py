@@ -15,7 +15,7 @@ its exact (unrounded) target and the realized tweet count.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -25,8 +25,9 @@ from .corpus import CorpusWindow, EmoticonLexicon, parse_tweet_line
 from .manifest import atomic_write, atomic_write_text, write_lines
 from .energy import EnergyFunction, per_edge_energies
 from .graph import Edge, build_graph, extract_community
-# community_topic_vectors is not called here; it stays importable from this
-# module because perfbench/trace_stage.py times it where callers look it up
+# community_topic_vectors and group_tweets_by_user are not called here; they
+# stay importable from this module because perfbench/trace_stage.py times
+# them where callers look them up
 from .sentiment import (  # noqa: F401
     catalog_vectors,
     community_topic_vectors,
@@ -122,6 +123,7 @@ class GeneratedCorpus:
     max_depth: int
     n_train_tweets: int
     n_test_tweets: int
+    rows: dict[Path, int]  # each written file -> its line count
 
 
 @dataclass(frozen=True)
@@ -164,8 +166,25 @@ def _phrases(k: int, m: int) -> tuple[str, ...]:
     return tuple(f"k{k:03d}p{n:02d}" for n in range(m))
 
 
+_FILLERS = tuple(f"w{i:03d}" for i in range(_N_FILLERS))
+
+
 def _filler(i: int) -> str:
-    return f"w{i % _N_FILLERS:03d}"
+    return _FILLERS[i % _N_FILLERS]
+
+
+def _draw_edges(rng: np.random.Generator, users: Sequence[str], density: float) -> list[Edge]:
+    """Erdos-Renyi pairs ``(users[i], users[j])``, ``i < j``, in row-major order.
+
+    One row of pair coins per user: the same draws, in the same order, as one
+    ``rng.random() < density`` per pair, in O(len(users)) memory.
+    """
+    edges: list[Edge] = []
+    n = len(users)
+    for i in range(n):
+        coins = rng.random(n - i - 1) < density
+        edges.extend((users[i], users[i + 1 + j]) for j in np.flatnonzero(coins).tolist())
+    return edges
 
 
 def _emoticon_tokens(rng: np.random.Generator, stance: float, rate: float) -> list[str]:
@@ -195,11 +214,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GeneratedCorpus:
     test_len = window.test_end - window.test_start
 
     # social graph (Erdos-Renyi); keep the seed attached to the graph
-    edges: list[Edge] = []
-    for i in range(config.n_users):
-        for j in range(i + 1, config.n_users):
-            if rng.random() < config.edge_density:
-                edges.append((users[i], users[j]))
+    edges = _draw_edges(rng, users, config.edge_density)
     if not any(seed_user in e for e in edges):
         edges.append((users[0], users[1]))
     edges.sort()
@@ -237,11 +252,10 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GeneratedCorpus:
             counter += 1
 
     # run the just-generated training corpus through the real pipeline to
-    # learn each topic's community energy before planting popularity
-    train_tweets = [parse_tweet_line(line, lexicon) for line in train_lines]
-    graph = build_graph(train_tweets)
+    # learn each topic's community energy before planting popularity; the
+    # lines are parsed once per pass, so no parsed corpus is held
+    graph = build_graph(parse_tweet_line(line, lexicon) for line in train_lines)
     community = extract_community(graph, seed_user, config.max_depth)
-    tweets_by_user = group_tweets_by_user(train_tweets)
     community_edges: list[Edge] = community.sorted_edges()
 
     topics = [
@@ -251,13 +265,22 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GeneratedCorpus:
         )
         for k in range(config.n_topics)
     ]
-    vectors_by_topic = catalog_vectors(community.members, topics, tweets_by_user)
-    edge_energy_matrix = np.zeros((config.n_topics, len(community_edges)))
+    vectors_by_topic = catalog_vectors(
+        community.members, topics, (parse_tweet_line(line, lexicon) for line in train_lines)
+    )
+    # the topics x edges matrix is needed only to plant edge weights: its
+    # product with them is not the per-row dots. Its row sums are np.sum of
+    # each row, bit for bit, so otherwise only those are kept.
+    plant_edges = isinstance(config.planted, PlantedEdgeWeights)
+    if plant_edges:
+        edge_energy_matrix = np.zeros((config.n_topics, len(community_edges)))
+    energies = np.zeros(config.n_topics)
     for k, topic in enumerate(topics):
         vectors = vectors_by_topic[topic.hashtag]
         _, values = per_edge_energies(community, vectors, EnergyFunction.COSINE)
-        edge_energy_matrix[k] = values
-    energies = edge_energy_matrix.sum(axis=1)
+        energies[k] = np.sum(values)
+        if plant_edges:
+            edge_energy_matrix[k] = values
 
     omegas: np.ndarray | None = None
     if config.planted is None:
@@ -380,6 +403,12 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GeneratedCorpus:
         max_depth=config.max_depth,
         n_train_tweets=len(train_lines),
         n_test_tweets=n_test_tweets,
+        rows={
+            corpus_path: n_rows,
+            lexicon_path: len(lexicon),
+            stopwords_path: _N_STOPWORDS,
+            expected_path: len(rows),
+        },
     )
 
 

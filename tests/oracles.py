@@ -26,7 +26,6 @@ from sentpop.predictor import (
     TrainResult,
     _check_edges,
     _predict_batch,
-    _standardize,
 )
 from sentpop.sentiment import tweet_sentiment, user_phrase_sentiment
 
@@ -93,6 +92,24 @@ def raw_scan_vectors(members, topics, tweets_by_user, mean_over_matching=False):
                 vectors[user] = values
         out[topic.hashtag] = vectors
     return out
+
+
+def scalar_edge_draws(rng: np.random.Generator, users: Sequence[str], density: float):
+    """One ``rng.random()`` per pair ``i < j``; the draws ``synth._draw_edges`` makes."""
+    edges = []
+    for i in range(len(users)):
+        for j in range(i + 1, len(users)):
+            if rng.random() < density:
+                edges.append((users[i], users[j]))
+    return edges
+
+
+def standardize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column z-scores into a new array; the arithmetic ``predictor._standardize`` does in place."""
+    mu = values.mean(axis=0)
+    sd = values.std(axis=0)
+    sd = np.where(sd == 0.0, 1.0, sd)
+    return (values - mu) / sd, mu, sd
 
 
 def loss(model: LinearModel | EdgeModel, samples: Sequence[TopicSample]) -> float:
@@ -222,7 +239,7 @@ def object_per_step_train(
 
     if kind == "linear":
         feats = np.array([s.total_energy for s in train_samples], dtype=np.float64)
-        z, mu, sd = _standardize(feats[:, None])
+        z, mu, sd = standardize(feats[:, None])
         std_samples = [
             TopicSample(
                 topic=s.topic,
@@ -245,7 +262,7 @@ def object_per_step_train(
             if s.edges is not edges and s.edges != edges:
                 raise ValueError("samples cover different edge sets")
         feats = np.stack([s.edge_energies for s in train_samples])
-        z, mu, sd = _standardize(feats)
+        z, mu, sd = standardize(feats)
         std_samples = [
             TopicSample(
                 topic=s.topic,

@@ -35,7 +35,6 @@ from sentpop.predictor import (
 )
 from sentpop.sentiment import (
     catalog_vectors,
-    group_tweets_by_user,
     tweet_sentiment,
     user_topic_vector,
 )
@@ -325,7 +324,6 @@ def _edge_recovery_samples(tmp_path, planted, name):
     lexicon = load_lexicon(gen.lexicon_path)
     train_tweets = list(stream_corpus(gen.corpus_path, lexicon, gen.window, "train"))
     community = extract_community(build_graph(train_tweets), gen.seed_user, gen.max_depth)
-    by_user = group_tweets_by_user(train_tweets)
     m = int(exp.params["m"])
     topics, exact = [], {}
     for k, et in enumerate(exp.topics):
@@ -333,7 +331,7 @@ def _edge_recovery_samples(tmp_path, planted, name):
                       key_phrases=tuple(f"k{k:03d}p{n:02d}" for n in range(m)))
         topics.append(topic)
         exact[et.hashtag] = et.exact_target
-    vectors = catalog_vectors(community.members, topics, by_user)
+    vectors = catalog_vectors(community.members, topics, train_tweets)
     train_topics, test_topics = split_train_test(topics, rng_seed=9)
 
     def samples(ts):

@@ -236,6 +236,18 @@ def test_stage_digests_each_file_once(pipeline_dir, monkeypatch, stage, argv):
     assert set(digested.values()) == {1}
 
 
+@pytest.mark.parametrize("planted", [
+    (), ("--planted", "linear"), ("--planted", "edge-weights"),
+], ids=["none", "linear", "edge-weights"])
+def test_synth_records_the_line_count_of_each_output(tmp_path, planted):
+    assert run("synth", "--out", tmp_path, "--seed", "3", "--n-users", "12",
+               "--edge-density", "0.3", "--n-topics", "5", *planted) == 0
+    outputs = json.loads((tmp_path / "manifest.json").read_text())["stages"]["synth"]["outputs"]
+    assert set(outputs) == {"corpus.tsv", "lexicon.tsv", "stopwords.tsv", "expected.tsv"}
+    for name, meta in outputs.items():
+        assert meta["rows"] == len((tmp_path / name).read_bytes().splitlines()), name
+
+
 def test_stages_record_the_lexicon_and_split_they_verify(pipeline_dir):
     stages = json.loads((pipeline_dir / "manifest.json").read_text())["stages"]
     lexicon = "lexicon.tsv"
@@ -669,9 +681,10 @@ def test_ingest_of_an_edited_synth_corpus_keeps_the_earlier_artifacts(tmp_path, 
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-# The peak RSS of this process image. ru_maxrss would also count the forking
-# pytest process, whose larger peak a child inherits across exec.
-_PEAK_RSS_OF_INGEST = """
+# Runs one stage and prints the peak RSS of this process image. ru_maxrss would
+# also count the forking pytest process, whose larger peak a child inherits
+# across exec.
+_PEAK_RSS_OF_STAGE = """
 import re, sys
 from sentpop.cli import main
 assert main(sys.argv[1:]) == 0
@@ -698,7 +711,7 @@ def test_ingest_memory_grows_less_than_its_corpus(tmp_path):
                          "[smile] [cry]\n")
         size[n] = corpus.stat().st_size
         done = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS_OF_INGEST, "ingest", "--out", tmp_path / f"run{n}",
+            [sys.executable, "-c", _PEAK_RSS_OF_STAGE, "ingest", "--out", tmp_path / f"run{n}",
              "--corpus", corpus, "--lexicon", lexicon, "--window", WINDOW_FLAG],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
         )
@@ -706,6 +719,31 @@ def test_ingest_memory_grows_less_than_its_corpus(tmp_path):
         peak[n] = 1024 * int(done.stdout.split()[-1])
     growth = peak[80_000] - peak[20_000]
     assert growth < 2.5 * (size[80_000] - size[20_000]), (growth, size)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
+def test_sentiment_memory_stays_flat_as_the_train_corpus_grows(tmp_path):
+    """sentiment scores the train split as a stream and holds no parsed tweet: from
+    4,987 to 16,987 train tweets (20 and 80 per user, 200 users, 40 topics) its peak
+    RSS grows by less than 1 MB. Grouping the tweets by user first grew it by 5.8 MB."""
+    src = str(Path(sentpop.cli.__file__).resolve().parents[1])
+    peak, vectors = {}, {}
+    for per_user in (20, 80):
+        out = tmp_path / f"run{per_user}"
+        assert run("synth", "--out", out, "--seed", "0", "--n-users", "200",
+                   "--edge-density", "0.05", "--n-topics", "40",
+                   "--tweets-per-user", per_user) == 0
+        for stage in ("ingest", "graph", "topics"):
+            assert run(*pipeline_argv(out)[stage]) == 0, stage
+        done = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_OF_STAGE, "sentiment", "--out", out],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        peak[per_user] = 1024 * int(done.stdout.split()[-1])
+        vectors[per_user] = (out / "vectors.tsv").stat().st_size
+    assert vectors[20] > 0 and vectors[80] > 0
+    assert peak[80] - peak[20] < 1 << 20, peak
 
 
 def test_stages_other_than_synth_do_not_import_it():

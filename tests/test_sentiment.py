@@ -185,7 +185,7 @@ def test_community_vectors_match_single_user_path(lexicon):
     for user in users:
         all_tweets += _random_user_tweets(lexicon, rng, user, int(rng.integers(0, 8)))
     by_user = group_tweets_by_user(all_tweets)
-    got = community_topic_vectors(users, TOPIC, by_user)
+    got = community_topic_vectors(users, TOPIC, all_tweets)
     for user in users:
         expected = user_topic_vector(user, TOPIC, by_user.get(user, [])).values
         if np.any(expected != 0):
@@ -202,7 +202,10 @@ _PHRASES = st.one_of(
 )
 _TOPICS = st.lists(st.lists(_PHRASES, min_size=1, max_size=4), min_size=1, max_size=4)
 _TWEETS = st.lists(
-    st.tuples(st.sampled_from(["u0", "u1", "u2"]), _TEXTS, st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(
+        st.sampled_from(["u0", "u1", "u2", "outsider"]), _TEXTS, st.integers(0, 2),
+        st.integers(0, 2),
+    ),
     max_size=12,
 )
 
@@ -210,7 +213,8 @@ _TWEETS = st.lists(
 @given(_TOPICS, _TWEETS, st.booleans())
 def test_catalog_vectors_match_raw_scan(phrase_lists, rows, mean_over_matching):
     """Short phrases over a small alphabet hit inside longer runs, repeat within and
-    across topics, and include phrases that are not one word run."""
+    across topics, and include phrases that are not one word run. The tweets arrive
+    as a one-shot stream with the users interleaved, some of them not members."""
     topics = [
         Topic(hashtag=f"t{k}", start_time=0, popularity=1, key_phrases=tuple(phrases))
         for k, phrases in enumerate(phrase_lists)
@@ -220,10 +224,11 @@ def test_catalog_vectors_match_raw_scan(phrase_lists, rows, mean_over_matching):
               retweet_of=None, emoticon_counts=EmoticonCounts(pos, neg, 0))
         for n, (user, text, pos, neg) in enumerate(rows)
     ]
-    by_user = group_tweets_by_user(tweets)
     members = ["u0", "u1", "u2", "silent"]
-    got = catalog_vectors(members, topics, by_user, mean_over_matching)
-    expected = raw_scan_vectors(members, topics, by_user, mean_over_matching)
+    got = catalog_vectors(members, topics, (t for t in tweets), mean_over_matching)
+    expected = raw_scan_vectors(
+        members, topics, group_tweets_by_user(tweets), mean_over_matching
+    )
     assert got.keys() == expected.keys()
     for hashtag, per_user in expected.items():
         assert got[hashtag].keys() == per_user.keys()
@@ -234,7 +239,7 @@ def test_catalog_vectors_match_raw_scan(phrase_lists, rows, mean_over_matching):
 def test_catalog_vectors_reject_topic_without_phrases():
     empty = Topic(hashtag="none", start_time=0, popularity=1, key_phrases=())
     with pytest.raises(ValueError, match="no key phrases"):
-        catalog_vectors(["alice"], [TOPIC, empty], {})
+        catalog_vectors(["alice"], [TOPIC, empty], [])
 
 
 def test_vectors_file_round_trip(tmp_path, lexicon):

@@ -1,5 +1,6 @@
 """Synthetic corpus generator tests."""
 
+import numpy as np
 import pytest
 
 from sentpop.corpus import load_lexicon, stream_corpus
@@ -11,12 +12,13 @@ from sentpop.synth import (
     PlantedEdgeWeights,
     PlantedLinear,
     SynthConfig,
+    _draw_edges,
     generate,
     load_expected,
 )
 from sentpop.topics import extract_topics
 
-from oracles import closed_form_linear_fit
+from oracles import closed_form_linear_fit, scalar_edge_draws
 
 BASIC = SynthConfig(rng_seed=3, n_users=30, edge_density=0.15, n_topics=8,
                     planted=PlantedLinear(alpha=2.0, beta=150.0))
@@ -47,6 +49,17 @@ def test_generated_corpus_passes_ingest_invariants(tmp_path):
     for t in tweets:
         occurrences = sum(t.text.count(token) for token in lexicon.entries)
         assert sum(t.emoticon_counts) == occurrences
+
+
+@pytest.mark.parametrize("n_users", [0, 1, 2, 50])
+@pytest.mark.parametrize("density", [0.01, 0.27, 0.5, 1.0])
+@pytest.mark.parametrize("seed", [0, 5, 33])
+def test_edge_draws_match_one_scalar_draw_per_pair(n_users, density, seed):
+    """Same edges, and the generator left in the same state for the draws after."""
+    users = [f"u{i:05d}" for i in range(n_users)]
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _draw_edges(rng, users, density) == scalar_edge_draws(ref, users, density)
+    assert rng.random() == ref.random()
 
 
 def test_two_users_full_density_is_a_single_edge(tmp_path):
