@@ -11,12 +11,13 @@ manifest.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from collections.abc import Iterator
 from pathlib import Path
 
-from . import __version__, predictor
+from . import __version__
 from .corpus import (
     CorpusWindow,
     ParseError,
@@ -27,43 +28,78 @@ from .corpus import (
     parse_tweet_line,
     stream_corpus,
 )
-from .energy import (
-    EnergyFunction,
-    EnergyModel,
-    community_energy,
-    load_energy_report,
-    save_energy_report,
-)
-from .graph import (
-    build_graph,
-    community_from_edge_list,
-    extract_community,
-    save_edge_list,
-)
 from .manifest import RunManifest, StaleArtifactError, atomic_write, file_digest
 from .manifest import write_lines as _write_lines
 
-# community_topic_vectors and group_tweets_by_user are not called here; they
-# stay importable from this module because perfbench/trace_stage.py times
-# them where callers look them up
-from .sentiment import (  # noqa: F401
-    catalog_vectors,
-    community_topic_vectors,
-    group_tweets_by_user,
-    load_vectors,
-    save_vectors,
-)
-from .stats import classify_strength, pearson
-from .topics import (
-    attach_key_phrases,
-    dedupe_equal_popularity,
-    extract_key_phrases,
-    extract_topics,
-    gap_filter,
-    load_catalog,
-    load_stopwords,
-    save_catalog,
-)
+# The names each command uses from the other modules are bound into this
+# module's globals by main, before it dispatches, so that a stage process
+# imports only the modules its command needs. A name is bound on its first
+# access as an attribute too (``__getattr__``), which is how
+# perfbench/trace_stage.py finds and wraps it; binding keeps a name already
+# bound, so main leaves its wrappers in place. community_topic_vectors and
+# group_tweets_by_user are not called here: they are bound because the tracer
+# wraps them where callers look them up. predictor is used as a module.
+_NAMES = {
+    "energy": (
+        "EnergyFunction",
+        "EnergyModel",
+        "community_energy",
+        "load_energy_report",
+        "save_energy_report",
+    ),
+    "graph": ("build_graph", "community_from_edge_list", "extract_community", "save_edge_list"),
+    "predictor": (),
+    "sentiment": (
+        "catalog_vectors",
+        "community_topic_vectors",
+        "group_tweets_by_user",
+        "load_vectors",
+        "save_vectors",
+    ),
+    "stats": ("classify_strength", "pearson"),
+    "topics": (
+        "attach_key_phrases",
+        "dedupe_equal_popularity",
+        "extract_key_phrases",
+        "extract_topics",
+        "gap_filter",
+        "load_catalog",
+        "load_stopwords",
+        "save_catalog",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in (module, *names)}
+
+# synth imports its module in cmd_synth, and ingest needs only corpus and manifest
+_COMMAND_MODULES = {
+    "synth": (),
+    "ingest": (),
+    "graph": ("graph",),
+    "topics": ("topics",),
+    "sentiment": ("graph", "topics", "sentiment"),
+    "energy": ("graph", "topics", "sentiment", "energy"),
+    "correlate": ("topics", "energy", "stats"),
+    "train": ("graph", "topics", "sentiment", "energy", "predictor"),
+    "evaluate": ("graph", "topics", "sentiment", "energy", "predictor"),
+}
+
+
+def _bind(module_name: str) -> None:
+    """Import ``module_name`` and bind it and its names here, keeping names already bound."""
+    module = importlib.import_module(f"{__package__}.{module_name}")
+    names = globals()
+    names.setdefault(module_name, module)
+    for name in _NAMES[module_name]:
+        names.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    module_name = _MODULE_OF.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module_name)
+    return globals()[name]
+
 
 NORMALIZED_CORPUS = "corpus_normalized.tsv"
 GRAPH_FILE = "graph.tsv"
@@ -464,9 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("sentiment", cmd_sentiment, "compute per-user topic sentiment vectors")
 
     p = add("energy", cmd_energy, "compute community sentiment energies")
-    p.add_argument("--model", choices=[m.value for m in EnergyModel], default=None,
+    # literals, so that parsing imports nothing: tests pin them to the enums
+    p.add_argument("--model", choices=["mrf", "entropy"], default=None,
                    help="restrict to one model (default: all)")
-    p.add_argument("--function", choices=[f.value for f in EnergyFunction], default=None,
+    p.add_argument("--function", choices=["cosine", "avglen"], default=None,
                    help="restrict to one energy function (default: all)")
 
     p = add("correlate", cmd_correlate, "correlate energies with popularity per gap")
@@ -474,16 +511,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("train", cmd_train, "train popularity predictors per gap dataset")
     p.add_argument("--gaps", required=True)
-    p.add_argument("--predictor", choices=list(predictor.PREDICTOR_KINDS), default="linear")
-    p.add_argument("--function", choices=[f.value for f in EnergyFunction],
-                   default=EnergyFunction.COSINE.value)
+    p.add_argument("--predictor", choices=["linear", "edge"], default="linear")
+    p.add_argument("--function", choices=["cosine", "avglen"], default="cosine")
     p.add_argument("--eta", type=float, default=0.01)
     p.add_argument("--epochs", type=int, default=500)
     p.add_argument("--l2", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("evaluate", cmd_evaluate, "evaluate trained predictors on held-out topics")
-    p.add_argument("--predictor", choices=list(predictor.PREDICTOR_KINDS), default="linear")
+    p.add_argument("--predictor", choices=["linear", "edge"], default="linear")
     p.add_argument("--gaps", default=None, help="default: gaps used at train time")
 
     return parser
@@ -498,6 +534,8 @@ def main(argv: list[str] | None = None) -> int:
     if not any(var in os.environ for var in _BLAS_THREAD_VARS):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     args = build_parser().parse_args(argv)
+    for module_name in _COMMAND_MODULES[args.command]:
+        _bind(module_name)
     try:
         return args.func(Stage(args.out), args)
     except (ValueError, RuntimeError, OSError) as exc:

@@ -94,8 +94,9 @@ class EmoticonLexicon:
         return EmoticonCounts(pos, neg, neu)
 
 
-@dataclass(frozen=True)
-class Tweet:
+class Tweet(NamedTuple):
+    """One parsed corpus record; a tuple, so that parsing a line stays cheap."""
+
     id: str
     user: str
     timestamp: int

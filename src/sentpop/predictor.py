@@ -227,7 +227,7 @@ def train(
 
     Sample order is reshuffled every epoch when ``config.shuffle`` is set; all
     randomness (shuffling and optional uniform init) flows from
-    ``config.rng_seed``. Stops early once an epoch changes the training loss
+    ``config.rng_seed``. Stops early once an epoch lowers the training loss
     by less than ``config.stop_tol`` (a plateau); a worsening epoch never
     counts as converged, so runaway learning rates surface as divergence
     errors instead of quietly returning the last iterate.
@@ -283,7 +283,7 @@ def train(
             raise TrainingDiverged(
                 f"loss became non-finite at epoch {epoch}", epoch=epoch
             )
-        if abs(prev - epoch_loss) < config.stop_tol:
+        if 0.0 <= prev - epoch_loss < config.stop_tol:
             plateaued = True
             break
         prev = epoch_loss

@@ -116,25 +116,40 @@ def _as_series(values: Sequence[float], name: str) -> np.ndarray:
     return arr
 
 
+def _float_list(values: Sequence[float], name: str) -> list[float]:
+    if getattr(values, "ndim", 1) != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    try:
+        return [float(v) for v in values]
+    except TypeError:  # not a sequence, or a sequence of sequences
+        raise ValueError(f"{name} must be one-dimensional") from None
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     """Product-moment correlation with a two-tailed significance p-value.
 
     Requires n >= 3 and non-constant series. The p-value comes from
     t = r sqrt((n-2) / (1-r^2)) against the t distribution with n-2 dof.
+    The means and the sums of squares and products are correctly rounded
+    (``math.fsum``), in Python floats: the ``correlate`` stage loads no numpy.
     """
-    xa, ya = _as_series(x, "x"), _as_series(y, "y")
-    if xa.shape[0] != ya.shape[0]:
+    xs, ys = _float_list(x, "x"), _float_list(y, "y")
+    if len(xs) != len(ys):
         raise ValueError("series lengths differ")
-    n = xa.shape[0]
+    n = len(xs)
     if n < 3:
         raise ValueError("pearson requires at least 3 samples")
-    dx = xa - xa.mean()
-    dy = ya - ya.mean()
-    ssx = float(np.dot(dx, dx))
-    ssy = float(np.dot(dy, dy))
-    if ssx == 0.0 or ssy == 0.0:
+    # a rounded mean can differ from every value of a constant series
+    if min(xs) == max(xs) or min(ys) == max(ys):
         raise ValueError("pearson is undefined for a constant series")
-    r = float(np.dot(dx, dy)) / math.sqrt(ssx * ssy)
+    mx, my = math.fsum(xs) / n, math.fsum(ys) / n
+    dx = [v - mx for v in xs]
+    dy = [v - my for v in ys]
+    ssx = math.fsum(d * d for d in dx)
+    ssy = math.fsum(d * d for d in dy)
+    if ssx == 0.0 or ssy == 0.0:  # deviations whose squares underflow
+        raise ValueError("pearson is undefined for a constant series")
+    r = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(ssx * ssy)
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         return r, 0.0

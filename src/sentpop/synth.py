@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 from ._lazy import np
-from .corpus import CorpusWindow, EmoticonLexicon, parse_tweet_line
+from .corpus import CorpusWindow, EmoticonLexicon, Tweet, open_corpus, parse_tweet_line
 from .manifest import atomic_write, atomic_write_text, write_lines
 from .energy import EnergyFunction, per_edge_energies
 from .graph import Edge, build_graph, extract_community
@@ -201,10 +200,19 @@ def _emoticon_tokens(rng: np.random.Generator, stance: float, rate: float) -> li
 
 
 def generate(config: SynthConfig, out_dir: str | Path) -> GeneratedCorpus:
-    """Write corpus, lexicon, stopword and expected-value files into ``out_dir``."""
-    rng = np.random.default_rng(config.rng_seed)
+    """Write corpus, lexicon, stopword and expected-value files into ``out_dir``.
+
+    The corpus is written to a temp file that replaces ``corpus.tsv`` once the
+    other files are written: a failure, such as :class:`InfeasibleConfigError`,
+    leaves no corpus behind.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    return atomic_write(lambda tmp: _generate(config, out, tmp), out / "corpus.tsv")
+
+
+def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorpus:
+    rng = np.random.default_rng(config.rng_seed)
 
     users = [_user_name(i) for i in range(config.n_users)]
     seed_user = users[0]
@@ -225,36 +233,45 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GeneratedCorpus:
 
     phrase_lists = [_phrases(k, config.m) for k in range(config.n_topics)]
 
-    train_lines: list[str] = []
-    for idx, (a, b) in enumerate(edges):
-        ts = window.train_start + idx % train_len
-        if idx % 2 == 0:
-            train_lines.append(f"r{idx:07d}\t{a}\t{ts}\t-\t@{b} {_filler(idx)}")
-        else:
-            train_lines.append(f"r{idx:07d}\t{a}\t{ts}\t{b}\tfwd {_filler(idx)}")
-
-    counter = 0
-    for u_idx, user in enumerate(users):
-        cared = [k for k in range(config.n_topics) if cares[u_idx, k]]
-        for t in range(config.tweets_per_user):
-            ts = window.train_start + (counter * 53 + 11) % train_len
-            if cared:
-                k = cared[t % len(cared)]
-                mask = rng.random(config.m) < 0.7
-                if not mask.any():
-                    mask[0] = True
-                tokens = [p for p, keep in zip(phrase_lists[k], mask) if keep]
-                tokens.append(_filler(counter * 3))
-                tokens.extend(_emoticon_tokens(rng, float(stances[u_idx, k]), config.emoticon_rate))
+    def train_lines() -> Iterator[str]:
+        """The train split: one tweet per graph edge, then each user's topic tweets."""
+        for idx, (a, b) in enumerate(edges):
+            ts = window.train_start + idx % train_len
+            if idx % 2 == 0:
+                yield f"r{idx:07d}\t{a}\t{ts}\t-\t@{b} {_filler(idx)}"
             else:
-                tokens = [_filler(counter * 3), _filler(counter * 3 + 1)]
-            train_lines.append(f"s{counter:07d}\t{user}\t{ts}\t-\t" + " ".join(tokens))
-            counter += 1
+                yield f"r{idx:07d}\t{a}\t{ts}\t{b}\tfwd {_filler(idx)}"
+        counter = 0
+        for u_idx, user in enumerate(users):
+            cared = [k for k in range(config.n_topics) if cares[u_idx, k]]
+            for t in range(config.tweets_per_user):
+                ts = window.train_start + (counter * 53 + 11) % train_len
+                if cared:
+                    k = cared[t % len(cared)]
+                    mask = rng.random(config.m) < 0.7
+                    if not mask.any():
+                        mask[0] = True
+                    tokens = [p for p, keep in zip(phrase_lists[k], mask) if keep]
+                    tokens.append(_filler(counter * 3))
+                    tokens.extend(
+                        _emoticon_tokens(rng, float(stances[u_idx, k]), config.emoticon_rate)
+                    )
+                else:
+                    tokens = [_filler(counter * 3), _filler(counter * 3 + 1)]
+                yield f"s{counter:07d}\t{user}\t{ts}\t-\t" + " ".join(tokens)
+                counter += 1
 
-    # run the just-generated training corpus through the real pipeline to
-    # learn each topic's community energy before planting popularity; the
-    # lines are parsed once per pass, so no parsed corpus is held
-    graph = build_graph(parse_tweet_line(line, lexicon) for line in train_lines)
+    def train_tweets() -> Iterator[Tweet]:
+        """The train split, parsed back from the corpus file a line at a time."""
+        with open_corpus(corpus_tmp) as fh:
+            for line in fh:
+                yield parse_tweet_line(line, lexicon)
+
+    # the train split goes to the corpus file first, and is run through the
+    # real pipeline from there to learn each topic's community energy before
+    # popularity is planted; no line or parsed tweet is held
+    n_train_tweets = write_lines(train_lines(), corpus_tmp)
+    graph = build_graph(train_tweets())
     community = extract_community(graph, seed_user, config.max_depth)
     community_edges: list[Edge] = community.sorted_edges()
 
@@ -265,9 +282,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GeneratedCorpus:
         )
         for k in range(config.n_topics)
     ]
-    vectors_by_topic = catalog_vectors(
-        community.members, topics, (parse_tweet_line(line, lexicon) for line in train_lines)
-    )
+    vectors_by_topic = catalog_vectors(community.members, topics, train_tweets())
     # the topics x edges matrix is needed only to plant edge weights: its
     # product with them is not the per-row dots. Its row sums are np.sum of
     # each row, bit for bit, so otherwise only those are kept.
@@ -312,7 +327,8 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GeneratedCorpus:
         if pops[k] <= prev:
             pops[k] = prev + 1
         prev = int(pops[k])
-    total_tweets = len(train_lines) + int(pops.sum())
+    n_test_tweets = int(pops.sum())
+    total_tweets = n_train_tweets + n_test_tweets
     if total_tweets > MAX_TOTAL_TWEETS:
         raise InfeasibleConfigError(
             f"would generate {total_tweets} tweets (cap {MAX_TOTAL_TWEETS})"
@@ -332,14 +348,12 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GeneratedCorpus:
                 yield f"p{counter:07d}\t{author}\t{ts}\t-\t#{tag}# {body} {fillers}"
                 counter += 1
 
+    with open(corpus_tmp, "a", encoding="utf-8") as fh:
+        fh.writelines(f"{line}\n" for line in test_lines())
     corpus_path = out / "corpus.tsv"
     lexicon_path = out / "lexicon.tsv"
     stopwords_path = out / "stopwords.tsv"
     expected_path = out / "expected.tsv"
-
-    corpus_lines = chain(train_lines, test_lines())
-    n_rows = atomic_write(lambda tmp: write_lines(corpus_lines, tmp), corpus_path)
-    n_test_tweets = n_rows - len(train_lines)
     atomic_write_text(
         lexicon_path,
         "".join(f"{token}\t{polarity}\n" for token, polarity in sorted(lexicon.entries.items())),
@@ -377,7 +391,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GeneratedCorpus:
     param("test_end", window.test_end)
     param("first_month_end", FIRST_TEST_MONTH_END)
     param("n_community_edges", len(community_edges))
-    param("n_train_tweets", len(train_lines))
+    param("n_train_tweets", n_train_tweets)
     param("n_test_tweets", n_test_tweets)
     if isinstance(config.planted, PlantedLinear):
         param("alpha", repr(config.planted.alpha))
@@ -401,10 +415,10 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GeneratedCorpus:
         window=window,
         seed_user=seed_user,
         max_depth=config.max_depth,
-        n_train_tweets=len(train_lines),
+        n_train_tweets=n_train_tweets,
         n_test_tweets=n_test_tweets,
         rows={
-            corpus_path: n_rows,
+            corpus_path: n_train_tweets + n_test_tweets,
             lexicon_path: len(lexicon),
             stopwords_path: _N_STOPWORDS,
             expected_path: len(rows),

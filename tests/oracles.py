@@ -304,7 +304,7 @@ def object_per_step_train(
             raise TrainingDiverged(
                 f"loss became non-finite at epoch {epoch}", epoch=epoch
             )
-        if abs(prev - epoch_loss) < config.stop_tol:
+        if 0.0 <= prev - epoch_loss < config.stop_tol:
             plateaued = True
             break
         prev = epoch_loss
@@ -339,3 +339,12 @@ def closed_form_linear_fit(
     alpha = float(np.dot(dx, y - y.mean())) / ssx
     beta = float(y.mean()) - alpha * float(x.mean())
     return LinearModel(alpha=alpha, beta=beta)
+
+
+def numpy_pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
+    """r as ``stats.pearson`` once computed it: numpy means and BLAS dot products."""
+    xa, ya = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    dx = xa - xa.mean()
+    dy = ya - ya.mean()
+    r = float(np.dot(dx, dy)) / math.sqrt(float(np.dot(dx, dx)) * float(np.dot(dy, dy)))
+    return max(-1.0, min(1.0, r))

@@ -272,6 +272,16 @@ class TestTrain:
             assert len(result.loss_curve) == min(epochs, 2)
             assert result.plateaued is plateaued, epochs
 
+    def test_a_worsening_epoch_is_not_a_plateau(self):
+        # every epoch raises the loss, each time by less than stop_tol
+        samples = random_samples(np.random.default_rng(8), n_edges=3, n_samples=8)
+        config = TrainConfig(learning_rate=1.0, epochs=4, stop_tol=1e18)
+        for trainer in (train, object_per_step_train):
+            result = trainer("edge", samples, config)
+            curve = result.loss_curve
+            assert all(0.0 < b - a < config.stop_tol for a, b in zip(curve, curve[1:]))
+            assert len(curve) == 4 and not result.plateaued
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)
         samples = random_samples(rng, n_edges=4, n_samples=16)

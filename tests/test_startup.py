@@ -1,9 +1,11 @@
-"""Start-up contract: numpy loads on first use, and the CLI runs BLAS single-threaded.
+"""Start-up contract: each stage loads only the modules it uses, numpy on first use,
+and the CLI runs BLAS single-threaded.
 
 Each check that depends on what a fresh interpreter has imported runs in a
 subprocess, because this test process has numpy loaded already.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -13,8 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sentpop
 import sentpop.cli
-from sentpop.cli import main
+from sentpop.cli import build_parser, main
+from sentpop.energy import EnergyFunction, EnergyModel
+from sentpop.predictor import PREDICTOR_KINDS
 from sentpop.synth import SYNTH_WINDOW
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -44,7 +49,7 @@ def _threads_visible() -> bool:
 STAGES = """
 import json, os, sys
 from sentpop.cli import main
-out, window = sys.argv[1:]
+out, window, *stages = sys.argv[1:]
 argvs = {
     "ingest": ["--corpus", f"{out}/corpus.tsv", "--lexicon", f"{out}/lexicon.tsv",
                "--window", window],
@@ -52,14 +57,16 @@ argvs = {
     "topics": ["--stopwords", f"{out}/stopwords.tsv"],
     "sentiment": [],
     "energy": [],
+    "correlate": ["--gaps", "1"],
 }
-loaded = {}
-for stage, argv in argvs.items():
-    if main([stage, "--out", out, *argv]) != 0:
+loaded, modules = {}, {}
+for stage in stages:
+    if main([stage, "--out", out, *argvs[stage]]) != 0:
         sys.exit(f"{stage} failed")
     loaded[stage] = "numpy._core" in sys.modules
+    modules[stage] = sorted(m for m in sys.modules if m.startswith("sentpop."))
 threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-print(json.dumps({"loaded": loaded, "threads": threads}))
+print(json.dumps({"loaded": loaded, "modules": modules, "threads": threads}))
 """
 
 
@@ -69,13 +76,53 @@ def test_only_stages_that_do_array_math_load_numpy(tmp_path):
                  "--edge-density", "0.35", "--n-topics", "6"]) == 0
     window = (f"{SYNTH_WINDOW.train_start},{SYNTH_WINDOW.train_end},"
               f"{SYNTH_WINDOW.test_start},{SYNTH_WINDOW.test_end}")
-    result = json.loads(_python(STAGES, out, window).splitlines()[-1])
-    assert result["loaded"] == {
+    result = json.loads(_python(STAGES, out, window, "ingest", "graph", "topics", "sentiment",
+                                "energy").splitlines()[-1])
+    # correlate runs in a fresh interpreter: energy loaded numpy in the first one
+    correlate = json.loads(_python(STAGES, out, window, "correlate").splitlines()[-1])
+    assert {**result["loaded"], **correlate["loaded"]} == {
         "ingest": False, "graph": False, "topics": False, "sentiment": False, "energy": True,
+        "correlate": False,
     }
     if _threads_visible():
         # main set OPENBLAS_NUM_THREADS=1 before energy loaded numpy: no pool
         assert result["threads"] == 1
+    unused_by_ingest = {f"sentpop.{m}" for m in (
+        "graph", "topics", "sentiment", "energy", "stats", "predictor", "synth")}
+    assert not unused_by_ingest & set(result["modules"]["ingest"])
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = (
+        "import sys, sentpop\n"
+        "print(sorted(m for m in sys.modules if m.startswith('sentpop.')))"
+    )
+    assert _python(code).split() == ["[]"]
+
+
+def test_each_public_name_is_its_module_attribute():
+    wrong = [name for name in sentpop.__all__
+             if getattr(sys.modules[getattr(sentpop, name).__module__], name)
+             is not getattr(sentpop, name)]
+    assert not wrong
+
+
+def _option(command: str, dest: str) -> argparse.Action:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if a.dest == dest)
+
+
+def test_parser_literals_are_the_enum_values():
+    """The parser names its choices literally, so that parsing imports nothing."""
+    functions = [f.value for f in EnergyFunction]
+    assert _option("energy", "model").choices == [m.value for m in EnergyModel]
+    assert _option("energy", "function").choices == functions
+    assert _option("train", "function").choices == functions
+    assert _option("train", "function").default == EnergyFunction.COSINE.value
+    for command in ("train", "evaluate"):
+        assert _option(command, "predictor").choices == list(PREDICTOR_KINDS)
+        assert _option(command, "predictor").default in PREDICTOR_KINDS
 
 
 @pytest.mark.parametrize("code", [

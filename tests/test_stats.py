@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
+from oracles import numpy_pearson_r
 from sentpop.stats import (
     Strength,
     classify_strength,
@@ -79,6 +82,24 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([1.0, 2.0], [2.0, 1.0])
 
+    @pytest.mark.parametrize("c", [0.1, 0.7])
+    def test_constant_series_whose_mean_rounds_away_rejected(self, c):
+        # sum([c] * 3) / 3 != c: a deviation from the rounded mean is not 0
+        with pytest.raises(ValueError, match="constant"):
+            pearson([c] * 3, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="constant"):
+            pearson([1.0, 2.0, 3.0], [c] * 3)
+
+    @pytest.mark.parametrize("x,y,message", [
+        (np.ones((3, 2)), [1.0, 2.0, 3.0], "x must be one-dimensional"),
+        ([1.0, 2.0, 3.0], [[1.0], [2.0], [3.0]], "y must be one-dimensional"),
+        (4.0, [1.0, 2.0, 3.0], "x must be one-dimensional"),
+        ([1.0, 2.0, 3.0], [1.0, 2.0], "lengths differ"),
+    ])
+    def test_malformed_series_rejected(self, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            pearson(x, y)
+
     def test_against_definition_and_quadrature_oracles(self):
         """50 seeded instances: r to 1e-12, p to 1e-6 of numeric integration."""
         rng = np.random.default_rng(42)
@@ -89,6 +110,48 @@ class TestPearson:
             assert r == pytest.approx(_pearson_r_oracle(list(x), list(y)), abs=1e-12)
             t_stat = r * math.sqrt(18 / (1 - r * r))
             assert p == pytest.approx(_two_tailed_by_quadrature(t_stat, 18), abs=1e-6)
+
+
+_BAND_EDGES = (0.05, 0.35, 0.65, 0.95)
+
+
+@st.composite
+def _series_pairs(draw):
+    """n = 3-200 values of magnitude 1e-6 to 1e6, y independent of x or near-collinear."""
+    n = draw(st.integers(3, 200))
+    unit = st.integers(-10**6, 10**6).map(lambda k: k / 10**6)
+    sx, sy = (10.0 ** draw(st.integers(-6, 6)) for _ in range(2))
+    x = [sx * u for u in draw(st.lists(unit, min_size=n, max_size=n))]
+    noise = [sy * u for u in draw(st.lists(unit, min_size=n, max_size=n))]
+    if draw(st.booleans()):
+        y = noise
+    else:
+        slope = draw(st.sampled_from([-3.0, -1.0, 0.5, 2.0])) * sy / sx
+        rel = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1]))
+        y = [slope * a + rel * b for a, b in zip(x, noise)]
+    return x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series_pairs())
+def test_pearson_matches_the_numpy_formula(xy):
+    """fsum sums are correctly rounded; numpy's pairwise sums and BLAS dots are not, so r
+    may move in its last digits, never by more than 1e-12."""
+    x, y = xy
+    if min(x) == max(x) or min(y) == max(y):
+        with pytest.raises(ValueError, match="constant"):
+            pearson(x, y)
+        return
+    r, p = pearson(x, y)
+    r_oracle = numpy_pearson_r(x, y)
+    assert abs(r - r_oracle) <= 1e-12
+    n = len(x)
+    if abs(r) == 1.0:
+        assert p == 0.0
+    else:
+        assert p == student_t_two_tailed_p(r * math.sqrt((n - 2) / (1.0 - r * r)), n - 2)
+    if all(abs(abs(r) - edge) > 1e-12 for edge in _BAND_EDGES):
+        assert classify_strength(r) is classify_strength(r_oracle)
 
 
 class TestClassifyStrength:

@@ -44,7 +44,7 @@ def test_traced_stages_pass_through_the_wrapped_helpers(tmp_path):
 
     out = tmp_path / "run"
     assert main(["synth", "--out", str(out), "--seed", "3", "--n-users", "8",
-                 "--n-topics", "2", "--tweets-per-user", "2"]) == 0
+                 "--n-topics", "4", "--tweets-per-user", "2"]) == 0
     names = _traced_span_names(
         tmp_path / "ingest.json", "ingest", "--out", out, "--corpus", out / "corpus.tsv",
         "--lexicon", out / "lexicon.tsv",
@@ -55,3 +55,11 @@ def test_traced_stages_pass_through_the_wrapped_helpers(tmp_path):
     )
     assert {"cli.out_meta", "io.write_lines", "io.save_edge_list",
             "manifest.verify_input"} <= names
+    assert main(["topics", "--out", str(out), "--stopwords", str(out / "stopwords.tsv")]) == 0
+    assert main(["sentiment", "--out", str(out)]) == 0
+    # the stages that bind their numpy modules when they start
+    names = _traced_span_names(tmp_path / "energy.json", "energy", "--out", out)
+    names |= _traced_span_names(tmp_path / "correlate.json", "correlate", "--out", out,
+                                "--gaps", "1")
+    assert {"energy.community_energy", "energy.load_energy_report", "stats.pearson",
+            "energy.per_edge_energies"} <= names
