@@ -365,13 +365,22 @@ def cmd_correlate(stage: Stage, args) -> int:
     return 0
 
 
-def _sgd_summary(curve: list[float], plateaued: bool) -> str:
-    """How SGD stopped: on the plateau test or at the epoch cap."""
+def _sgd_summary(result: predictor.TrainResult, eta: float) -> str:
+    """How SGD stopped (plateau test or epoch cap), and its step-size bound."""
+    curve = result.loss_curve
     k = len(curve)
-    stop = f"plateau at epoch {k - 1}" if plateaued else "epoch cap"
+    stop = f"plateau at epoch {k - 1}" if result.plateaued else "epoch cap"
     text = f"{k} epochs ({stop}), final loss {curve[-1]:.6g}"
     if curve[-1] > curve[0]:
         text += f", above the first epoch's {curve[0]:.6g}"
+    omega = result.omega_max
+    text += f", omega_max {omega:.3g}"
+    if omega >= 2.0:
+        # omega_max = eta * max(|z|^2 + 1), so this is 2 / max(|z|^2 + 1)
+        text += (
+            f" (>= 2: steps expand residuals; --eta should be below"
+            f" 2/max(|z|^2+1) = {2.0 * eta / omega:.3g})"
+        )
     return text
 
 
@@ -399,7 +408,7 @@ def cmd_train(stage: Stage, args) -> int:
             _write_lines,
             [f"{epoch}\t{value!r}" for epoch, value in enumerate(result.loss_curve)],
         )
-        summary = _sgd_summary(result.loss_curve, result.plateaued)
+        summary = _sgd_summary(result, config.learning_rate)
         print(f"train: gap {gap}: {len(samples)} topics, {summary}")
     stage.write(f"splits_{args.predictor}.tsv", _write_lines, split_lines)
     stage.record(
@@ -514,7 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictor", choices=["linear", "edge"], default="linear")
     p.add_argument("--function", choices=["cosine", "avglen"], default="cosine")
     p.add_argument("--eta", type=float, default=0.01)
-    p.add_argument("--epochs", type=int, default=500)
+    p.add_argument("--epochs", type=int, default=500,
+                   help="most SGD epochs; a loss plateau stops training earlier")
     p.add_argument("--l2", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
 

@@ -85,7 +85,7 @@ class TrainConfig:
     rng_seed: int = 0
     shuffle: bool = True
     l2: float = 0.0
-    stop_tol: float = 1e-9
+    stop_tol: float = 1e-5  # relative: see ``train``
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
@@ -101,6 +101,9 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     model: LinearModel | EdgeModel
+    # largest Kaczmarz relaxation eta * (|z_i|^2 + 1) over the standardized rows;
+    # at 2 or above a step on that row expands its own residual
+    omega_max: float
     loss_curve: list[float] = field(default_factory=list)
     plateaued: bool = False  # stopped on the plateau test, not the epoch cap
 
@@ -228,9 +231,12 @@ def train(
     Sample order is reshuffled every epoch when ``config.shuffle`` is set; all
     randomness (shuffling and optional uniform init) flows from
     ``config.rng_seed``. Stops early once an epoch lowers the training loss
-    by less than ``config.stop_tol`` (a plateau); a worsening epoch never
+    by less than ``config.stop_tol`` times the previous epoch's loss (a
+    plateau); ``stop_tol=0.0`` disables the stop. A worsening epoch never
     counts as converged, so runaway learning rates surface as divergence
-    errors instead of quietly returning the last iterate.
+    errors instead of quietly returning the last iterate. The stop only
+    truncates the run: a run that plateaus after epoch k is the first k + 1
+    epochs of the same run with the stop disabled.
     """
     if kind not in PREDICTOR_KINDS:
         raise ValueError(f"kind must be one of {PREDICTOR_KINDS}, got {kind!r}")
@@ -256,6 +262,9 @@ def train(
     # features (no edges) has nothing to overflow
     row_max = np.maximum(z.max(axis=1, initial=0.0), -z.min(axis=1, initial=0.0)).tolist()
     d = z.shape[1]
+    eta, l2 = config.learning_rate, config.l2
+    # row norms without a z * z copy
+    omega_max = eta * (float(np.einsum("ij,ij->i", z, z).max()) + 1.0)
     if config.init == "uniform":
         lo, hi = config.init_range
         draws = rng.uniform(lo, hi, d + 1)
@@ -263,7 +272,6 @@ def train(
     else:
         w, rho = np.zeros(d, dtype=np.float64), 0.0
 
-    eta, l2 = config.learning_rate, config.l2
     curve: list[float] = []
     plateaued = False
     prev = math.inf
@@ -283,7 +291,7 @@ def train(
             raise TrainingDiverged(
                 f"loss became non-finite at epoch {epoch}", epoch=epoch
             )
-        if 0.0 <= prev - epoch_loss < config.stop_tol:
+        if 0.0 <= prev - epoch_loss < config.stop_tol * prev:
             plateaued = True
             break
         prev = epoch_loss
@@ -298,7 +306,9 @@ def train(
         model = EdgeModel(
             edges=edges, weight_values=w / sd, rho=rho - float(np.dot(w, mu / sd))
         )
-    return TrainResult(model=model, loss_curve=curve, plateaued=plateaued)
+    return TrainResult(
+        model=model, omega_max=omega_max, loss_curve=curve, plateaued=plateaued
+    )
 
 
 def evaluate(

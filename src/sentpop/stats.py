@@ -125,6 +125,17 @@ def _float_list(values: Sequence[float], name: str) -> list[float]:
         raise ValueError(f"{name} must be one-dimensional") from None
 
 
+def _scale_to_unit(values: list[float]) -> list[float]:
+    """``values`` times 2^-e, where 2^(e-1) <= max|v| < 2^e.
+
+    Scaling by a power of two is exact unless a value becomes subnormal, so
+    for normal-range input it changes no rounding of the sums computed from
+    the scaled values.
+    """
+    e = math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, -e) for v in values]
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     """Product-moment correlation with a two-tailed significance p-value.
 
@@ -132,6 +143,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     t = r sqrt((n-2) / (1-r^2)) against the t distribution with n-2 dof.
     The means and the sums of squares and products are correctly rounded
     (``math.fsum``), in Python floats: the ``correlate`` stage loads no numpy.
+    Each series is first scaled by a power of two into [-1, 1], so squares
+    and products neither underflow nor overflow at extreme magnitudes.
     """
     xs, ys = _float_list(x, "x"), _float_list(y, "y")
     if len(xs) != len(ys):
@@ -142,13 +155,14 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     # a rounded mean can differ from every value of a constant series
     if min(xs) == max(xs) or min(ys) == max(ys):
         raise ValueError("pearson is undefined for a constant series")
+    xs, ys = _scale_to_unit(xs), _scale_to_unit(ys)
     mx, my = math.fsum(xs) / n, math.fsum(ys) / n
     dx = [v - mx for v in xs]
     dy = [v - my for v in ys]
+    # a scaled non-constant series has a value of magnitude >= 1/2 and another
+    # at least 2^-54 from it, so some |deviation| >= 2^-55: neither sum is 0
     ssx = math.fsum(d * d for d in dx)
     ssy = math.fsum(d * d for d in dy)
-    if ssx == 0.0 or ssy == 0.0:  # deviations whose squares underflow
-        raise ValueError("pearson is undefined for a constant series")
     r = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(ssx * ssy)
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:

@@ -286,6 +286,7 @@ def object_per_step_train(
                 rho=0.0,
             )
 
+    omega_max = config.learning_rate * max(float(np.dot(row, row)) + 1.0 for row in z)
     curve: list[float] = []
     plateaued = False
     prev = math.inf
@@ -304,7 +305,7 @@ def object_per_step_train(
             raise TrainingDiverged(
                 f"loss became non-finite at epoch {epoch}", epoch=epoch
             )
-        if 0.0 <= prev - epoch_loss < config.stop_tol:
+        if 0.0 <= prev - epoch_loss < config.stop_tol * prev:
             plateaued = True
             break
         prev = epoch_loss
@@ -313,15 +314,34 @@ def object_per_step_train(
         alpha = model.alpha / float(sd[0])
         beta = model.beta - model.alpha * float(mu[0]) / float(sd[0])
         return TrainResult(
-            model=LinearModel(alpha, beta), loss_curve=curve, plateaued=plateaued
+            model=LinearModel(alpha, beta),
+            omega_max=omega_max,
+            loss_curve=curve,
+            plateaued=plateaued,
         )
     raw_w = model.weight_values / sd
     raw_rho = model.rho - float(np.dot(model.weight_values, mu / sd))
     return TrainResult(
         model=EdgeModel(edges=model.edges, weight_values=raw_w, rho=raw_rho),
+        omega_max=omega_max,
         loss_curve=curve,
         plateaued=plateaued,
     )
+
+
+def least_squares_floor(z: np.ndarray, t: np.ndarray) -> float:
+    """The least half-MSE any model ``z @ w + rho`` reaches on targets ``t``.
+
+    Exact least squares on ``[z, 1]`` (``lstsq`` handles rank-deficient
+    ``z``): the floor L* that constant-step SGD on the same rows can only
+    approach.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    a = np.hstack([z, np.ones((z.shape[0], 1))])
+    theta, *_ = np.linalg.lstsq(a, t, rcond=None)
+    errors = a @ theta - t
+    return float(np.dot(errors, errors)) / (2.0 * len(t))
 
 
 def closed_form_linear_fit(

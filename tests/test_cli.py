@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import sentpop.cli
 import sentpop.manifest
 from sentpop.cli import _sgd_summary, main
 from sentpop.manifest import atomic_write, atomic_write_text
-from sentpop.predictor import load_model
+from sentpop.predictor import LinearModel, TrainResult, load_model
 from sentpop.synth import SYNTH_WINDOW
 
 WINDOW_FLAG = (
@@ -153,7 +155,7 @@ def test_manifest_records_stages_and_digests(pipeline_dir):
         "train:linear": {
             "predictor": "linear", "function": "cosine", "gaps": [1], "eta": 0.01,
             "epochs": 120, "seed": 7, "l2": 0.0, "init": "zeros", "shuffle": True,
-            "stop_tol": 1e-9,
+            "stop_tol": 1e-5,
         },
         "evaluate:linear": {"predictor": "linear", "gaps": [1]},
     }
@@ -275,11 +277,23 @@ def test_failed_write_leaves_no_temp_file(tmp_path):
 
 
 def test_sgd_summary_says_how_training_stopped():
-    assert _sgd_summary([3.0, 2.0, 2.0], True) == "3 epochs (plateau at epoch 2), final loss 2"
-    assert _sgd_summary([3.0, 2.0], False) == "2 epochs (epoch cap), final loss 2"
-    assert _sgd_summary([3.0, 8.9e44], False) == (
-        "2 epochs (epoch cap), final loss 8.9e+44, above the first epoch's 3"
+    def summary(curve, plateaued, omega_max=0.3, eta=0.001):
+        result = TrainResult(LinearModel(0.0, 0.0), omega_max, curve, plateaued)
+        return _sgd_summary(result, eta)
+
+    assert summary([3.0, 2.0, 2.0], True) == (
+        "3 epochs (plateau at epoch 2), final loss 2, omega_max 0.3"
     )
+    assert summary([3.0, 2.0], False) == "2 epochs (epoch cap), final loss 2, omega_max 0.3"
+    assert summary([3.0, 8.9e44], False, omega_max=3.9, eta=0.0005) == (
+        "2 epochs (epoch cap), final loss 8.9e+44, above the first epoch's 3, omega_max 3.9"
+        " (>= 2: steps expand residuals; --eta should be below 2/max(|z|^2+1) = 0.000256)"
+    )
+    assert summary([3.0, 2.0], False, omega_max=2.0, eta=0.01).endswith(
+        "omega_max 2 (>= 2: steps expand residuals; --eta should be below"
+        " 2/max(|z|^2+1) = 0.01)"
+    )
+    assert "steps expand" not in summary([3.0, 2.0], False, omega_max=1.99)
 
 
 def test_train_reports_how_sgd_stopped(pipeline_dir, capsys):
@@ -289,6 +303,21 @@ def test_train_reports_how_sgd_stopped(pipeline_dir, capsys):
     assert line.startswith("train: gap 1: ")
     assert "120 epochs (epoch cap)" in line
     assert "above the first epoch's" not in line
+
+
+def test_train_stops_on_a_plateau_below_the_epoch_cap(pipeline_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dir, out)
+    capsys.readouterr()
+    assert run("train", "--out", out, "--gaps", "1", "--predictor", "linear",
+               "--epochs", "500", "--seed", "7") == 0
+    line = capsys.readouterr().out.strip()
+    match = re.search(r"(\d+) epochs \(plateau at epoch (\d+)\)", line)
+    assert match, line
+    epochs, k = int(match[1]), int(match[2])
+    assert epochs == k + 1 < 500
+    log = (out / "train_log_linear_gap1.tsv").read_text().splitlines()
+    assert len(log) == epochs
 
 
 def test_stale_artifact_detected(pipeline_dir, capsys):

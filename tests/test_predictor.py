@@ -1,5 +1,7 @@
 """Predictor tests: predictions, gradients, SGD training and evaluation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,11 +29,13 @@ from oracles import (
     gradient_edge,
     gradient_edge_model,
     gradient_linear,
+    least_squares_floor,
     loss,
     object_per_step_train,
     predict_edge,
     predict_linear,
     sgd_step,
+    standardize,
 )
 
 EDGES = (("a", "b"), ("a", "c"), ("b", "c"))
@@ -273,7 +277,7 @@ class TestTrain:
             assert result.plateaued is plateaued, epochs
 
     def test_a_worsening_epoch_is_not_a_plateau(self):
-        # every epoch raises the loss, each time by less than stop_tol
+        # every epoch raises the loss, each time by less than stop_tol x the previous loss
         samples = random_samples(np.random.default_rng(8), n_edges=3, n_samples=8)
         config = TrainConfig(learning_rate=1.0, epochs=4, stop_tol=1e18)
         for trainer in (train, object_per_step_train):
@@ -281,6 +285,36 @@ class TestTrain:
             curve = result.loss_curve
             assert all(0.0 < b - a < config.stop_tol for a, b in zip(curve, curve[1:]))
             assert len(curve) == 4 and not result.plateaued
+
+    @pytest.mark.parametrize("kind", PREDICTOR_KINDS)
+    def test_a_plateau_stop_truncates_the_unstopped_run(self, kind):
+        # the stop changes no shuffle, draw or step: the stopped run is a prefix
+        samples = random_samples(np.random.default_rng(12), n_edges=4, n_samples=15)
+        config = TrainConfig(init="uniform", rng_seed=3)
+        stopped = train(kind, samples, config)
+        k = len(stopped.loss_curve)
+        assert stopped.plateaued and k < config.epochs
+        full = train(kind, samples, replace(config, stop_tol=0.0))
+        assert len(full.loss_curve) == config.epochs
+        assert full.loss_curve[:k] == stopped.loss_curve
+        # parameters and curve, bit for bit, of the unstopped run cut at k epochs
+        cut = replace(config, stop_tol=0.0, epochs=k)
+        assert _outcome(kind, samples, cut, train)[1:3] == (
+            _outcome(kind, samples, config, train)[1:3]
+        )
+
+    @pytest.mark.parametrize("kind,rows,expected", [
+        # total energies 3, 6, 9: z = -1.22, 0, 1.22, so max |z|^2 = 9/6
+        ("linear", [[1, 1, 1], [2, 2, 2], [3, 3, 3]], 0.1 * (1.5 + 1.0)),
+        # two rows per column: z = (-1, -1, -1) and (1, 1, 1), so |z|^2 = 3
+        ("edge", [[0, 1, 0], [2, 5, 2]], 0.1 * (3.0 + 1.0)),
+    ])
+    def test_reports_the_largest_kaczmarz_relaxation(self, kind, rows, expected):
+        samples = [sample(r, 1.0 + i, topic=f"t{i}") for i, r in enumerate(rows)]
+        config = TrainConfig(learning_rate=0.1, epochs=1)
+        for trainer in (train, object_per_step_train):
+            omega_max = trainer(kind, samples, config).omega_max
+            assert omega_max == pytest.approx(expected, rel=1e-12)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)
@@ -474,7 +508,7 @@ def _outcome(kind, samples, config, trainer):
     shuffle=st.booleans(),
     eta=st.sampled_from([0.0, 1e-3, 0.05, 0.8, 30.0, 1e6, 1e150]),
     epochs=st.integers(1, 25),
-    stop_tol=st.sampled_from([0.0, 1e-9, 1e-3]),
+    stop_tol=st.sampled_from([0.0, 1e-9, 1e-5, 1e-3]),
 )
 def test_train_matches_object_per_step_oracle_bit_for_bit(
     kind, d, n, seed, constant_column, init, l2, shuffle, eta, epochs, stop_tol
@@ -495,6 +529,43 @@ def test_train_matches_object_per_step_oracle_bit_for_bit(
         assert _outcome(kind, samples, config, train) == _outcome(
             kind, samples, config, object_per_step_train
         )
+
+
+def _floor_samples(x, t):
+    edges = tuple((f"u{j}", f"v{j}") for j in range(x.shape[1]))
+    return [sample(x[i], t[i], topic=f"t{i}", edges=edges) for i in range(len(t))]
+
+
+@pytest.mark.parametrize("kind", PREDICTOR_KINDS)
+@pytest.mark.parametrize("seed", range(5))
+def test_default_stop_ends_near_the_least_squares_floor(kind, seed):
+    # planted noisy linear data of full rank; over seeds 0-19 the plateau stop
+    # left at most 0.15% (edge) and 0.04% (linear) above L*
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 10, (40, 5))
+    t = x @ rng.uniform(-3, 3, 5) + 20 + rng.normal(0, 1, 40)
+    feats = x if kind == "edge" else x.sum(axis=1, keepdims=True)
+    floor = least_squares_floor(standardize(feats)[0], t)
+    result = train(kind, _floor_samples(x, t), TrainConfig())
+    assert result.plateaued
+    assert floor * (1 - 1e-12) <= result.loss_curve[-1] <= 1.01 * floor
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_default_stop_ends_near_the_floor_of_a_rank_deficient_split(seed):
+    # 48 topics x 51 edges of rank 35 with the intercept, the shape of the
+    # train-edge workload's gap-1 split, trained at its --eta 0.001 and epoch cap;
+    # over seeds 0-19 and noise 1, 3 and 10 the stop left at most 10.6% above L*
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0, 1, (48, 34))
+    x = base[:, np.concatenate([np.arange(34), rng.integers(0, 34, 17)])]
+    t = x @ rng.normal(0, 10, 51) + rng.normal(0, 3, 48) + 30
+    z = standardize(x)[0]
+    assert np.linalg.matrix_rank(np.hstack([z, np.ones((48, 1))])) == 35
+    floor = least_squares_floor(z, t)
+    result = train("edge", _floor_samples(x, t), TrainConfig(learning_rate=0.001, epochs=2000))
+    assert result.plateaued
+    assert floor * (1 - 1e-12) <= result.loss_curve[-1] <= 1.25 * floor
 
 
 def test_tied_edge_weights_reproduce_linear_hypothesis():

@@ -90,6 +90,21 @@ class TestPearson:
         with pytest.raises(ValueError, match="constant"):
             pearson([1.0, 2.0, 3.0], [c] * 3)
 
+    @pytest.mark.parametrize("scale", [1e-90, 1e160])
+    def test_extreme_magnitudes(self, scale):
+        # unscaled, the product of the sums of squares underflows to 0 at 1e-90
+        # and the squares overflow at 1e160
+        r, _ = pearson([scale, 2 * scale, 4 * scale], [scale, 3 * scale, 4 * scale])
+        assert r == pytest.approx(0.9286, abs=1e-4)
+        assert abs(r - pearson([1.0, 2.0, 4.0], [1.0, 3.0, 4.0])[0]) <= 1e-12
+
+    @pytest.mark.parametrize("power", [-300, 300])
+    def test_power_of_two_scaling_leaves_r_unchanged_to_the_bit(self, power):
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=25).tolist(), rng.normal(size=25).tolist()
+        x2, y2 = ([math.ldexp(v, power) for v in s] for s in (x, y))
+        assert pearson(x2, y) == pearson(x, y2) == pearson(x2, y2) == pearson(x, y)
+
     @pytest.mark.parametrize("x,y,message", [
         (np.ones((3, 2)), [1.0, 2.0, 3.0], "x must be one-dimensional"),
         ([1.0, 2.0, 3.0], [[1.0], [2.0], [3.0]], "y must be one-dimensional"),
