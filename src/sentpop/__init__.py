@@ -50,7 +50,6 @@ _EXPORTS = {
         "user_topic_vector",
     ),
     "stats": (
-        "CorrelationReport",
         "Strength",
         "classify_strength",
         "paired_t_test",

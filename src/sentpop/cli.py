@@ -119,6 +119,17 @@ def _csv_ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v != ""]
 
 
+def _gaps(text: str) -> list[int]:
+    """The ``--gaps`` list; each gap is one dataset, so it must name each once."""
+    gaps = _csv_ints(text)
+    if not gaps:
+        raise ValueError(f"--gaps lists no gap: {text!r}")
+    for gap in gaps:
+        if gaps.count(gap) > 1:
+            raise ValueError(f"--gaps lists gap {gap} more than once")
+    return gaps
+
+
 class Stage:
     """The manifest bookkeeping of one command run on ``--out``.
 
@@ -340,6 +351,7 @@ def cmd_energy(stage: Stage, args) -> int:
 
 
 def cmd_correlate(stage: Stage, args) -> int:
+    gaps = _gaps(args.gaps)
     catalog = load_catalog(stage.read(CATALOG_FILE))
     energies_path = stage.read(ENERGIES_FILE)
     by_key: dict[tuple[str, EnergyModel, EnergyFunction], float] = {}
@@ -347,7 +359,6 @@ def cmd_correlate(stage: Stage, args) -> int:
     for e in load_energy_report(energies_path):
         by_key[(e.topic, e.model, e.function)] = e.value
         combos.add((e.model, e.function))
-    gaps = _csv_ints(args.gaps)
     lines = []
     for gap in gaps:
         dataset = gap_filter(catalog, gap)
@@ -385,6 +396,7 @@ def _sgd_summary(result: predictor.TrainResult, eta: float) -> str:
 
 
 def cmd_train(stage: Stage, args) -> int:
+    gaps = _gaps(args.gaps)
     community, catalog, vectors_by_topic = stage.features()
     function = EnergyFunction(args.function)
     config = predictor.TrainConfig(
@@ -393,7 +405,6 @@ def cmd_train(stage: Stage, args) -> int:
         rng_seed=args.seed,
         l2=args.l2,
     )
-    gaps = _csv_ints(args.gaps)
     split_lines: list[str] = []
     for gap in gaps:
         dataset = gap_filter(catalog, gap)
@@ -426,7 +437,7 @@ def cmd_evaluate(stage: Stage, args) -> int:
     train_cfg = stage.manifest.stage_config(f"train:{args.predictor}")
     community, catalog, vectors_by_topic = stage.features()
     function = EnergyFunction(train_cfg["function"])
-    gaps = _csv_ints(args.gaps) if args.gaps else list(train_cfg["gaps"])
+    gaps = _gaps(args.gaps) if args.gaps else list(train_cfg["gaps"])
     test_tags: dict[int, set[str]] = {}
     with open(stage.read(f"splits_{args.predictor}.tsv"), encoding="utf-8") as fh:
         for line in fh:

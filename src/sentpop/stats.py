@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from ._lazy import np
 
@@ -27,14 +26,6 @@ class Strength(str, enum.Enum):
     MODERATE = "Moderate"
     STRONG = "Strong"
     PERFECT = "Perfect"
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    n: int
-    r: float
-    p: float
-    strength: Strength
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
@@ -185,11 +176,6 @@ def classify_strength(r: float) -> Strength:
     if a < 0.95:
         return Strength.STRONG
     return Strength.PERFECT
-
-
-def correlation_report(x: Sequence[float], y: Sequence[float]) -> CorrelationReport:
-    r, p = pearson(x, y)
-    return CorrelationReport(n=len(x), r=r, p=p, strength=classify_strength(r))
 
 
 def paired_t_test(a: Sequence[float], b: Sequence[float]) -> float:

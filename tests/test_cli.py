@@ -320,6 +320,35 @@ def test_train_stops_on_a_plateau_below_the_epoch_cap(pipeline_dir, tmp_path, ca
     assert len(log) == epochs
 
 
+_EMPTY_GAPS = "--gaps lists no gap: ','"
+_REPEATED_GAP = "--gaps lists gap 1 more than once"
+_BAD_L2 = "l2 must be finite and non-negative"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("correlate", "--gaps", ","), _EMPTY_GAPS, id="correlate-empty-gaps"),
+    pytest.param(("train", "--gaps", ","), _EMPTY_GAPS, id="train-empty-gaps"),
+    pytest.param(("evaluate", "--gaps", ","), _EMPTY_GAPS, id="evaluate-empty-gaps"),
+    pytest.param(("correlate", "--gaps", "1,1"), _REPEATED_GAP, id="correlate-repeated-gap"),
+    pytest.param(("train", "--gaps", "1,1"), _REPEATED_GAP, id="train-repeated-gap"),
+    pytest.param(("evaluate", "--gaps", "1,1"), _REPEATED_GAP, id="evaluate-repeated-gap"),
+    pytest.param(("train", "--gaps", "1", "--l2", "nan"), _BAD_L2, id="train-l2-nan"),
+    pytest.param(("train", "--gaps", "1", "--l2", "inf"), _BAD_L2, id="train-l2-inf"),
+    # warnings are errors under pytest, so an overflow warning would escape main
+    pytest.param(("train", "--gaps", "1", "--eta", "1e300"),
+                 "loss became non-finite at epoch 0", id="train-eta-1e300"),
+])
+def test_rejected_stage_exits_1_and_writes_nothing(pipeline_dir, tmp_path, capsys, argv, message):
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dir, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert run(argv[0], "--out", out, *argv[1:]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # the manifest, models and logs of the earlier run are untouched
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_stale_artifact_detected(pipeline_dir, capsys):
     vectors = pipeline_dir / "vectors.tsv"
     original = vectors.read_bytes()

@@ -12,7 +12,6 @@ from oracles import numpy_pearson_r
 from sentpop.stats import (
     Strength,
     classify_strength,
-    correlation_report,
     paired_t_test,
     pearson,
     r_squared,
@@ -277,12 +276,3 @@ class TestIncompleteBeta:
         assert student_t_two_tailed_p(1.0, 1) == pytest.approx(0.5, abs=1e-12)
         assert student_t_two_tailed_p(0.0, 5) == 1.0
         assert student_t_two_tailed_p(math.inf, 5) == 0.0
-
-
-def test_correlation_report_composes_fields():
-    x = [1.0, 2.0, 3.0, 4.0, 5.0]
-    y = [2.1, 3.9, 6.2, 8.0, 9.9]
-    report = correlation_report(x, y)
-    assert report.n == 5
-    assert report.strength is Strength.PERFECT
-    assert 0.0 <= report.p <= 1.0
