@@ -52,7 +52,6 @@ _EXPORTS = {
     "stats": (
         "Strength",
         "classify_strength",
-        "paired_t_test",
         "pearson",
         "r_squared",
         "rse",

@@ -188,6 +188,34 @@ class Stage:
         vectors_by_topic = load_vectors(self.read(VECTORS_FILE)) if vectors else None
         return community, catalog, vectors_by_topic
 
+    def samples(self, kind: str, function: EnergyFunction):
+        """The catalog and a function that makes ``kind``'s samples of some of its topics.
+
+        The edge model's samples need every per-edge energy, computed from the
+        community and the vectors. The linear model's one feature is the sum
+        of those, which the ``energy`` stage wrote to energies.tsv as the mrf
+        row of ``function``, so it reads that row of each topic instead.
+        """
+        if kind == "edge":
+            community, catalog, vectors_by_topic = self.features()
+            return catalog, lambda topics: predictor.make_samples(
+                community, vectors_by_topic, topics, function
+            )
+        catalog = load_catalog(self.read(CATALOG_FILE))
+        model = EnergyModel.MRF
+        energies = {
+            e.topic: e.value
+            for e in load_energy_report(self.read(ENERGIES_FILE))
+            if e.model is model and e.function is function
+        }
+        for t in catalog:
+            if t.hashtag not in energies:
+                raise StaleArtifactError(
+                    f"{ENERGIES_FILE} has no {model.value}/{function.value} row for topic "
+                    f"{t.hashtag!r}; rerun energy"
+                )
+        return catalog, lambda topics: predictor.energy_samples(energies, topics)
+
 
 def cmd_synth(stage: Stage, args) -> int:
     # imported here so that the other stages do not pay for it
@@ -397,8 +425,7 @@ def _sgd_summary(result: predictor.TrainResult, eta: float) -> str:
 
 def cmd_train(stage: Stage, args) -> int:
     gaps = _gaps(args.gaps)
-    community, catalog, vectors_by_topic = stage.features()
-    function = EnergyFunction(args.function)
+    catalog, samples_of = stage.samples(args.predictor, EnergyFunction(args.function))
     config = predictor.TrainConfig(
         learning_rate=args.eta,
         epochs=args.epochs,
@@ -411,7 +438,7 @@ def cmd_train(stage: Stage, args) -> int:
         train_topics, test_topics = predictor.split_train_test(dataset, args.seed)
         split_lines.extend(f"{gap}\t{t.hashtag}\ttrain" for t in train_topics)
         split_lines.extend(f"{gap}\t{t.hashtag}\ttest" for t in test_topics)
-        samples = predictor.make_samples(community, vectors_by_topic, train_topics, function)
+        samples = samples_of(train_topics)
         result = predictor.train(args.predictor, samples, config)
         stage.write(f"model_{args.predictor}_gap{gap}.tsv", predictor.save_model, result.model)
         stage.write(
@@ -435,8 +462,7 @@ def cmd_train(stage: Stage, args) -> int:
 
 def cmd_evaluate(stage: Stage, args) -> int:
     train_cfg = stage.manifest.stage_config(f"train:{args.predictor}")
-    community, catalog, vectors_by_topic = stage.features()
-    function = EnergyFunction(train_cfg["function"])
+    catalog, samples_of = stage.samples(args.predictor, EnergyFunction(train_cfg["function"]))
     gaps = _gaps(args.gaps) if args.gaps else list(train_cfg["gaps"])
     test_tags: dict[int, set[str]] = {}
     with open(stage.read(f"splits_{args.predictor}.tsv"), encoding="utf-8") as fh:
@@ -450,8 +476,7 @@ def cmd_evaluate(stage: Stage, args) -> int:
             raise StaleArtifactError(f"no recorded split for gap {gap}; run train first")
         model = predictor.load_model(stage.read(f"model_{args.predictor}_gap{gap}.tsv"))
         test_topics = [t for t in catalog if t.hashtag in test_tags[gap]]
-        samples = predictor.make_samples(community, vectors_by_topic, test_topics, function)
-        result = predictor.evaluate(model, samples)
+        result = predictor.evaluate(model, samples_of(test_topics))
         lines.append(f"{gap}\t{args.predictor}\t{result.rse!r}")
         stage.write(
             f"residuals_{args.predictor}_gap{gap}.tsv",

@@ -67,11 +67,15 @@ class EdgeModel:
 
 @dataclass(frozen=True, eq=False)
 class TopicSample:
-    """Per-topic features (edge energies and their sum) with the real popularity."""
+    """Per-topic features (edge energies and their sum) with the real popularity.
+
+    A sample made from its total energy alone (:func:`energy_samples`) has no
+    edges and an empty ``edge_energies``: it serves the linear model only.
+    """
 
     topic: str
     edges: tuple[Edge, ...]
-    edge_energies: np.ndarray
+    edge_energies: np.ndarray | tuple[()]
     total_energy: float
     target: float
 
@@ -139,6 +143,18 @@ def make_samples(
     return samples
 
 
+def energy_samples(energies: Mapping[str, float], topics: Sequence[Topic]) -> list[TopicSample]:
+    """Samples for the linear model from each topic's total energy, by hashtag.
+
+    The ``energy`` stage's mrf energy is the sum that :func:`make_samples`
+    stores as ``total_energy``, bit for bit, so the linear model trained on
+    these samples is the one trained on ``make_samples``'.
+    """
+    return [
+        TopicSample(t.hashtag, (), (), energies[t.hashtag], float(t.popularity)) for t in topics
+    ]
+
+
 def split_train_test(
     dataset: GapDataset | Sequence[Topic], rng_seed: int
 ) -> tuple[list[Topic], list[Topic]]:
@@ -164,14 +180,15 @@ def _check_edges(model: EdgeModel, sample: TopicSample) -> None:
 
 def _predict_batch(
     model: LinearModel | EdgeModel, samples: Sequence[TopicSample]
-) -> np.ndarray:
+) -> list[float]:
     if isinstance(model, LinearModel):
-        feats = np.array([s.total_energy for s in samples], dtype=np.float64)
-        return model.alpha * feats + model.beta
-    for s in samples:
+        # the IEEE operations of ``alpha * feats + beta`` on an array, without numpy
+        return [model.alpha * s.total_energy + model.beta for s in samples]
+    # samples from one make_samples call share one edges tuple: compare each once
+    for s in {id(s.edges): s for s in samples}.values():
         _check_edges(model, s)
     feats = np.stack([s.edge_energies for s in samples])
-    return feats @ model.weight_values + model.rho
+    return (feats @ model.weight_values + model.rho).tolist()
 
 
 def sgd_step(
@@ -195,15 +212,20 @@ def sgd_step(
 def _standardize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column z-scores of ``values``, computed in place; returns them with ``mu`` and ``sd``.
 
-    Constant columns keep scale 1 so they map to zero. The elementwise
-    arithmetic is that of ``(values - mu) / sd``, without its two temporaries.
+    Constant columns keep scale 1 so they map to zero. Each column is first
+    scaled by a power of two into [-1, 1], so its squares in ``std`` neither
+    overflow nor underflow; the scaling is exact in the normal range, which
+    leaves the z-scores and the returned ``mu`` and ``sd`` those of
+    ``(values - mu) / sd``, bit for bit, without its two temporaries.
     """
+    _, exponents = np.frexp(np.maximum(values.max(axis=0), -values.min(axis=0)))
+    np.ldexp(values, -exponents, out=values)
     mu = values.mean(axis=0)
     sd = values.std(axis=0)
-    sd = np.where(sd == 0.0, 1.0, sd)
+    constant = sd == 0.0
     values -= mu
-    values /= sd
-    return values, mu, sd
+    values /= np.where(constant, 1.0, sd)
+    return values, np.ldexp(mu, exponents), np.where(constant, 1.0, np.ldexp(sd, exponents))
 
 
 def train(
@@ -301,15 +323,12 @@ def evaluate(
     if not test_samples:
         raise ValueError("evaluate needs at least one sample")
     preds = _predict_batch(model, test_samples)
-    actuals = np.array([s.target for s in test_samples], dtype=np.float64)
+    actuals = [float(s.target) for s in test_samples]
     value = stats.rse(preds, actuals)
     return EvalResult(
         rse=value,
         r_squared=1.0 - value,
-        residuals=[
-            (s.topic, float(a), float(p))
-            for s, a, p in zip(test_samples, actuals, preds)
-        ],
+        residuals=[(s.topic, a, p) for s, a, p in zip(test_samples, actuals, preds)],
     )
 
 

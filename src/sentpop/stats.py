@@ -13,8 +13,6 @@ import enum
 import math
 from collections.abc import Sequence
 
-from ._lazy import np
-
 _CF_EPS = 3e-14
 _CF_FPMIN = 1e-300
 _CF_MAX_ITER = 300
@@ -100,13 +98,6 @@ def student_t_two_tailed_p(t_stat: float, dof: int) -> float:
     return regularized_incomplete_beta(dof / 2.0, 0.5, x)
 
 
-def _as_series(values: Sequence[float], name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    return arr
-
-
 def _float_list(values: Sequence[float], name: str) -> list[float]:
     if getattr(values, "ndim", 1) != 1:
         raise ValueError(f"{name} must be one-dimensional")
@@ -178,37 +169,25 @@ def classify_strength(r: float) -> Strength:
     return Strength.PERFECT
 
 
-def paired_t_test(a: Sequence[float], b: Sequence[float]) -> float:
-    """Two-tailed paired t-test p-value on the differences a - b.
-
-    Identical differences (zero variance) leave the statistic undefined and
-    raise, including the a == b case.
-    """
-    aa, ba = _as_series(a, "a"), _as_series(b, "b")
-    if aa.shape[0] != ba.shape[0]:
-        raise ValueError("series lengths differ")
-    n = aa.shape[0]
-    if n < 2:
-        raise ValueError("paired t-test requires at least 2 pairs")
-    d = aa - ba
-    sd = float(np.std(d, ddof=1))
-    if sd == 0.0:
-        raise ValueError("differences have zero variance; t statistic undefined")
-    t_stat = float(np.mean(d)) / (sd / math.sqrt(n))
-    return student_t_two_tailed_p(t_stat, n - 1)
-
-
 def rse(predicted: Sequence[float], actual: Sequence[float]) -> float:
-    """Relative squared error: squared residuals over squared deviation from mean."""
-    pa, ya = _as_series(predicted, "predicted"), _as_series(actual, "actual")
-    if pa.shape[0] != ya.shape[0]:
+    """Relative squared error: squared residuals over squared deviation from mean.
+
+    Both sums and the mean are correctly rounded (``math.fsum``), in Python
+    floats, so ``evaluate --predictor linear`` loads no numpy. Predicting
+    ``actual`` gives 0, and predicting its mean as computed here,
+    ``fsum(actual) / n``, gives exactly 1.
+    """
+    ps, ys = _float_list(predicted, "predicted"), _float_list(actual, "actual")
+    if len(ps) != len(ys):
         raise ValueError("series lengths differ")
-    if ya.shape[0] < 2:
+    n = len(ys)
+    if n < 2:
         raise ValueError("rse requires at least 2 samples")
-    denom = float(np.sum((ya - ya.mean()) ** 2))
+    mean = math.fsum(ys) / n
+    denom = math.fsum((y - mean) * (y - mean) for y in ys)
     if denom == 0.0:
         raise ValueError("rse is undefined for constant actuals")
-    return float(np.sum((pa - ya) ** 2)) / denom
+    return math.fsum((p - y) * (p - y) for p, y in zip(ps, ys)) / denom
 
 
 def r_squared(predicted: Sequence[float], actual: Sequence[float]) -> float:

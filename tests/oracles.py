@@ -28,6 +28,7 @@ from sentpop.predictor import (
     _predict_batch,
 )
 from sentpop.sentiment import tweet_sentiment, user_phrase_sentiment
+from sentpop.stats import student_t_two_tailed_p
 
 
 def parse_tweet_line(line: str, lexicon: EmoticonLexicon, line_no: int | None = None) -> Tweet:
@@ -105,11 +106,23 @@ def scalar_edge_draws(rng: np.random.Generator, users: Sequence[str], density: f
 
 
 def standardize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column z-scores into a new array; the arithmetic ``predictor._standardize`` does in place."""
-    mu = values.mean(axis=0)
-    sd = values.std(axis=0)
-    sd = np.where(sd == 0.0, 1.0, sd)
-    return (values - mu) / sd, mu, sd
+    """Column z-scores into a new array; the arithmetic ``predictor._standardize`` does in place.
+
+    Each column is scaled by 2^-e, where 2^(e-1) <= max|v| < 2^e, before its
+    mean and deviation are taken; ``mu`` and ``sd`` are scaled back by 2^e.
+    """
+    exponents = np.array(
+        [math.frexp(float(np.abs(column).max()))[1] for column in values.T], dtype=int
+    )
+    scaled = np.array(
+        [[math.ldexp(v, -int(e)) for v, e in zip(row, exponents)] for row in values.tolist()],
+        dtype=np.float64,
+    ).reshape(values.shape)
+    mu = scaled.mean(axis=0)
+    sd = scaled.std(axis=0)
+    constant = sd == 0.0
+    z = (scaled - mu) / np.where(constant, 1.0, sd)
+    return z, np.ldexp(mu, exponents), np.where(constant, 1.0, np.ldexp(sd, exponents))
 
 
 def loss(model: LinearModel | EdgeModel, samples: Sequence[TopicSample]) -> float:
@@ -341,3 +354,31 @@ def numpy_pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     dy = ya - ya.mean()
     r = float(np.dot(dx, dy)) / math.sqrt(float(np.dot(dx, dx)) * float(np.dot(dy, dy)))
     return max(-1.0, min(1.0, r))
+
+
+def numpy_rse(predicted: Sequence[float], actual: Sequence[float]) -> float:
+    """RSE as ``stats.rse`` once computed it: numpy's mean and pairwise sums."""
+    pa, ya = np.asarray(predicted, dtype=np.float64), np.asarray(actual, dtype=np.float64)
+    return float(np.sum((pa - ya) ** 2)) / float(np.sum((ya - ya.mean()) ** 2))
+
+
+def paired_t_test(a: Sequence[float], b: Sequence[float]) -> float:
+    """Two-tailed paired t-test p-value on the differences a - b.
+
+    Identical differences (zero variance) leave the statistic undefined and
+    raise, including the a == b case.
+    """
+    aa, ba = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if aa.ndim != 1 or ba.ndim != 1:
+        raise ValueError("series must be one-dimensional")
+    if aa.shape[0] != ba.shape[0]:
+        raise ValueError("series lengths differ")
+    n = aa.shape[0]
+    if n < 2:
+        raise ValueError("paired t-test requires at least 2 pairs")
+    d = aa - ba
+    sd = float(np.std(d, ddof=1))
+    if sd == 0.0:
+        raise ValueError("differences have zero variance; t statistic undefined")
+    t_stat = float(np.mean(d)) / (sd / math.sqrt(n))
+    return student_t_two_tailed_p(t_stat, n - 1)

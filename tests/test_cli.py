@@ -40,6 +40,9 @@ def pipeline_argv(out):
         "train": ("train", "--out", out, "--gaps", "1", "--predictor", "linear",
                   "--epochs", "120", "--seed", "7"),
         "evaluate": ("evaluate", "--out", out, "--predictor", "linear"),
+        "train:edge": ("train", "--out", out, "--gaps", "1", "--predictor", "edge",
+                       "--eta", "0.001", "--epochs", "50", "--seed", "7"),
+        "evaluate:edge": ("evaluate", "--out", out, "--predictor", "edge"),
     }
 
 
@@ -61,7 +64,8 @@ def test_all_artifacts_exist(pipeline_dir):
         "corpus_normalized.tsv", "graph.tsv", "community.tsv", "catalog.tsv",
         "vectors.tsv", "energies.tsv", "correlation.tsv", "splits_linear.tsv",
         "model_linear_gap1.tsv", "train_log_linear_gap1.tsv",
-        "evaluation_linear.tsv", "manifest.json",
+        "evaluation_linear.tsv", "splits_edge.tsv", "model_edge_gap1.tsv",
+        "evaluation_edge.tsv", "manifest.json",
     ]:
         assert (pipeline_dir / name).exists(), name
 
@@ -123,7 +127,7 @@ def test_manifest_records_stages_and_digests(pipeline_dir):
     manifest = json.loads((pipeline_dir / "manifest.json").read_text())
     stages = manifest["stages"]
     for stage in ["synth", "ingest", "graph", "topics", "sentiment", "energy",
-                  "correlate", "train:linear", "evaluate:linear"]:
+                  "correlate", "train:linear", "evaluate:linear", "train:edge", "evaluate:edge"]:
         assert stage in stages
         assert "config_digest" in stages[stage]
     # artifacts in the run directory are keyed relative to it
@@ -158,6 +162,12 @@ def test_manifest_records_stages_and_digests(pipeline_dir):
             "stop_tol": 1e-5,
         },
         "evaluate:linear": {"predictor": "linear", "gaps": [1]},
+        "train:edge": {
+            "predictor": "edge", "function": "cosine", "gaps": [1], "eta": 0.001,
+            "epochs": 50, "seed": 7, "l2": 0.0, "init": "zeros", "shuffle": True,
+            "stop_tol": 1e-5,
+        },
+        "evaluate:edge": {"predictor": "edge", "gaps": [1]},
     }
 
 
@@ -186,9 +196,12 @@ VERIFIED = {
     "sentiment": ("lexicon.tsv", "corpus_normalized.tsv", "community.tsv", "catalog.tsv"),
     "energy": ("community.tsv", "catalog.tsv", "vectors.tsv"),
     "correlate": ("catalog.tsv", "energies.tsv"),
-    "train": ("community.tsv", "catalog.tsv", "vectors.tsv"),
-    "evaluate": ("community.tsv", "catalog.tsv", "vectors.tsv", "splits_linear.tsv",
-                 "model_linear_gap1.tsv"),
+    # the linear model's one feature is the topic's energy: no community, no vectors
+    "train": ("catalog.tsv", "energies.tsv"),
+    "evaluate": ("catalog.tsv", "energies.tsv", "splits_linear.tsv", "model_linear_gap1.tsv"),
+    "train:edge": ("community.tsv", "catalog.tsv", "vectors.tsv"),
+    "evaluate:edge": ("community.tsv", "catalog.tsv", "vectors.tsv", "splits_edge.tsv",
+                      "model_edge_gap1.tsv"),
 }
 
 
@@ -216,6 +229,7 @@ def test_tampered_input_stops_its_stage(pipeline_dir, capsys, stage, name):
 @pytest.mark.parametrize("stage, argv", [
     ("sentiment", ("sentiment",)),
     ("evaluate:linear", ("evaluate", "--predictor", "linear")),
+    ("evaluate:edge", ("evaluate", "--predictor", "edge")),
 ])
 def test_stage_digests_each_file_once(pipeline_dir, monkeypatch, stage, argv):
     """The digest a stage records for an input is the one it verified."""
@@ -256,6 +270,7 @@ def test_stages_record_the_lexicon_and_split_they_verify(pipeline_dir):
     for stage in ("graph", "topics", "sentiment"):
         assert lexicon in stages[stage]["inputs"], stage
     assert "splits_linear.tsv" in stages["evaluate:linear"]["inputs"]
+    assert "splits_edge.tsv" in stages["evaluate:edge"]["inputs"]
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path):
@@ -436,6 +451,7 @@ def test_predictors_trained_on_different_gaps_both_evaluate(tmp_path):
     assert run("graph", "--out", out, "--seed-user", "u00000", "--max-depth", "3") == 0
     assert run("topics", "--out", out, "--stopwords", out / "stopwords.tsv") == 0
     assert run("sentiment", "--out", out) == 0
+    assert run("energy", "--out", out) == 0
     assert run("train", "--out", out, "--gaps", "1,2", "--predictor", "linear",
                "--epochs", "50") == 0
     assert run("train", "--out", out, "--gaps", "1", "--predictor", "edge",
@@ -472,8 +488,9 @@ def _edit_catalog(out):
 def _run_every_stage(out):
     """synth and every analysis stage on the small corpus of ``_run_through_topics``."""
     _run_through_topics(out)
-    for stage in ("sentiment", "energy", "correlate", "train", "evaluate"):
-        assert run(*pipeline_argv(out)[stage]) == 0, stage
+    for stage, argv in pipeline_argv(out).items():
+        if stage not in ("ingest", "graph", "topics"):
+            assert run(*argv) == 0, stage
 
 
 def _stage_finds_its_records(stage, spelling, capsys):
@@ -544,7 +561,8 @@ def test_required_artifact_without_a_record_fails(tmp_path, capsys):
 
 def test_rerun_upstream_stage_makes_downstream_artifacts_stale(tmp_path, capsys):
     """energies.tsv and vectors.tsv built from a catalog that topics has since
-    rewritten are stale, though each still matches its own record."""
+    rewritten are stale, though each still matches its own record. The linear
+    predictor reads energies.tsv and the edge predictor vectors.tsv."""
     out = tmp_path / "run"
     _run_through_topics(out)
     assert run("sentiment", "--out", out) == 0
@@ -557,11 +575,35 @@ def test_rerun_upstream_stage_makes_downstream_artifacts_stale(tmp_path, capsys)
     assert err.rstrip().endswith("rerun energy"), err
     assert run("train", "--out", out, "--gaps", "1") == 1
     err = capsys.readouterr().err
+    assert "energies.tsv" in err and err.rstrip().endswith("rerun energy"), err
+    edge = ("train", "--out", out, "--gaps", "1", "--predictor", "edge", "--eta", "0.001")
+    assert run(*edge) == 1
+    err = capsys.readouterr().err
     assert "vectors.tsv" in err and err.rstrip().endswith("rerun sentiment"), err
     assert run("sentiment", "--out", out) == 0
     assert run("energy", "--out", out) == 0
     assert run("correlate", "--out", out, "--gaps", "1") == 0
     assert run("train", "--out", out, "--gaps", "1") == 0
+    assert run(*edge) == 0
+
+
+def test_linear_train_without_the_mrf_row_of_its_function_exits_1_and_writes_nothing(
+    tmp_path, capsys
+):
+    out = tmp_path / "run"
+    _run_through_topics(out)
+    assert run("sentiment", "--out", out) == 0
+    assert run("energy", "--out", out, "--function", "avglen") == 0
+    first = (out / "catalog.tsv").read_text().split("\t", 1)[0]
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert run("train", "--out", out, "--gaps", "1", "--predictor", "linear") == 1
+    assert capsys.readouterr().err == (
+        f"error: energies.tsv has no mrf/cosine row for topic {first!r}; rerun energy\n"
+    )
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert run("train", "--out", out, "--gaps", "1", "--predictor", "linear",
+               "--function", "avglen") == 0
 
 
 def test_stages_recorded_from_stale_manifests_keep_both_entries(tmp_path):
@@ -640,6 +682,7 @@ def test_evaluate_flags_a_model_worse_than_predicting_the_mean(tmp_path, capsys)
     out = tmp_path / "run"
     _run_through_topics(out)
     assert run("sentiment", "--out", out) == 0
+    assert run("energy", "--out", out) == 0
     verdict = " (worse than predicting the mean)"
     # --eta 0 takes no SGD step: the model predicts 0, far below every popularity
     for eta, flagged in (("0", True), ("0.01", False)):

@@ -129,6 +129,25 @@ class TestPredict:
         with pytest.raises(ValueError, match="edge set"):
             predict_edge(model, other)
 
+    def test_a_mismatched_sample_in_a_batch_still_raises(self):
+        # the batch compares each distinct edges tuple once, not each sample
+        model = EdgeModel(EDGES, np.ones(3), rho=0.0)
+        batch = [sample([0.1, 0.2, 0.3], float(i), topic=f"t{i}") for i in range(4)]
+        batch.append(sample([0.5, 0.5, 0.5], 9.0, topic="copy", edges=tuple(list(EDGES))))
+        assert len(evaluate(model, batch).residuals) == 5
+        batch.insert(2, sample([0.1, 0.2], 0.0, topic="odd", edges=EDGES[:2]))
+        with pytest.raises(ValueError, match="'odd' covers a different edge set"):
+            evaluate(model, batch)
+
+    def test_linear_batch_is_the_array_expression_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        energies = rng.uniform(-1e3, 1e3, 50)
+        model = LinearModel(float(rng.normal()), float(rng.normal(0.0, 100.0)))
+        samples = [sample([e], 0.0, edges=(("a", "b"),)) for e in energies]
+        predicted = predictor._predict_batch(model, samples)
+        assert all(type(p) is float for p in predicted)
+        assert predicted == (model.alpha * energies + model.beta).tolist()
+
 
 class TestLoss:
     def test_perfect_predictions(self):
@@ -585,3 +604,61 @@ def test_make_samples_total_matches_community_energy():
         expected = community_energy_mrf(community, vectors[t.hashtag], EnergyFunction.COSINE)
         assert s.total_energy == expected.value
         assert s.target == float(t.popularity)
+
+
+def _energy_fixture(n_topics):
+    from sentpop.graph import SocialGraph, extract_community
+
+    rng = np.random.default_rng(17)
+    g = SocialGraph()
+    for i in range(8):
+        g.add_edge(f"n{i}", f"n{(i + 3) % 8}")
+    community = extract_community(g, "n0", 8)
+    topics = [Topic(f"h{k}", 0, 10 + 7 * k, key_phrases=("p",)) for k in range(n_topics)]
+    vectors = {
+        t.hashtag: {f"n{i}": rng.uniform(-1, 1, 4) for i in range(8)} for t in topics
+    }
+    return community, topics, vectors
+
+
+def test_energy_samples_train_and_evaluate_the_linear_model_of_make_samples():
+    """The energy stage's mrf value is make_samples' total_energy, so a linear model
+    fed from it is the same to the bit, and so is its evaluation."""
+    from sentpop.energy import EnergyFunction, community_energy_mrf
+
+    community, topics, vectors = _energy_fixture(10)
+    function = EnergyFunction.AVGLEN
+    energies = {
+        t.hashtag: community_energy_mrf(community, vectors[t.hashtag], function).value
+        for t in topics
+    }
+    config = TrainConfig(epochs=200, rng_seed=4)
+    runs = []
+    for samples_of in (
+        lambda ts: make_samples(community, vectors, ts, function),
+        lambda ts: predictor.energy_samples(energies, ts),
+    ):
+        result = train("linear", samples_of(topics[:6]), config)
+        scored = evaluate(result.model, samples_of(topics[6:]))
+        runs.append((result.model, result.loss_curve, scored))
+    (model_a, curve_a, eval_a), (model_b, curve_b, eval_b) = runs
+    assert model_a == model_b and curve_a == curve_b
+    assert (eval_a.rse, eval_a.residuals) == (eval_b.rse, eval_b.residuals)
+    samples = predictor.energy_samples(energies, topics[:2])
+    assert [(s.edges, len(s.edge_energies)) for s in samples] == [((), 0), ((), 0)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_standardize_scales_a_column_whose_squares_overflow():
+    huge = [1e200, -1e200, 3e200, 2e199]
+    normal = [0.5, 1.5, 0.25, 2.0]
+    samples = _matrix_samples(np.array([huge, normal]).T, [10.0, 20.0, 5.0, 30.0])
+    model = train("edge", samples, TrainConfig(learning_rate=0.05, epochs=50)).model
+    weights = model.weight_values
+    assert np.all(np.isfinite(weights)) and np.isfinite(model.rho)
+    assert weights[0] != 0.0 and weights[1] != 0.0
+    z, mu, sd = predictor._standardize(np.array([huge, normal]).T)
+    assert np.allclose(z.mean(axis=0), 0.0) and np.allclose(z.std(axis=0), 1.0)
+    assert mu[0] == pytest.approx(np.mean(huge)) and sd[0] == pytest.approx(
+        float(np.std(np.array(huge) / 1e200)) * 1e200
+    )

@@ -92,6 +92,37 @@ def test_only_stages_that_do_array_math_load_numpy(tmp_path):
     assert not unused_by_ingest & set(result["modules"]["ingest"])
 
 
+EVALUATE = """
+import sys
+from sentpop.cli import main
+if main(["evaluate", "--out", sys.argv[1], "--predictor", sys.argv[2]]) != 0:
+    sys.exit("evaluate failed")
+print("numpy._core" in sys.modules)
+"""
+
+
+def test_linear_evaluate_loads_no_numpy_and_edge_evaluate_does(tmp_path):
+    """The linear model reads its topics' energies from energies.tsv and predicts and
+    scores them in Python floats; the edge model stacks per-edge energies."""
+    out = tmp_path / "run"
+    assert main(["synth", "--out", str(out), "--seed", "11", "--n-users", "14",
+                 "--edge-density", "0.35", "--n-topics", "6", "--planted", "linear"]) == 0
+    window = (f"{SYNTH_WINDOW.train_start},{SYNTH_WINDOW.train_end},"
+              f"{SYNTH_WINDOW.test_start},{SYNTH_WINDOW.test_end}")
+    for argv in (
+        ["ingest", "--corpus", f"{out}/corpus.tsv", "--lexicon", f"{out}/lexicon.tsv",
+         "--window", window],
+        ["graph", "--seed-user", "u00000"],
+        ["topics", "--stopwords", f"{out}/stopwords.tsv"],
+        ["sentiment"], ["energy"],
+        ["train", "--gaps", "1", "--predictor", "linear"],
+        ["train", "--gaps", "1", "--predictor", "edge", "--eta", "0.001"],
+    ):
+        assert main([argv[0], "--out", str(out), *argv[1:]]) == 0, argv
+    loaded = {kind: _python(EVALUATE, out, kind).split()[-1] for kind in PREDICTOR_KINDS}
+    assert loaded == {"linear": "False", "edge": "True"}
+
+
 def test_importing_the_package_loads_no_submodule():
     code = (
         "import sys, sentpop\n"

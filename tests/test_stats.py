@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from oracles import numpy_pearson_r
+from oracles import numpy_pearson_r, numpy_rse, paired_t_test
 from sentpop.stats import (
     Strength,
     classify_strength,
-    paired_t_test,
     pearson,
     r_squared,
     regularized_incomplete_beta,
@@ -254,6 +253,35 @@ class TestRse:
             actual = rng.normal(size=10)
             assert rse(pred, actual) >= 0.0
         assert r_squared(list(rng.normal(size=5)) * 2, list(rng.normal(size=10))) <= 1.0
+
+
+@st.composite
+def _rse_pairs(draw):
+    """n = 2-60 actuals of magnitude 1e-6 to 1e6; predictions at, near or far from them."""
+    n = draw(st.integers(2, 60))
+    unit = st.integers(-10**6, 10**6).map(lambda k: k / 10**6)
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    actual = [scale * u for u in draw(st.lists(unit, min_size=n, max_size=n))]
+    rel = draw(st.sampled_from([0.0, 1e-9, 1e-3, 1.0, 1e3]))
+    noise = draw(st.lists(unit, min_size=n, max_size=n))
+    return [a + rel * scale * u for a, u in zip(actual, noise)], actual
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rse_pairs())
+def test_rse_matches_the_numpy_formula(pair):
+    """fsum sums are correctly rounded; numpy's pairwise sums are not, so RSE may move
+    in its last digits, never by more than 1e-12 of itself."""
+    predicted, actual = pair
+    if min(actual) == max(actual):
+        with pytest.raises(ValueError, match="constant"):
+            rse(predicted, actual)
+        return
+    value = rse(predicted, actual)
+    assert abs(value - numpy_rse(predicted, actual)) <= 1e-12 * value
+    assert rse(actual, actual) == 0.0
+    mean = math.fsum(actual) / len(actual)
+    assert rse([mean] * len(actual), actual) == 1.0
 
 
 class TestIncompleteBeta:
