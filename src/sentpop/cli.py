@@ -4,7 +4,7 @@ Stages write their outputs under ``--out`` and append to a run manifest that
 records flag values, input digests and output digests. Later stages verify
 the digests of everything they read, so a stale or hand-edited intermediate
 stops the pipeline with the mismatch named. All randomness (splits, SGD
-shuffles, generation) flows from explicit ``--seed`` flags recorded in the
+sample order, generation) flows from explicit ``--seed`` flags recorded in the
 manifest.
 """
 
@@ -453,8 +453,6 @@ def cmd_train(stage: Stage, args) -> int:
         f"train:{args.predictor}",
         args,
         gaps=gaps,
-        init=config.init,
-        shuffle=config.shuffle,
         stop_tol=config.stop_tol,
     )
     return 0

@@ -85,14 +85,13 @@ def edge_probability(v_i, v_j, function: EnergyFunction) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def binary_entropy(p: float, log_base: float = 2.0) -> float:
-    """-(p log p + (1-p) log(1-p)) with 0 log 0 = 0; peaks at 1 in base 2."""
+def binary_entropy(p: float) -> float:
+    """-(p log2 p + (1-p) log2(1-p)) in bits, with 0 log 0 = 0; peaks at 1."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability out of range: {p}")
     if p == 0.0 or p == 1.0:
         return 0.0
-    scale = np.log(log_base)
-    return float(-(p * np.log(p) + (1.0 - p) * np.log(1.0 - p)) / scale)
+    return float(-(p * np.log(p) + (1.0 - p) * np.log(1.0 - p)) / np.log(2.0))
 
 
 def _member_matrix(
@@ -178,13 +177,11 @@ def community_energy_entropy(
     vectors: Mapping[str, np.ndarray],
     function: EnergyFunction,
     topic: str = "",
-    log_base: float = 2.0,
 ) -> CommunityEnergy:
-    """Total binary entropy of per-edge communication probabilities."""
+    """Total binary entropy, in bits, of per-edge communication probabilities."""
     _, p = per_edge_probabilities(community, vectors, function)
-    scale = np.log(log_base)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = -(p * np.log(p) + (1.0 - p) * np.log1p(-p)) / scale
+        terms = -(p * np.log(p) + (1.0 - p) * np.log1p(-p)) / np.log(2.0)
     terms = np.where((p <= 0.0) | (p >= 1.0), 0.0, terms)
     return CommunityEnergy(
         topic=topic,

@@ -84,10 +84,7 @@ class TopicSample:
 class TrainConfig:
     learning_rate: float = 0.01
     epochs: int = 500
-    init: str = "zeros"  # "zeros" | "uniform"
-    init_range: tuple[float, float] = (-0.01, 0.01)
     rng_seed: int = 0
-    shuffle: bool = True
     l2: float = 0.0
     stop_tol: float = 1e-5  # relative: see ``train``
 
@@ -96,10 +93,10 @@ class TrainConfig:
             raise ValueError("learning_rate must be finite and non-negative")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.init not in ("zeros", "uniform"):
-            raise ValueError(f"unknown init {self.init!r}")
         if not (math.isfinite(self.l2) and self.l2 >= 0.0):
             raise ValueError("l2 must be finite and non-negative")
+        if not (math.isfinite(self.stop_tol) and self.stop_tol >= 0.0):
+            raise ValueError("stop_tol must be finite and non-negative")
 
 
 @dataclass
@@ -233,11 +230,11 @@ def train(
 ) -> TrainResult:
     """Run per-sample SGD for ``config.epochs`` passes and record the loss curve.
 
-    Sample order is reshuffled every epoch when ``config.shuffle`` is set; all
-    randomness (shuffling and optional uniform init) flows from
-    ``config.rng_seed``. Stops early once an epoch lowers the training loss
-    by less than ``config.stop_tol`` times the previous epoch's loss (a
-    plateau); ``stop_tol=0.0`` disables the stop. A worsening epoch never
+    Training starts at zero weights and visits the samples in a new random
+    order every epoch, drawn from ``config.rng_seed``, its only randomness.
+    Stops early once an epoch lowers the training loss by less than
+    ``config.stop_tol`` times the previous epoch's loss (a plateau);
+    ``stop_tol=0.0`` disables the stop. A worsening epoch never
     counts as converged, so runaway learning rates surface as divergence
     errors instead of quietly returning the last iterate. The stop only
     truncates the run: a run that plateaus after epoch k is the first k + 1
@@ -270,12 +267,7 @@ def train(
     eta, l2 = config.learning_rate, config.l2
     # row norms without a z * z copy
     omega_max = eta * (float(np.einsum("ij,ij->i", z, z).max()) + 1.0)
-    if config.init == "uniform":
-        lo, hi = config.init_range
-        draws = rng.uniform(lo, hi, d + 1)
-        w, rho = draws[:-1], float(draws[-1])
-    else:
-        w, rho = np.zeros(d, dtype=np.float64), 0.0
+    w, rho = np.zeros(d, dtype=np.float64), 0.0
 
     curve: list[float] = []
     plateaued = False
@@ -286,8 +278,7 @@ def train(
     # floating-point warnings on the way there.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            order = rng.permutation(n).tolist() if config.shuffle else range(n)
-            for i in order:
+            for i in rng.permutation(n).tolist():
                 rho = sgd_step(w, rho, rows[i], target_list[i], eta, l2)
             errors = z @ w + rho - targets
             epoch_loss = float(np.dot(errors, errors)) / (2.0 * n)

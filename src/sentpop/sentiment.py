@@ -50,44 +50,23 @@ def phrase_sentiment(tweet: Tweet, phrase: str) -> float:
     return tweet_sentiment(tweet.emoticon_counts.pos, tweet.emoticon_counts.neg)
 
 
-def user_phrase_sentiment(
-    user_tweets: Sequence[Tweet],
-    phrase: str,
-    mean_over_matching: bool = False,
-) -> float:
-    """Mean phrase sentiment over a user's tweets; 0 for a user with none.
-
-    By default every tweet divides the sum, matching or not. With
-    ``mean_over_matching`` only tweets containing the phrase divide it.
-    """
+def user_phrase_sentiment(user_tweets: Sequence[Tweet], phrase: str) -> float:
+    """Mean phrase sentiment over a user's tweets, matching or not; 0 for a user with none."""
     if not user_tweets:
         return 0.0
-    if mean_over_matching:
-        matches = 0
-        total = 0.0
-        for tweet in user_tweets:
-            if phrase in tweet.text:
-                matches += 1
-                total += tweet_sentiment(
-                    tweet.emoticon_counts.pos, tweet.emoticon_counts.neg
-                )
-        return total / matches if matches else 0.0
     total = sum(phrase_sentiment(tweet, phrase) for tweet in user_tweets)
     return total / len(user_tweets)
 
 
 def user_topic_vector(
-    user: str,
-    topic: Topic,
-    train_tweets: Iterable[Tweet],
-    mean_over_matching: bool = False,
+    user: str, topic: Topic, train_tweets: Iterable[Tweet]
 ) -> SentimentVector:
     """Sentiment vector of ``user`` over the topic's key phrases."""
     if not topic.key_phrases:
         raise ValueError(f"topic {topic.hashtag!r} has no key phrases")
     own = [t for t in train_tweets if t.user == user]
     values = np.array(
-        [user_phrase_sentiment(own, p, mean_over_matching) for p in topic.key_phrases],
+        [user_phrase_sentiment(own, p) for p in topic.key_phrases],
         dtype=np.float64,
     )
     return SentimentVector(topic=topic.hashtag, user=user, values=values)
@@ -101,10 +80,7 @@ def group_tweets_by_user(tweets: Iterable[Tweet]) -> dict[str, list[Tweet]]:
 
 
 def catalog_vectors(
-    members: Iterable[str],
-    topics: Sequence[Topic],
-    tweets: Iterable[Tweet],
-    mean_over_matching: bool = False,
+    members: Iterable[str], topics: Sequence[Topic], tweets: Iterable[Tweet]
 ) -> dict[str, dict[str, array]]:
     """Nonzero sentiment vectors of community members on every topic, by hashtag.
 
@@ -121,14 +97,12 @@ def catalog_vectors(
     a per-phrase ``sum``. A member absent from a topic's vectors has a zero
     vector there.
 
-    By default only tweets with a signed emoticon add to the sums and every
-    tweet of the member divides them; with ``mean_over_matching`` only the
-    tweets containing a phrase divide its sum.
+    Only tweets with a signed emoticon add to the sums, and every tweet of
+    the member divides them.
 
     No tweet is held: the memory is one tweet count per member, plus
-    ``8 * n_slots`` bytes of running sums per member with a scored tweet
-    (twice that with ``mean_over_matching``, for the match counts), where
-    ``n_slots`` is the number of key phrases over the whole catalog.
+    ``8 * n_slots`` bytes of running sums per member with a scored tweet,
+    where ``n_slots`` is the number of key phrases over the whole catalog.
 
     Each vector is an ``array('d')`` of float64 values, so this stage needs no
     numpy; ``np.asarray`` reads one without copying through the buffer protocol.
@@ -161,7 +135,6 @@ def catalog_vectors(
 
     counts = dict.fromkeys(members, 0)  # member -> its tweets so far
     totals: dict[str, array] = {}  # member with a scored tweet -> per-slot sums
-    matches: dict[str, array] = {}  # the same, per-slot tweet counts (mean_over_matching)
     zeros = bytes(8 * n_slots)
     for tweet in tweets:
         user = tweet.user
@@ -170,7 +143,7 @@ def catalog_vectors(
             continue
         counts[user] = seen + 1
         pos, neg = tweet.emoticon_counts.pos, tweet.emoticon_counts.neg
-        if pos + neg == 0 and not mean_over_matching:
+        if pos + neg == 0:
             continue
         text = tweet.text
         found: set[str] = set()
@@ -189,41 +162,29 @@ def catalog_vectors(
         sums = totals.get(user)
         if sums is None:
             sums = totals[user] = array("d", zeros)
-            if mean_over_matching:
-                matches[user] = array("q", zeros)
-        hits_of = matches.get(user)
         for phrase in found:
             for slot in slots[phrase]:
                 sums[slot] += score
-                if hits_of is not None:
-                    hits_of[slot] += 1
 
     vectors: dict[str, dict[str, array]] = {hashtag: {} for hashtag in spans}
     for user in sorted(totals):
         sums = totals.pop(user)  # freed as it is divided, for what the caller does next
+        n = counts[user]
         for hashtag, (start, stop) in spans.items():
             total = sums[start:stop]
             if not any(total):
                 continue
-            if mean_over_matching:
-                count = matches[user][start:stop]
-                values = array("d", [t / c if c else 0.0 for t, c in zip(total, count)])
-            else:
-                n = counts[user]
-                values = array("d", [t / n for t in total])
+            values = array("d", [t / n for t in total])
             if any(values):
                 vectors[hashtag][user] = values
     return vectors
 
 
 def community_topic_vectors(
-    members: Iterable[str],
-    topic: Topic,
-    tweets: Iterable[Tweet],
-    mean_over_matching: bool = False,
+    members: Iterable[str], topic: Topic, tweets: Iterable[Tweet]
 ) -> dict[str, array]:
     """Nonzero sentiment vectors for community members (absent user = zero vector)."""
-    return catalog_vectors(members, [topic], tweets, mean_over_matching)[topic.hashtag]
+    return catalog_vectors(members, [topic], tweets)[topic.hashtag]
 
 
 def save_vectors(

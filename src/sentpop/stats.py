@@ -175,7 +175,10 @@ def rse(predicted: Sequence[float], actual: Sequence[float]) -> float:
     Both sums and the mean are correctly rounded (``math.fsum``), in Python
     floats, so ``evaluate --predictor linear`` loads no numpy. Predicting
     ``actual`` gives 0, and predicting its mean as computed here,
-    ``fsum(actual) / n``, gives exactly 1.
+    ``fsum(actual) / n``, gives exactly 1. Both series are first scaled by
+    the power of two that brings ``actual`` into [-1, 1], so the squares of
+    the deviations neither underflow nor overflow at extreme magnitudes; the
+    scaling is exact in the normal range, so the ratio is unchanged.
     """
     ps, ys = _float_list(predicted, "predicted"), _float_list(actual, "actual")
     if len(ps) != len(ys):
@@ -183,10 +186,15 @@ def rse(predicted: Sequence[float], actual: Sequence[float]) -> float:
     n = len(ys)
     if n < 2:
         raise ValueError("rse requires at least 2 samples")
-    mean = math.fsum(ys) / n
-    denom = math.fsum((y - mean) * (y - mean) for y in ys)
-    if denom == 0.0:
+    # a rounded mean can differ from every value of a constant series
+    if min(ys) == max(ys):
         raise ValueError("rse is undefined for constant actuals")
+    e = math.frexp(max(map(abs, ys)))[1]
+    ps = [math.ldexp(v, -e) for v in ps]
+    ys = [math.ldexp(v, -e) for v in ys]
+    mean = math.fsum(ys) / n
+    # as in ``pearson``, some scaled |deviation| is >= 2^-55, so the sum is not 0
+    denom = math.fsum((y - mean) * (y - mean) for y in ys)
     return math.fsum((p - y) * (p - y) for p, y in zip(ps, ys)) / denom
 
 

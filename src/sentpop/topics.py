@@ -112,22 +112,23 @@ def gap_filter(topics: Sequence[Topic], gap: int) -> GapDataset:
 
 
 def extract_key_phrases(
-    topic_tweets: Iterable[Tweet | str],
+    topic_texts: Iterable[str],
     m: int,
     stopwords: set[str],
     exclude: str = "",
 ) -> list[str]:
     """Top-``m`` tokens of the concatenated topic document by frequency.
 
-    Tokens are Unicode word runs taken verbatim (no case folding, so the raw
-    substring matching used for sentiment scoring stays consistent). Ties
-    break lexicographically. ``exclude`` drops the topic's own hashtag string.
+    ``topic_texts`` are the texts of the topic's tweets. Tokens are Unicode
+    word runs taken verbatim (no case folding, so the raw substring matching
+    used for sentiment scoring stays consistent). Ties break
+    lexicographically. ``exclude`` drops the topic's own hashtag string.
     """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     # one scan of the whole document; "\n" is no word character, so joining
     # splits no token and merges none
-    document = "\n".join(
-        item.text if isinstance(item, Tweet) else item for item in topic_tweets
-    )
+    document = "\n".join(topic_texts)
     counts = Counter(_WORD_RE.findall(document))
     candidates = [
         (token, n)

@@ -27,7 +27,7 @@ from sentpop.predictor import (
     _check_edges,
     _predict_batch,
 )
-from sentpop.sentiment import tweet_sentiment, user_phrase_sentiment
+from sentpop.sentiment import tweet_sentiment
 from sentpop.stats import student_t_two_tailed_p
 
 
@@ -64,7 +64,7 @@ def parse_tweet_line(line: str, lexicon: EmoticonLexicon, line_no: int | None = 
     )
 
 
-def raw_scan_vectors(members, topics, tweets_by_user, mean_over_matching=False):
+def raw_scan_vectors(members, topics, tweets_by_user):
     """Per-topic, per-phrase ``phrase in text`` scan; the definition ``catalog_vectors`` meets."""
     out = {}
     for topic in topics:
@@ -73,22 +73,16 @@ def raw_scan_vectors(members, topics, tweets_by_user, mean_over_matching=False):
             tweets = tweets_by_user.get(user, ())
             if not tweets:
                 continue
-            if mean_over_matching:
-                values = np.array(
-                    [user_phrase_sentiment(tweets, p, True) for p in topic.key_phrases],
-                    dtype=np.float64,
-                )
-            else:
-                scored = [
-                    (t.text, tweet_sentiment(t.emoticon_counts.pos, t.emoticon_counts.neg))
-                    for t in tweets
-                    if t.emoticon_counts.pos + t.emoticon_counts.neg > 0
-                ]
-                values = np.array(
-                    [sum(s for text, s in scored if p in text) for p in topic.key_phrases],
-                    dtype=np.float64,
-                )
-                values /= len(tweets)
+            scored = [
+                (t.text, tweet_sentiment(t.emoticon_counts.pos, t.emoticon_counts.neg))
+                for t in tweets
+                if t.emoticon_counts.pos + t.emoticon_counts.neg > 0
+            ]
+            values = np.array(
+                [sum(s for text, s in scored if p in text) for p in topic.key_phrases],
+                dtype=np.float64,
+            )
+            values /= len(tweets)
             if np.any(values != 0.0):
                 vectors[user] = values
         out[topic.hashtag] = vectors
@@ -216,8 +210,8 @@ def object_per_step_train(
 ) -> TrainResult:
     """Per-sample SGD that builds a new model object on every step.
 
-    The definition ``predictor.train`` meets bit for bit: same shuffles,
-    init draws, plateau stop and end-of-epoch divergence check.
+    The definition ``predictor.train`` meets bit for bit: same zero start,
+    shuffles, plateau stop and end-of-epoch divergence check.
     """
     if kind not in PREDICTOR_KINDS:
         raise ValueError(f"kind must be one of {PREDICTOR_KINDS}, got {kind!r}")
@@ -239,12 +233,7 @@ def object_per_step_train(
             )
             for i, s in enumerate(train_samples)
         ]
-        if config.init == "uniform":
-            lo, hi = config.init_range
-            a0, b0 = rng.uniform(lo, hi, 2)
-            model: LinearModel | EdgeModel = LinearModel(float(a0), float(b0))
-        else:
-            model = LinearModel(0.0, 0.0)
+        model: LinearModel | EdgeModel = LinearModel(0.0, 0.0)
     else:
         edges = train_samples[0].edges
         for s in train_samples:
@@ -262,18 +251,11 @@ def object_per_step_train(
             )
             for i, s in enumerate(train_samples)
         ]
-        if config.init == "uniform":
-            lo, hi = config.init_range
-            draws = rng.uniform(lo, hi, len(edges) + 1)
-            model = EdgeModel(
-                edges=edges, weight_values=draws[:-1], rho=float(draws[-1])
-            )
-        else:
-            model = EdgeModel(
-                edges=edges,
-                weight_values=np.zeros(len(edges), dtype=np.float64),
-                rho=0.0,
-            )
+        model = EdgeModel(
+            edges=edges,
+            weight_values=np.zeros(len(edges), dtype=np.float64),
+            rho=0.0,
+        )
 
     omega_max = config.learning_rate * max(float(np.dot(row, row)) + 1.0 for row in z)
     curve: list[float] = []
@@ -282,8 +264,7 @@ def object_per_step_train(
     # a diverging run overflows on the way; the loss check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            order = rng.permutation(n) if config.shuffle else np.arange(n)
-            for i in order:
+            for i in rng.permutation(n):
                 model = sgd_step(model, (std_samples[i],), config)
             epoch_loss = loss(model, std_samples)
             curve.append(epoch_loss)

@@ -1,5 +1,6 @@
 """CLI pipeline tests on a small synthetic corpus."""
 
+import dataclasses
 import json
 import os
 import re
@@ -14,7 +15,7 @@ import sentpop.cli
 import sentpop.manifest
 from sentpop.cli import _sgd_summary, main
 from sentpop.manifest import atomic_write, atomic_write_text
-from sentpop.predictor import LinearModel, TrainResult, load_model
+from sentpop.predictor import LinearModel, TrainConfig, TrainResult, load_model
 from sentpop.synth import SYNTH_WINDOW
 
 WINDOW_FLAG = (
@@ -158,17 +159,27 @@ def test_manifest_records_stages_and_digests(pipeline_dir):
         "correlate": {"gaps": [1, 3]},
         "train:linear": {
             "predictor": "linear", "function": "cosine", "gaps": [1], "eta": 0.01,
-            "epochs": 120, "seed": 7, "l2": 0.0, "init": "zeros", "shuffle": True,
-            "stop_tol": 1e-5,
+            "epochs": 120, "seed": 7, "l2": 0.0, "stop_tol": 1e-5,
         },
         "evaluate:linear": {"predictor": "linear", "gaps": [1]},
         "train:edge": {
             "predictor": "edge", "function": "cosine", "gaps": [1], "eta": 0.001,
-            "epochs": 50, "seed": 7, "l2": 0.0, "init": "zeros", "shuffle": True,
-            "stop_tol": 1e-5,
+            "epochs": 50, "seed": 7, "l2": 0.0, "stop_tol": 1e-5,
         },
         "evaluate:edge": {"predictor": "edge", "gaps": [1]},
     }
+
+
+# the train flag of each TrainConfig field whose flag has another name
+_TRAIN_FLAGS = {"learning_rate": "eta", "rng_seed": "seed"}
+
+
+def test_train_manifest_records_every_train_config_field(pipeline_dir):
+    stages = json.loads((pipeline_dir / "manifest.json").read_text())["stages"]
+    fields = [f.name for f in dataclasses.fields(TrainConfig)]
+    for name in ("train:linear", "train:edge"):
+        config = stages[name]["config"]
+        assert [f for f in fields if _TRAIN_FLAGS.get(f, f) not in config] == [], name
 
 
 def test_rerun_is_byte_identical(pipeline_dir):
@@ -362,6 +373,16 @@ def test_rejected_stage_exits_1_and_writes_nothing(pipeline_dir, tmp_path, capsy
     assert capsys.readouterr().err == f"error: {message}\n"
     # the manifest, models and logs of the earlier run are untouched
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_topics_without_key_phrases_exits_1_and_writes_no_catalog(pipeline_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dir, out)
+    (out / "catalog.tsv").unlink()
+    capsys.readouterr()
+    assert run(*pipeline_argv(out)["topics"], "--m", "0") == 1
+    assert capsys.readouterr().err == "error: m must be >= 1, got 0\n"
+    assert not (out / "catalog.tsv").exists()
 
 
 def test_stale_artifact_detected(pipeline_dir, capsys):

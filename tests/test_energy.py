@@ -103,9 +103,6 @@ class TestBinaryEntropy:
         with pytest.raises(ValueError):
             binary_entropy(1.5)
 
-    def test_alternate_log_base(self):
-        assert binary_entropy(0.5, log_base=math.e) == pytest.approx(math.log(2))
-
 
 def _community(edges, extra_members=()):
     g = SocialGraph()

@@ -306,9 +306,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("kind", PREDICTOR_KINDS)
     def test_a_plateau_stop_truncates_the_unstopped_run(self, kind):
-        # the stop changes no shuffle, draw or step: the stopped run is a prefix
+        # the stop changes no shuffle or step: the stopped run is a prefix
         samples = random_samples(np.random.default_rng(12), n_edges=4, n_samples=15)
-        config = TrainConfig(init="uniform", rng_seed=3)
+        config = TrainConfig(rng_seed=3)
         stopped = train(kind, samples, config)
         k = len(stopped.loss_curve)
         assert stopped.plateaued and k < config.epochs
@@ -337,7 +337,7 @@ class TestTrain:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)
         samples = random_samples(rng, n_edges=4, n_samples=16)
-        cfg = TrainConfig(epochs=50, rng_seed=11, init="uniform")
+        cfg = TrainConfig(epochs=50, rng_seed=11)
         a = train("edge", samples, cfg)
         b = train("edge", samples, cfg)
         assert np.array_equal(a.model.weight_values, b.model.weight_values)
@@ -365,7 +365,8 @@ class TestTrain:
 
 @pytest.mark.parametrize("name, value", [
     ("l2", np.nan), ("l2", np.inf), ("l2", -1.0), ("learning_rate", np.nan),
-    ("learning_rate", np.inf), ("learning_rate", -1.0),
+    ("learning_rate", np.inf), ("learning_rate", -1.0), ("stop_tol", np.nan),
+    ("stop_tol", np.inf), ("stop_tol", -1.0),
 ])
 def test_config_rejects_a_non_finite_or_negative_rate(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative$"):
@@ -429,9 +430,7 @@ def _outcome(kind, samples, config, trainer):
     n=st.integers(1, 10),
     seed=st.integers(0, 2**32 - 1),
     constant_column=st.booleans(),
-    init=st.sampled_from(["zeros", "uniform"]),
     l2=st.sampled_from([0.0, 1e-3, 0.5]),
-    shuffle=st.booleans(),
     eta=st.sampled_from([0.0, 1e-3, 0.05, 0.8, 30.0, 1e6, 1e150, 1e300]),
     epochs=st.integers(1, 25),
     stop_tol=st.sampled_from([0.0, 1e-9, 1e-5, 1e-3]),
@@ -445,7 +444,7 @@ def _outcome(kind, samples, config, trainer):
     ),
 )
 def test_train_matches_object_per_step_oracle_bit_for_bit(
-    kind, d, n, seed, constant_column, init, l2, shuffle, eta, epochs, stop_tol, extremes
+    kind, d, n, seed, constant_column, l2, eta, epochs, stop_tol, extremes
 ):
     rng = np.random.default_rng(seed)
     feats = rng.uniform(0, 1, (n, d)) * rng.uniform(0.1, 100)
@@ -455,8 +454,7 @@ def test_train_matches_object_per_step_oracle_bit_for_bit(
     for k, value in extremes:
         values.flat[k % values.size] = value
     config = TrainConfig(
-        learning_rate=eta, epochs=epochs, init=init, rng_seed=seed % 1000,
-        shuffle=shuffle, l2=l2, stop_tol=stop_tol,
+        learning_rate=eta, epochs=epochs, rng_seed=seed % 1000, l2=l2, stop_tol=stop_tol
     )
     # extreme values and diverging runs overflow on the way; both trainers
     # report it the same way
@@ -490,8 +488,8 @@ DIVERGING = [
     pytest.param("edge", _X, _T, {"learning_rate": 1e-3, "l2": 1e300},
                  id="l2-term-overflows"),
     # l2 * w and the residual term are finite; their sum is not
-    pytest.param("linear", _X, _T, {"learning_rate": 1e-3, "l2": 2.0, "init": "uniform",
-                                    "init_range": (3e307, 3e307)}, id="l2-sum-overflows"),
+    pytest.param("linear", _X, np.tile([1e307, -1e307], 4),
+                 {"learning_rate": 1.0, "l2": 2.0}, id="l2-sum-overflows"),
     pytest.param("edge", np.zeros((2, 0)), [1.0, np.inf], {},
                  id="no-features-infinite-target"),
 ]

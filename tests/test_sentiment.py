@@ -85,10 +85,6 @@ class TestUserPhraseSentiment:
     def test_no_tweets(self):
         assert user_phrase_sentiment([], "rio") == 0.0
 
-    def test_matching_divisor_variant(self, lexicon):
-        tweets = _user_tweets(lexicon, ["rio [smile]", "rio", "other", "other"])
-        assert user_phrase_sentiment(tweets, "rio", mean_over_matching=True) == 0.5
-
     def test_matches_naive_summation(self, lexicon):
         rng = np.random.default_rng(8)
         words = ["rio", "games", "medal", "swim"]
@@ -210,8 +206,8 @@ _TWEETS = st.lists(
 )
 
 
-@given(_TOPICS, _TWEETS, st.booleans())
-def test_catalog_vectors_match_raw_scan(phrase_lists, rows, mean_over_matching):
+@given(_TOPICS, _TWEETS)
+def test_catalog_vectors_match_raw_scan(phrase_lists, rows):
     """Short phrases over a small alphabet hit inside longer runs, repeat within and
     across topics, and include phrases that are not one word run. The tweets arrive
     as a one-shot stream with the users interleaved, some of them not members."""
@@ -225,10 +221,8 @@ def test_catalog_vectors_match_raw_scan(phrase_lists, rows, mean_over_matching):
         for n, (user, text, pos, neg) in enumerate(rows)
     ]
     members = ["u0", "u1", "u2", "silent"]
-    got = catalog_vectors(members, topics, (t for t in tweets), mean_over_matching)
-    expected = raw_scan_vectors(
-        members, topics, group_tweets_by_user(tweets), mean_over_matching
-    )
+    got = catalog_vectors(members, topics, (t for t in tweets))
+    expected = raw_scan_vectors(members, topics, group_tweets_by_user(tweets))
     assert got.keys() == expected.keys()
     for hashtag, per_user in expected.items():
         assert got[hashtag].keys() == per_user.keys()

@@ -237,6 +237,17 @@ class TestRse:
         with pytest.raises(ValueError, match="constant"):
             rse([1.0, 2.0], [3.0, 3.0])
 
+    @pytest.mark.parametrize("c", [0.1, 0.7])
+    def test_constant_actual_whose_mean_rounds_away_rejected(self, c):
+        # sum([c] * 3) / 3 != c: a deviation from the rounded mean is not 0
+        with pytest.raises(ValueError, match="constant"):
+            rse([0.0] * 3, [c] * 3)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_magnitudes(self, scale):
+        # unscaled, the squares underflow to 0 at 1e-200 and overflow at 1e200
+        assert rse([2 * scale, 0.0], [scale, -scale]) == 1.0
+
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(3)
         pred = list(rng.normal(size=30))

@@ -156,6 +156,11 @@ class TestKeyPhrases:
         assert err.value.needed == 5
         assert err.value.available == 2
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_fewer_than_one_phrase_rejected(self, m):
+        with pytest.raises(ValueError, match=f"^m must be >= 1, got {m}$"):
+            extract_key_phrases(["a b c"], m, set())
+
     def test_matches_reference_counter(self):
         """1000 synthetic tweets with planted token frequencies."""
         rng = np.random.default_rng(33)
@@ -177,10 +182,6 @@ class TestKeyPhrases:
         a = extract_key_phrases(docs, 4, set())
         b = extract_key_phrases(list(reversed(docs)), 4, set())
         assert a == b
-
-    def test_accepts_tweets(self, lexicon):
-        tweets = [make_tweet(lexicon, "pear pear apple"), make_tweet(lexicon, "apple fig")]
-        assert extract_key_phrases(tweets, 2, set()) == ["apple", "pear"]
 
 
 def test_catalog_round_trip(tmp_path):
