@@ -28,7 +28,7 @@ from .corpus import (
     parse_tweet_line,
     stream_corpus,
 )
-from .manifest import RunManifest, StaleArtifactError, atomic_write, file_digest
+from .manifest import RunManifest, StaleArtifactError, atomic_write, file_digest, read_rows
 from .manifest import write_lines as _write_lines
 
 # The names each command uses from the other modules are bound into this
@@ -161,7 +161,7 @@ class Stage:
     def write(self, name: str, save, data) -> int:
         """Write ``out/name`` atomically as ``save(data, path)``; return its row count."""
         path = self.out / name
-        rows = atomic_write(lambda tmp: save(data, tmp), path) or 0  # save_model returns None
+        rows = atomic_write(lambda tmp: save(data, tmp), path)
         self.outputs[str(path)] = _out_meta(path, rows)
         return rows
 
@@ -433,13 +433,15 @@ def cmd_train(stage: Stage, args) -> int:
         l2=args.l2,
     )
     split_lines: list[str] = []
+    results = []  # every gap trains before any file is written
     for gap in gaps:
         dataset = gap_filter(catalog, gap)
         train_topics, test_topics = predictor.split_train_test(dataset, args.seed)
         split_lines.extend(f"{gap}\t{t.hashtag}\ttrain" for t in train_topics)
         split_lines.extend(f"{gap}\t{t.hashtag}\ttest" for t in test_topics)
         samples = samples_of(train_topics)
-        result = predictor.train(args.predictor, samples, config)
+        results.append((gap, len(samples), predictor.train(args.predictor, samples, config)))
+    for gap, n_samples, result in results:
         stage.write(f"model_{args.predictor}_gap{gap}.tsv", predictor.save_model, result.model)
         stage.write(
             f"train_log_{args.predictor}_gap{gap}.tsv",
@@ -447,7 +449,7 @@ def cmd_train(stage: Stage, args) -> int:
             [f"{epoch}\t{value!r}" for epoch, value in enumerate(result.loss_curve)],
         )
         summary = _sgd_summary(result, config.learning_rate)
-        print(f"train: gap {gap}: {len(samples)} topics, {summary}")
+        print(f"train: gap {gap}: {n_samples} topics, {summary}")
     stage.write(f"splits_{args.predictor}.tsv", _write_lines, split_lines)
     stage.record(
         f"train:{args.predictor}",
@@ -463,19 +465,17 @@ def cmd_evaluate(stage: Stage, args) -> int:
     catalog, samples_of = stage.samples(args.predictor, EnergyFunction(train_cfg["function"]))
     gaps = _gaps(args.gaps) if args.gaps else list(train_cfg["gaps"])
     test_tags: dict[int, set[str]] = {}
-    with open(stage.read(f"splits_{args.predictor}.tsv"), encoding="utf-8") as fh:
-        for line in fh:
-            gap_s, tag, role = line.rstrip("\n").split("\t")
-            if role == "test":
-                test_tags.setdefault(int(gap_s), set()).add(tag)
-    lines = []
+    for _, (gap_s, tag, role) in read_rows(stage.read(f"splits_{args.predictor}.tsv"), 3, "split"):
+        if role == "test":
+            test_tags.setdefault(int(gap_s), set()).add(tag)
+    results = []  # every gap is scored before any file is written
     for gap in gaps:
         if gap not in test_tags:
             raise StaleArtifactError(f"no recorded split for gap {gap}; run train first")
         model = predictor.load_model(stage.read(f"model_{args.predictor}_gap{gap}.tsv"))
         test_topics = [t for t in catalog if t.hashtag in test_tags[gap]]
-        result = predictor.evaluate(model, samples_of(test_topics))
-        lines.append(f"{gap}\t{args.predictor}\t{result.rse!r}")
+        results.append((gap, predictor.evaluate(model, samples_of(test_topics))))
+    for gap, result in results:
         stage.write(
             f"residuals_{args.predictor}_gap{gap}.tsv",
             _write_lines,
@@ -486,6 +486,7 @@ def cmd_evaluate(stage: Stage, args) -> int:
         )
         verdict = " (worse than predicting the mean)" if result.rse > 1.0 else ""
         print(f"evaluate: gap {gap}: rse {result.rse:.4f} r2 {result.r_squared:.4f}{verdict}")
+    lines = [f"{gap}\t{args.predictor}\t{result.rse!r}" for gap, result in results]
     stage.write(f"evaluation_{args.predictor}.tsv", _write_lines, lines)
     stage.record(f"evaluate:{args.predictor}", args, gaps=gaps)
     return 0

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from ._lazy import np
 from .graph import CommunityGraph, Edge
+from .manifest import read_rows, write_lines
 
 
 class EnergyFunction(str, enum.Enum):
@@ -206,29 +207,13 @@ def community_energy(
 def save_energy_report(energies: Sequence[CommunityEnergy], path: str | Path) -> int:
     """Persist ``hashtag<TAB>model<TAB>function<TAB>energy`` rows, sorted."""
     rows = sorted(energies, key=lambda e: (e.topic, e.model.value, e.function.value))
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in rows:
-            fh.write(f"{e.topic}\t{e.model.value}\t{e.function.value}\t{e.value!r}\n")
-    return len(rows)
+    return write_lines(
+        (f"{e.topic}\t{e.model.value}\t{e.function.value}\t{e.value!r}" for e in rows), path
+    )
 
 
 def load_energy_report(path: str | Path) -> list[CommunityEnergy]:
-    out: list[CommunityEnergy] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ValueError(f"{path}: bad energy row at line {line_no}")
-            topic, model, function, value = fields
-            out.append(
-                CommunityEnergy(
-                    topic=topic,
-                    model=EnergyModel(model),
-                    function=EnergyFunction(function),
-                    value=float(value),
-                )
-            )
-    return out
+    return [
+        CommunityEnergy(topic, EnergyModel(model), EnergyFunction(function), float(value))
+        for _, (topic, model, function, value) in read_rows(path, 4, "energy")
+    ]

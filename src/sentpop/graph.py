@@ -9,6 +9,7 @@ from pathlib import Path
 
 from ._lazy import np
 from .corpus import Tweet
+from .manifest import read_rows, write_lines
 
 Edge = tuple[str, str]
 
@@ -126,24 +127,15 @@ def extract_community(g: SocialGraph, seed: str, max_depth: int) -> CommunityGra
 
 def save_edge_list(edges: Iterable[Edge], path: str | Path) -> int:
     """Write ``user_i<TAB>user_j`` lines, lexicographically sorted. Returns row count."""
-    rows = sorted(edges)
-    with open(path, "w", encoding="utf-8") as fh:
-        for a, b in rows:
-            fh.write(f"{a}\t{b}\n")
-    return len(rows)
+    return write_lines((f"{a}\t{b}" for a, b in sorted(edges)), path)
 
 
 def load_edge_list(path: str | Path) -> set[Edge]:
     edges: set[Edge] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or fields[0] == fields[1]:
-                raise ValueError(f"{path}: bad edge at line {line_no}")
-            edges.add(canonical_edge(*fields))
+    for line_no, (a, b) in read_rows(path, 2, "edge"):
+        if a == b:
+            raise ValueError(f"{path}: bad edge row at line {line_no}")
+        edges.add(canonical_edge(a, b))
     return edges
 
 

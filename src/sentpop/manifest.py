@@ -14,7 +14,7 @@ import fcntl
 import hashlib
 import json
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 
@@ -70,6 +70,25 @@ def write_lines(lines: Iterable[str], path: str | Path) -> int:
             fh.write(line + "\n")
             rows += 1
     return rows
+
+
+def read_rows(
+    path: str | Path, n_fields: int | None, what: str
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line_no, tab-separated fields)`` for each non-blank line of a TSV artifact.
+
+    A row without ``n_fields`` fields raises :class:`ValueError` naming the
+    file and the line; ``n_fields=None`` leaves the count to the caller.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if n_fields is not None and len(fields) != n_fields:
+                raise ValueError(f"{path}: bad {what} row at line {line_no}")
+            yield line_no, fields
 
 
 class RunManifest:

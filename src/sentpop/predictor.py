@@ -25,6 +25,7 @@ from . import stats
 from ._lazy import np
 from .energy import EnergyFunction, per_edge_energies
 from .graph import CommunityGraph, Edge
+from .manifest import read_rows, write_lines
 from .topics import GapDataset, Topic
 
 PREDICTOR_KINDS = ("linear", "edge")
@@ -323,36 +324,31 @@ def evaluate(
     )
 
 
-def save_model(model: LinearModel | EdgeModel, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if isinstance(model, LinearModel):
-            fh.write("kind\tlinear\n")
-            fh.write(f"{model.alpha!r}\t{model.beta!r}\n")
-        else:
-            fh.write("kind\tedge\n")
-            for (a, b), w in zip(model.edges, model.weight_values):
-                fh.write(f"{a}\t{b}\t{float(w)!r}\n")
-            fh.write(f"rho\t{model.rho!r}\n")
+def save_model(model: LinearModel | EdgeModel, path: str | Path) -> int:
+    """Persist a ``kind`` header row, then the parameters; returns the row count."""
+    if isinstance(model, LinearModel):
+        rows = ["kind\tlinear", f"{model.alpha!r}\t{model.beta!r}"]
+    else:
+        weights = zip(model.edges, model.weight_values.tolist())
+        rows = ["kind\tedge", *(f"{a}\t{b}\t{w!r}" for (a, b), w in weights)]
+        rows.append(f"rho\t{model.rho!r}")
+    return write_lines(rows, path)
 
 
 def load_model(path: str | Path) -> LinearModel | EdgeModel:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines or not lines[0].startswith("kind\t"):
+    rows = [fields for _, fields in read_rows(path, None, "model")]
+    if not rows or rows[0][0] != "kind" or len(rows[0]) < 2:
         raise ValueError(f"{path}: missing kind header")
-    kind = lines[0].split("\t")[1]
+    kind = rows[0][1]
     if kind == "linear":
-        if len(lines) != 2:
+        if len(rows) != 2 or len(rows[1]) != 2:
             raise ValueError(f"{path}: malformed linear model")
-        alpha, beta = (float(v) for v in lines[1].split("\t"))
+        alpha, beta = (float(v) for v in rows[1])
         return LinearModel(alpha=alpha, beta=beta)
     if kind == "edge":
-        if len(lines) < 2 or not lines[-1].startswith("rho\t"):
+        body, rho = rows[1:-1], rows[-1]
+        if len(rows) < 2 or rho[0] != "rho" or len(rho) != 2 or any(len(r) != 3 for r in body):
             raise ValueError(f"{path}: malformed edge model")
-        weights: dict[Edge, float] = {}
-        for row in lines[1:-1]:
-            a, b, w = row.split("\t")
-            weights[(a, b)] = float(w)
-        rho = float(lines[-1].split("\t")[1])
-        return EdgeModel.from_weights(weights, rho)
+        weights = {(a, b): float(w) for a, b, w in body}
+        return EdgeModel.from_weights(weights, float(rho[1]))
     raise ValueError(f"{path}: unknown model kind {kind!r}")

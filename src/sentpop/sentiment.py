@@ -17,6 +17,7 @@ from pathlib import Path
 
 from ._lazy import np
 from .corpus import Tweet
+from .manifest import read_rows, write_lines
 from .topics import Topic
 
 _WORD_RUN_RE = re.compile(r"\w+")
@@ -191,28 +192,19 @@ def save_vectors(
     vectors_by_topic: Mapping[str, Mapping[str, Sequence[float]]], path: str | Path
 ) -> int:
     """Persist nonzero vectors as ``hashtag<TAB>user<TAB>v1,...,v_m`` rows."""
-    rows = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for hashtag in sorted(vectors_by_topic):
-            per_user = vectors_by_topic[hashtag]
-            for user in sorted(per_user):
-                joined = ",".join(repr(float(v)) for v in per_user[user])
-                fh.write(f"{hashtag}\t{user}\t{joined}\n")
-                rows += 1
-    return rows
+    return write_lines(
+        (
+            f"{hashtag}\t{user}\t{','.join(repr(float(v)) for v in values)}"
+            for hashtag, per_user in sorted(vectors_by_topic.items())
+            for user, values in sorted(per_user.items())
+        ),
+        path,
+    )
 
 
 def load_vectors(path: str | Path) -> dict[str, dict[str, np.ndarray]]:
     vectors: dict[str, dict[str, np.ndarray]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{path}: bad vector row at line {line_no}")
-            hashtag, user, joined = fields
-            values = np.array([float(v) for v in joined.split(",")], dtype=np.float64)
-            vectors.setdefault(hashtag, {})[user] = values
+    for _, (hashtag, user, joined) in read_rows(path, 3, "vector"):
+        values = np.array([float(v) for v in joined.split(",")], dtype=np.float64)
+        vectors.setdefault(hashtag, {})[user] = values
     return vectors

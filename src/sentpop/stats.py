@@ -178,7 +178,10 @@ def rse(predicted: Sequence[float], actual: Sequence[float]) -> float:
     ``fsum(actual) / n``, gives exactly 1. Both series are first scaled by
     the power of two that brings ``actual`` into [-1, 1], so the squares of
     the deviations neither underflow nor overflow at extreme magnitudes; the
-    scaling is exact in the normal range, so the ratio is unchanged.
+    scaling is exact in the normal range, so the ratio is unchanged. Where
+    the scaled predictions or their squared residuals' sum pass the float
+    range, the ratio is taken in exact rationals and rounded once, which is
+    ``inf`` only if the ratio itself passes it.
     """
     ps, ys = _float_list(predicted, "predicted"), _float_list(actual, "actual")
     if len(ps) != len(ys):
@@ -190,12 +193,23 @@ def rse(predicted: Sequence[float], actual: Sequence[float]) -> float:
     if min(ys) == max(ys):
         raise ValueError("rse is undefined for constant actuals")
     e = math.frexp(max(map(abs, ys)))[1]
-    ps = [math.ldexp(v, -e) for v in ps]
-    ys = [math.ldexp(v, -e) for v in ys]
-    mean = math.fsum(ys) / n
+    scaled = [math.ldexp(v, -e) for v in ys]
+    mean = math.fsum(scaled) / n
     # as in ``pearson``, some scaled |deviation| is >= 2^-55, so the sum is not 0
-    denom = math.fsum((y - mean) * (y - mean) for y in ys)
-    return math.fsum((p - y) * (p - y) for p, y in zip(ps, ys)) / denom
+    denom = math.fsum((y - mean) * (y - mean) for y in scaled)
+    try:
+        residuals = [math.ldexp(p, -e) - y for p, y in zip(ps, scaled)]
+        return math.fsum(r * r for r in residuals) / denom
+    except OverflowError:
+        from fractions import Fraction  # imported on this path only: it loads decimal
+
+        exact = [Fraction(y) for y in ys]
+        mean = sum(exact) / n
+        num = sum((Fraction(p) - y) ** 2 for p, y in zip(ps, exact))
+        try:
+            return float(num / sum((y - mean) ** 2 for y in exact))
+        except OverflowError:
+            return math.inf
 
 
 def r_squared(predicted: Sequence[float], actual: Sequence[float]) -> float:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from ._lazy import np
 from .corpus import CorpusWindow, EmoticonLexicon, Tweet, open_corpus, parse_tweet_line
-from .manifest import atomic_write, atomic_write_text, write_lines
+from .manifest import atomic_write, atomic_write_text, read_rows, write_lines
 from .energy import EnergyFunction, per_edge_energies
 from .graph import Edge, build_graph, extract_community
 # community_topic_vectors and group_tweets_by_user are not called here; they
@@ -428,25 +428,15 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
 
 def load_expected(path: str | Path) -> ExpectedValues:
     out = ExpectedValues()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if fields[0] == "param" and len(fields) == 3:
-                out.params[fields[1]] = fields[2]
-            elif fields[0] == "topic" and len(fields) == 5:
-                out.topics.append(
-                    ExpectedTopic(
-                        hashtag=fields[1],
-                        energy=float(fields[2]),
-                        exact_target=float(fields[3]),
-                        popularity=int(fields[4]),
-                    )
-                )
-            elif fields[0] == "edge" and len(fields) == 4:
-                out.edge_weights[(fields[1], fields[2])] = float(fields[3])
-            else:
-                raise ValueError(f"{path}: bad expected-values row at line {line_no}")
+    for line_no, fields in read_rows(path, None, "expected-values"):
+        kind, n = fields[0], len(fields)
+        if kind == "param" and n == 3:
+            out.params[fields[1]] = fields[2]
+        elif kind == "topic" and n == 5:
+            _, tag, energy, target, popularity = fields
+            out.topics.append(ExpectedTopic(tag, float(energy), float(target), int(popularity)))
+        elif kind == "edge" and n == 4:
+            out.edge_weights[(fields[1], fields[2])] = float(fields[3])
+        else:
+            raise ValueError(f"{path}: bad expected-values row at line {line_no}")
     return out

@@ -9,6 +9,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .corpus import Tweet
+from .manifest import read_rows, write_lines
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -158,30 +159,17 @@ def load_stopwords(path: str | Path) -> set[str]:
 
 def save_catalog(topics: Sequence[Topic], path: str | Path) -> int:
     """Persist ``hashtag<TAB>popularity<TAB>start_time<TAB>phrase1,...`` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for topic in topics:
-            phrases = ",".join(topic.key_phrases)
-            fh.write(f"{topic.hashtag}\t{topic.popularity}\t{topic.start_time}\t{phrases}\n")
-    return len(topics)
+    return write_lines(
+        (
+            f"{t.hashtag}\t{t.popularity}\t{t.start_time}\t{','.join(t.key_phrases)}"
+            for t in topics
+        ),
+        path,
+    )
 
 
 def load_catalog(path: str | Path) -> list[Topic]:
-    topics: list[Topic] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ValueError(f"{path}: bad catalog row at line {line_no}")
-            hashtag, popularity, start_time, phrases = fields
-            topics.append(
-                Topic(
-                    hashtag=hashtag,
-                    start_time=int(start_time),
-                    popularity=int(popularity),
-                    key_phrases=tuple(p for p in phrases.split(",") if p),
-                )
-            )
-    return topics
+    return [
+        Topic(hashtag, int(start_time), int(popularity), tuple(p for p in phrases.split(",") if p))
+        for _, (hashtag, popularity, start_time, phrases) in read_rows(path, 4, "catalog")
+    ]

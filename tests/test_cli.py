@@ -375,6 +375,40 @@ def test_rejected_stage_exits_1_and_writes_nothing(pipeline_dir, tmp_path, capsy
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("argv, message, removed", [
+    pytest.param(("train", "--gaps", "1,100000", "--seed", "8"),
+                 "need at least 2 topics to split", None, id="train-gap-with-one-topic"),
+    pytest.param(("train", "--gaps", "1,0", "--seed", "8"),
+                 "gap must be a positive integer", None, id="train-gap-0"),
+    # rewritten, gap 1's residuals would not differ: removed, they must stay absent
+    pytest.param(("evaluate", "--gaps", "1,2"), "no recorded split for gap 2; run train first",
+                 "residuals_linear_gap1.tsv", id="evaluate-gap-without-split"),
+])
+def test_a_failing_later_gap_leaves_the_earlier_gaps_files(
+    pipeline_dir, tmp_path, capsys, argv, message, removed
+):
+    # every gap runs before any file is written, so gap 1's model and log
+    # from another seed cannot replace the earlier run's
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dir, out)
+    if removed:
+        (out / removed).unlink()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert run(argv[0], "--out", out, *argv[1:]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert run("evaluate", "--out", out, "--predictor", "linear") == 0
+
+
+def test_each_recorded_output_has_as_many_rows_as_lines(pipeline_dir):
+    stages = json.loads((pipeline_dir / "manifest.json").read_text())["stages"]
+    for stage, entry in stages.items():
+        for name, meta in entry["outputs"].items():
+            lines = (pipeline_dir / name).read_bytes().count(b"\n")
+            assert meta["rows"] == lines, (stage, name)
+
+
 def test_topics_without_key_phrases_exits_1_and_writes_no_catalog(pipeline_dir, tmp_path, capsys):
     out = tmp_path / "run"
     shutil.copytree(pipeline_dir, out)

@@ -1,5 +1,6 @@
 """Predictor tests: predictions, gradients, SGD training and evaluation."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -582,6 +583,29 @@ def test_model_files_round_trip(tmp_path):
     assert loaded.edges == edge.edges
     assert np.array_equal(loaded.weight_values, edge.weight_values)
     assert loaded.rho == edge.rho
+
+
+def test_save_model_returns_its_line_count(tmp_path):
+    path = tmp_path / "edge.tsv"
+    assert save_model(EdgeModel(EDGES, np.zeros(3), rho=0.0), path) == 5
+    assert len(path.read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "missing kind header"),
+    ("kind\n", "missing kind header"),
+    ("kind\tlinear\n1.0\n", "malformed linear model"),
+    ("kind\tlinear\n1.0\t2.0\t3.0\n", "malformed linear model"),
+    ("kind\tedge\na\tb\t1.0\n", "malformed edge model"),
+    ("kind\tedge\na\tb\nrho\t0.5\n", "malformed edge model"),
+    ("kind\tedge\na\tb\t1.0\nrho\t0.5\t1\n", "malformed edge model"),
+    ("kind\tcubic\n", "unknown model kind 'cubic'"),
+])
+def test_malformed_model_file_rejected(tmp_path, text, message):
+    path = tmp_path / "model.tsv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_model(path)
 
 
 def test_make_samples_total_matches_community_energy():

@@ -1,6 +1,7 @@
 """Statistics tests: definition-level oracles and quadrature for p-values."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -247,6 +248,22 @@ class TestRse:
     def test_extreme_magnitudes(self, scale):
         # unscaled, the squares underflow to 0 at 1e-200 and overflow at 1e200
         assert rse([2 * scale, 0.0], [scale, -scale]) == 1.0
+
+    def test_residuals_whose_squares_sum_past_the_float_range(self):
+        # each squared residual is finite but their sum is not: the exact ratio
+        actual = [0.99, -0.99, 0.99, -0.99]
+        mean = Fraction(math.fsum(actual)) / 4
+        num = sum((Fraction(1e154) - Fraction(a)) ** 2 for a in actual)
+        den = sum((Fraction(a) - mean) ** 2 for a in actual)
+        assert rse([1e154] * 4, actual) == float(num / den) == 1.020304050607081e308
+
+    @pytest.mark.parametrize("pred, actual", [
+        ([2.6e154, -2.6e154], [1.0, -1.0]),
+        # scaling the predictions by the actuals' 2^996 overflows
+        ([1e10, 0.0], [1e-300, -1e-300]),
+    ])
+    def test_ratio_past_the_float_range_is_inf(self, pred, actual):
+        assert rse(pred, actual) == math.inf
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(3)
