@@ -115,13 +115,21 @@ def _out_meta(path: Path, rows: int) -> dict:
     return {"digest": file_digest(path), "rows": rows}
 
 
-def _csv_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v != ""]
+def _csv_ints(text: str, flag: str) -> list[int]:
+    """The integers of ``flag``'s comma list; the error for an item that is none names both."""
+    values = []
+    for item in text.split(","):
+        if item != "":
+            try:
+                values.append(int(item))
+            except ValueError:
+                raise ValueError(f"{flag} lists {item!r}, which is not an integer") from None
+    return values
 
 
 def _gaps(text: str) -> list[int]:
     """The ``--gaps`` list; each gap is one dataset, so it must name each once."""
-    gaps = _csv_ints(text)
+    gaps = _csv_ints(text, "--gaps")
     if not gaps:
         raise ValueError(f"--gaps lists no gap: {text!r}")
     for gap in gaps:
@@ -226,7 +234,10 @@ def cmd_synth(stage: Stage, args) -> int:
             alpha=args.alpha, beta=args.beta, noise_sigma=args.noise_sigma
         )
     elif args.planted == "edge-weights":
-        lo, hi = (float(v) for v in args.weight_range.split(","))
+        try:
+            lo, hi = (float(v) for v in args.weight_range.split(","))
+        except ValueError:
+            raise ValueError(f"--weight-range needs lo,hi: {args.weight_range!r}") from None
         planted = synth.PlantedEdgeWeights(
             weight_lo=lo, weight_hi=hi, rho=args.rho, noise_sigma=args.noise_sigma
         )
@@ -258,7 +269,7 @@ def cmd_synth(stage: Stage, args) -> int:
 
 
 def cmd_ingest(stage: Stage, args) -> int:
-    bounds = _csv_ints(args.window)
+    bounds = _csv_ints(args.window, "--window")
     if len(bounds) != 4:
         raise ValueError("--window needs train_start,train_end,test_start,test_end")
     window = CorpusWindow(*bounds)
@@ -358,23 +369,14 @@ def cmd_sentiment(stage: Stage, args) -> int:
 
 def cmd_energy(stage: Stage, args) -> int:
     community, catalog, vectors_by_topic = stage.features()
-    models = [EnergyModel(args.model)] if args.model else list(EnergyModel)
-    functions = [EnergyFunction(args.function)] if args.function else list(EnergyFunction)
-    combos = sorted(
-        ((m, f) for m in models for f in functions),
-        key=lambda mf: (mf[0].value, mf[1].value),
-    )
     energies = [
-        community_energy(
-            community, vectors_by_topic.get(t.hashtag, {}), model, function, topic=t.hashtag
-        )
+        e
         for t in catalog
-        for model, function in combos
+        for e in community_energy(community, vectors_by_topic.get(t.hashtag, {}), t.hashtag)
     ]
     rows = stage.write(ENERGIES_FILE, save_energy_report, energies)
     stage.record("energy", args)
-    print(f"energy: {rows} rows ({len(combos)} model/function combos) -> "
-          f"{stage.out / ENERGIES_FILE}")
+    print(f"energy: {rows} rows -> {stage.out / ENERGIES_FILE}")
     return 0
 
 
@@ -543,12 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("sentiment", cmd_sentiment, "compute per-user topic sentiment vectors")
 
-    p = add("energy", cmd_energy, "compute community sentiment energies")
-    # literals, so that parsing imports nothing: tests pin them to the enums
-    p.add_argument("--model", choices=["mrf", "entropy"], default=None,
-                   help="restrict to one model (default: all)")
-    p.add_argument("--function", choices=["cosine", "avglen"], default=None,
-                   help="restrict to one energy function (default: all)")
+    add("energy", cmd_energy, "compute community energies under every model and function")
 
     p = add("correlate", cmd_correlate, "correlate energies with popularity per gap")
     p.add_argument("--gaps", required=True, help="comma list of popularity gaps")
@@ -556,6 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("train", cmd_train, "train popularity predictors per gap dataset")
     p.add_argument("--gaps", required=True)
     p.add_argument("--predictor", choices=["linear", "edge"], default="linear")
+    # literals, so that parsing imports nothing: tests pin them to the enums
     p.add_argument("--function", choices=["cosine", "avglen"], default="cosine")
     p.add_argument("--eta", type=float, default=0.01)
     p.add_argument("--epochs", type=int, default=500,

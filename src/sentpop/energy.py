@@ -95,15 +95,19 @@ def binary_entropy(p: float) -> float:
     return float(-(p * np.log(p) + (1.0 - p) * np.log(1.0 - p)) / np.log(2.0))
 
 
+def _vector_length(vectors: Mapping[str, np.ndarray]) -> int:
+    """The length of the first vector, or 1 when there is none."""
+    for vec in vectors.values():
+        return int(np.asarray(vec).shape[0])
+    return 1
+
+
 def _member_matrix(
     community: CommunityGraph, vectors: Mapping[str, np.ndarray]
 ) -> np.ndarray:
     """Stack member vectors in index row order; silent users get zero rows."""
     row = community.index.row
-    m = 1
-    for vec in vectors.values():
-        m = int(np.asarray(vec).shape[0])
-        break
+    m = _vector_length(vectors)
     matrix = np.zeros((len(row), m), dtype=np.float64)
     for user, vec in vectors.items():
         i = row.get(user)
@@ -142,19 +146,19 @@ def per_edge_energies(
     return list(index.edges), values
 
 
-def per_edge_probabilities(
-    community: CommunityGraph,
-    vectors: Mapping[str, np.ndarray],
-    function: EnergyFunction,
-) -> tuple[list[Edge], np.ndarray]:
-    edges, values = per_edge_energies(community, vectors, function)
-    if function == EnergyFunction.AVGLEN and len(edges) > 0:
-        m = 1
-        for vec in vectors.values():
-            m = int(np.asarray(vec).shape[0])
-            break
-        values = np.clip(values / np.sqrt(m), 0.0, 1.0)
-    return edges, values
+def _mrf_value(values: np.ndarray) -> float:
+    return float(np.sum(values))
+
+
+def _entropy_value(values: np.ndarray, function: EnergyFunction, m: int) -> float:
+    """Total binary entropy, in bits, of the energies as probabilities (see edge_probability)."""
+    p = values
+    if function == EnergyFunction.AVGLEN:
+        p = np.clip(values / np.sqrt(m), 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = -(p * np.log(p) + (1.0 - p) * np.log1p(-p)) / np.log(2.0)
+    terms = np.where((p <= 0.0) | (p >= 1.0), 0.0, terms)
+    return float(np.sum(terms))
 
 
 def community_energy_mrf(
@@ -165,12 +169,7 @@ def community_energy_mrf(
 ) -> CommunityEnergy:
     """Sum of pairwise clique energies over the community edge set."""
     _, values = per_edge_energies(community, vectors, function)
-    return CommunityEnergy(
-        topic=topic,
-        model=EnergyModel.MRF,
-        function=function,
-        value=float(np.sum(values)),
-    )
+    return CommunityEnergy(topic, EnergyModel.MRF, function, _mrf_value(values))
 
 
 def community_energy_entropy(
@@ -180,28 +179,25 @@ def community_energy_entropy(
     topic: str = "",
 ) -> CommunityEnergy:
     """Total binary entropy, in bits, of per-edge communication probabilities."""
-    _, p = per_edge_probabilities(community, vectors, function)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = -(p * np.log(p) + (1.0 - p) * np.log1p(-p)) / np.log(2.0)
-    terms = np.where((p <= 0.0) | (p >= 1.0), 0.0, terms)
-    return CommunityEnergy(
-        topic=topic,
-        model=EnergyModel.ENTROPY,
-        function=function,
-        value=float(np.sum(terms)),
-    )
+    _, values = per_edge_energies(community, vectors, function)
+    value = _entropy_value(values, function, _vector_length(vectors))
+    return CommunityEnergy(topic, EnergyModel.ENTROPY, function, value)
 
 
 def community_energy(
     community: CommunityGraph,
     vectors: Mapping[str, np.ndarray],
-    model: EnergyModel,
-    function: EnergyFunction,
     topic: str = "",
-) -> CommunityEnergy:
-    if model == EnergyModel.MRF:
-        return community_energy_mrf(community, vectors, function, topic)
-    return community_energy_entropy(community, vectors, function, topic)
+) -> list[CommunityEnergy]:
+    """The topic's energy under every model and function, from one per-edge pass per function."""
+    m = _vector_length(vectors)
+    energies = []
+    for function in EnergyFunction:
+        _, values = per_edge_energies(community, vectors, function)
+        entropy = _entropy_value(values, function, m)
+        energies.append(CommunityEnergy(topic, EnergyModel.MRF, function, _mrf_value(values)))
+        energies.append(CommunityEnergy(topic, EnergyModel.ENTROPY, function, entropy))
+    return energies
 
 
 def save_energy_report(energies: Sequence[CommunityEnergy], path: str | Path) -> int:

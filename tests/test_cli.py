@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -155,7 +156,7 @@ def test_manifest_records_stages_and_digests(pipeline_dir):
             "first_month_end": w.test_start + (w.test_end - w.test_start) // 2,
         },
         "sentiment": {},
-        "energy": {"model": None, "function": None},
+        "energy": {},
         "correlate": {"gaps": [1, 3]},
         "train:linear": {
             "predictor": "linear", "function": "cosine", "gaps": [1], "eta": 0.01,
@@ -356,6 +357,8 @@ _BAD_L2 = "l2 must be finite and non-negative"
     pytest.param(("train", "--gaps", ","), _EMPTY_GAPS, id="train-empty-gaps"),
     pytest.param(("evaluate", "--gaps", ","), _EMPTY_GAPS, id="evaluate-empty-gaps"),
     pytest.param(("correlate", "--gaps", "1,1"), _REPEATED_GAP, id="correlate-repeated-gap"),
+    pytest.param(("correlate", "--gaps", "1,x"), "--gaps lists 'x', which is not an integer",
+                 id="correlate-gaps-not-integer"),
     pytest.param(("train", "--gaps", "1,1"), _REPEATED_GAP, id="train-repeated-gap"),
     pytest.param(("evaluate", "--gaps", "1,1"), _REPEATED_GAP, id="evaluate-repeated-gap"),
     pytest.param(("train", "--gaps", "1", "--l2", "nan"), _BAD_L2, id="train-l2-nan"),
@@ -373,6 +376,41 @@ def test_rejected_stage_exits_1_and_writes_nothing(pipeline_dir, tmp_path, capsy
     assert capsys.readouterr().err == f"error: {message}\n"
     # the manifest, models and logs of the earlier run are untouched
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("ingest", "--corpus", "corpus.tsv", "--lexicon", "lexicon.tsv",
+                  "--window", "0,1,2,x"), "--window lists 'x', which is not an integer",
+                 id="ingest-window-not-integer"),
+    pytest.param(("synth", "--planted", "edge-weights", "--weight-range", "1"),
+                 "--weight-range needs lo,hi: '1'", id="synth-weight-range-one-value"),
+])
+def test_malformed_list_flag_exits_1_and_writes_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run(argv[0], "--out", out, *argv[1:]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of each ``sentpop`` line in the README's bash blocks."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["sentpop"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert commands
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv, message, removed", [
@@ -648,7 +686,18 @@ def test_linear_train_without_the_mrf_row_of_its_function_exits_1_and_writes_not
     out = tmp_path / "run"
     _run_through_topics(out)
     assert run("sentiment", "--out", out) == 0
-    assert run("energy", "--out", out, "--function", "avglen") == 0
+    assert run("energy", "--out", out) == 0
+    # as an energy run restricted to avglen left it, under the record it wrote
+    energies = out / "energies.tsv"
+    lines = [line for line in energies.read_text().splitlines(keepends=True)
+             if "\tmrf\tcosine\t" not in line]
+    energies.write_text("".join(lines))
+    manifest_path = out / "manifest.json"
+    data = json.loads(manifest_path.read_text())
+    data["stages"]["energy"]["outputs"]["energies.tsv"] = {
+        "digest": sentpop.manifest.file_digest(energies), "rows": len(lines)
+    }
+    manifest_path.write_text(json.dumps(data))
     first = (out / "catalog.tsv").read_text().split("\t", 1)[0]
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()

@@ -1,9 +1,12 @@
 """Clique energy and community energy tests against scalar-loop oracles."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentpop.energy import (
     EnergyFunction,
@@ -11,6 +14,7 @@ from sentpop.energy import (
     binary_entropy,
     clique_energy_avglen,
     clique_energy_cosine,
+    community_energy,
     community_energy_entropy,
     community_energy_mrf,
     edge_probability,
@@ -231,6 +235,31 @@ class TestCommunityEnergy:
             + community_energy_mrf(part2, vectors, EnergyFunction.COSINE).value
         )
         assert total == pytest.approx(split, abs=1e-9)
+
+
+@st.composite
+def _communities_and_vectors(draw):
+    """A community of 1 to 8 members, edgeless or not, and vectors for some or none."""
+    m = draw(st.integers(1, 12))
+    names = [f"v{i}" for i in range(draw(st.integers(1, 8)))]
+    pairs = list(itertools.combinations(names, 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    vector = st.lists(st.floats(-1, 1), min_size=m, max_size=m).map(np.array)
+    vectors = draw(st.dictionaries(st.sampled_from(names), vector))
+    return _community(edges, extra_members=names), vectors
+
+
+@settings(max_examples=80, deadline=None)
+@given(_communities_and_vectors())
+def test_community_energy_is_each_reduction_once_bit_for_bit(case):
+    c, vectors = case
+    got = community_energy(c, vectors, topic="t")
+    pairs = [(e.model, e.function) for e in got]
+    assert sorted(pairs) == sorted(itertools.product(EnergyModel, EnergyFunction))
+    for e in got:
+        reduce = community_energy_mrf if e.model is EnergyModel.MRF else community_energy_entropy
+        assert e.topic == "t"
+        assert e.value.hex() == reduce(c, vectors, e.function).value.hex()
 
 
 class TestPairwiseProperties:
