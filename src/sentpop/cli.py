@@ -117,13 +117,17 @@ def _out_meta(path: Path, rows: int) -> dict:
 
 def _csv_ints(text: str, flag: str) -> list[int]:
     """The integers of ``flag``'s comma list; the error for an item that is none names both."""
+    items = text.split(",")
+    if not any(items):
+        return []  # "" and "," list nothing: the caller says what it needed
     values = []
-    for item in text.split(","):
-        if item != "":
-            try:
-                values.append(int(item))
-            except ValueError:
-                raise ValueError(f"{flag} lists {item!r}, which is not an integer") from None
+    for item in items:
+        if not item:
+            raise ValueError(f"{flag} has an empty item: {text!r}")
+        try:
+            values.append(int(item))
+        except ValueError:
+            raise ValueError(f"{flag} lists {item!r}, which is not an integer") from None
     return values
 
 

@@ -105,8 +105,8 @@ def _vector_length(vectors: Mapping[str, np.ndarray]) -> int:
 def _member_matrix(
     community: CommunityGraph, vectors: Mapping[str, np.ndarray]
 ) -> np.ndarray:
-    """Stack member vectors in index row order; silent users get zero rows."""
-    row = community.index.row
+    """Stack member vectors in member row order; silent users get zero rows."""
+    row = community.row
     m = _vector_length(vectors)
     matrix = np.zeros((len(row), m), dtype=np.float64)
     for user, vec in vectors.items():
@@ -123,17 +123,18 @@ def per_edge_energies(
     community: CommunityGraph,
     vectors: Mapping[str, np.ndarray],
     function: EnergyFunction,
-) -> tuple[list[Edge], np.ndarray]:
-    """Pairwise energies for every community edge, in sorted edge order.
+) -> tuple[tuple[Edge, ...], np.ndarray]:
+    """Pairwise energies for every community edge, in the community's sorted edge order.
 
     The fixed order makes downstream sums reproducible run-to-run and is the
-    feature layout shared with the per-edge popularity predictor.
+    feature layout shared with the per-edge popularity predictor. The edges
+    returned are ``community.edges`` itself.
     """
-    index = community.index
-    if not index.edges:
-        return [], np.zeros(0, dtype=np.float64)
+    edges = community.edges
+    if not edges:
+        return edges, np.zeros(0, dtype=np.float64)
     matrix = _member_matrix(community, vectors)
-    i_idx, j_idx = index.i_idx, index.j_idx
+    i_idx, j_idx = community.i_idx, community.j_idx
     norms = np.linalg.norm(matrix, axis=1)
     if function == EnergyFunction.COSINE:
         dots = np.einsum("ij,ij->i", matrix[i_idx], matrix[j_idx])
@@ -143,7 +144,7 @@ def per_edge_energies(
         values = np.clip(values, 0.0, 1.0)
     else:
         values = (norms[i_idx] + norms[j_idx]) / 2.0
-    return list(index.edges), values
+    return edges, values
 
 
 def _mrf_value(values: np.ndarray) -> float:

@@ -41,52 +41,43 @@ class SocialGraph:
         return adj
 
 
-@dataclass(frozen=True, eq=False)
-class CommunityIndex:
-    """Sorted members and edges of a community, with edges as member rows.
-
-    ``row`` maps each member to its position in ``members``, and ``i_idx[k]``
-    and ``j_idx[k]`` are the rows of the two endpoints of ``edges[k]``. The
-    arrays are read-only; ``row`` is shared and must not be modified.
-    """
-
-    members: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    row: dict[str, int]
-    i_idx: np.ndarray
-    j_idx: np.ndarray
-
-
 @dataclass(frozen=True)
 class CommunityGraph:
     """Subgraph induced on every user within ``max_depth`` hops of ``seed``.
 
-    Immutable: ``members`` and ``edges`` are stored as frozensets, so the
-    edge index built on first use stays valid for the object's lifetime.
+    Immutable, and its own edge index: ``members`` and ``edges`` are sorted
+    tuples, ``row`` maps each member to its position in ``members``, and
+    ``i_idx[k]`` and ``j_idx[k]`` are the rows of the two endpoints of
+    ``edges[k]``. The index attributes are built on first use and cached;
+    the arrays are read-only, and ``row`` is shared and must not be modified.
     """
 
     seed: str
     max_depth: int
-    members: frozenset[str]
-    edges: frozenset[Edge]
+    members: tuple[str, ...]
+    edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        object.__setattr__(self, "edges", frozenset(self.edges))
+        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
+        object.__setattr__(self, "edges", tuple(sorted(set(self.edges))))
 
     @cached_property
-    def index(self) -> CommunityIndex:
-        members = tuple(sorted(self.members))
-        row = {user: i for i, user in enumerate(members)}
-        edges = tuple(sorted(self.edges))
-        i_idx = np.array([row[a] for a, _ in edges], dtype=np.intp)
-        j_idx = np.array([row[b] for _, b in edges], dtype=np.intp)
-        i_idx.flags.writeable = False
-        j_idx.flags.writeable = False
-        return CommunityIndex(members, edges, row, i_idx, j_idx)
+    def row(self) -> dict[str, int]:
+        return {user: i for i, user in enumerate(self.members)}
 
-    def sorted_edges(self) -> list[Edge]:
-        return list(self.index.edges)
+    @cached_property
+    def i_idx(self) -> np.ndarray:
+        return self._endpoint_rows(0)
+
+    @cached_property
+    def j_idx(self) -> np.ndarray:
+        return self._endpoint_rows(1)
+
+    def _endpoint_rows(self, end: int) -> np.ndarray:
+        row = self.row
+        rows = np.array([row[edge[end]] for edge in self.edges], dtype=np.intp)
+        rows.flags.writeable = False
+        return rows
 
 
 def build_graph(tweets: Iterable[Tweet]) -> SocialGraph:

@@ -55,16 +55,6 @@ class EdgeModel:
         if self.weight_values.shape != (len(self.edges),):
             raise ValueError("one weight per edge required")
 
-    @property
-    def weights(self) -> dict[Edge, float]:
-        return {e: float(w) for e, w in zip(self.edges, self.weight_values)}
-
-    @classmethod
-    def from_weights(cls, weights: Mapping[Edge, float], rho: float) -> "EdgeModel":
-        edges = tuple(sorted(weights))
-        values = np.array([weights[e] for e in edges], dtype=np.float64)
-        return cls(edges=edges, weight_values=values, rho=rho)
-
 
 @dataclass(frozen=True, eq=False)
 class TopicSample:
@@ -123,12 +113,11 @@ def make_samples(
     topics: Sequence[Topic],
     function: EnergyFunction = EnergyFunction.COSINE,
 ) -> list[TopicSample]:
-    """Build per-topic feature samples over the community's (sorted) edge set."""
-    edges = community.index.edges
+    """Build per-topic feature samples over the community's sorted edges."""
     samples = []
     for topic in topics:
         vectors = vectors_by_topic.get(topic.hashtag, {})
-        _, values = per_edge_energies(community, vectors, function)
+        edges, values = per_edge_energies(community, vectors, function)
         samples.append(
             TopicSample(
                 topic=topic.hashtag,
@@ -349,6 +338,10 @@ def load_model(path: str | Path) -> LinearModel | EdgeModel:
         body, rho = rows[1:-1], rows[-1]
         if len(rows) < 2 or rho[0] != "rho" or len(rho) != 2 or any(len(r) != 3 for r in body):
             raise ValueError(f"{path}: malformed edge model")
-        weights = {(a, b): float(w) for a, b, w in body}
-        return EdgeModel.from_weights(weights, float(rho[1]))
+        edges = tuple((a, b) for a, b, _ in body)
+        # save_model writes the rows in sorted edge order, each edge once
+        if any(e >= f for e, f in zip(edges, edges[1:])):
+            raise ValueError(f"{path}: malformed edge model")
+        weights = np.array([float(w) for _, _, w in body], dtype=np.float64)
+        return EdgeModel(edges, weights, float(rho[1]))
     raise ValueError(f"{path}: unknown model kind {kind!r}")

@@ -121,8 +121,9 @@ def _scale_to_unit(values: list[float]) -> list[float]:
 def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     """Product-moment correlation with a two-tailed significance p-value.
 
-    Requires n >= 3 and non-constant series. The p-value comes from
-    t = r sqrt((n-2) / (1-r^2)) against the t distribution with n-2 dof.
+    Requires n >= 3 finite values per series, neither series constant. The
+    p-value comes from t = r sqrt((n-2) / (1-r^2)) against the t
+    distribution with n-2 dof.
     The means and the sums of squares and products are correctly rounded
     (``math.fsum``), in Python floats: the ``correlate`` stage loads no numpy.
     Each series is first scaled by a power of two into [-1, 1], so squares
@@ -134,6 +135,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     n = len(xs)
     if n < 3:
         raise ValueError("pearson requires at least 3 samples")
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError("pearson is undefined for a NaN or infinite value")
     # a rounded mean can differ from every value of a constant series
     if min(xs) == max(xs) or min(ys) == max(ys):
         raise ValueError("pearson is undefined for a constant series")

@@ -273,7 +273,6 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
     n_train_tweets = write_lines(train_lines(), corpus_tmp)
     graph = build_graph(train_tweets())
     community = extract_community(graph, seed_user, config.max_depth)
-    community_edges: list[Edge] = community.sorted_edges()
 
     topics = [
         Topic(
@@ -288,7 +287,7 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
     # each row, bit for bit, so otherwise only those are kept.
     plant_edges = isinstance(config.planted, PlantedEdgeWeights)
     if plant_edges:
-        edge_energy_matrix = np.zeros((config.n_topics, len(community_edges)))
+        edge_energy_matrix = np.zeros((config.n_topics, len(community.edges)))
     energies = np.zeros(config.n_topics)
     for k, topic in enumerate(topics):
         vectors = vectors_by_topic[topic.hashtag]
@@ -307,7 +306,7 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
         noise_sigma = config.planted.noise_sigma
     else:
         omegas = rng.uniform(
-            config.planted.weight_lo, config.planted.weight_hi, len(community_edges)
+            config.planted.weight_lo, config.planted.weight_hi, len(community.edges)
         )
         exact = edge_energy_matrix @ omegas + config.planted.rho
         noise_sigma = config.planted.noise_sigma
@@ -390,7 +389,7 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
     param("test_start", window.test_start)
     param("test_end", window.test_end)
     param("first_month_end", FIRST_TEST_MONTH_END)
-    param("n_community_edges", len(community_edges))
+    param("n_community_edges", len(community.edges))
     param("n_train_tweets", n_train_tweets)
     param("n_test_tweets", n_test_tweets)
     if isinstance(config.planted, PlantedLinear):
@@ -403,7 +402,7 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
             f"topic\t{_hashtag(k)}\t{float(energies[k])!r}\t{float(exact[k])!r}\t{int(pops[k])}"
         )
     if omegas is not None:
-        for (a, b), w in zip(community_edges, omegas):
+        for (a, b), w in zip(community.edges, omegas):
             rows.append(f"edge\t{a}\t{b}\t{float(w)!r}")
     atomic_write_text(expected_path, "\n".join(rows) + "\n")
 

@@ -382,6 +382,12 @@ def test_rejected_stage_exits_1_and_writes_nothing(pipeline_dir, tmp_path, capsy
     pytest.param(("ingest", "--corpus", "corpus.tsv", "--lexicon", "lexicon.tsv",
                   "--window", "0,1,2,x"), "--window lists 'x', which is not an integer",
                  id="ingest-window-not-integer"),
+    pytest.param(("ingest", "--corpus", "corpus.tsv", "--lexicon", "lexicon.tsv",
+                  "--window", "0,,10368000,10368000,15552000"),
+                 "--window has an empty item: '0,,10368000,10368000,15552000'",
+                 id="ingest-window-empty-item"),
+    pytest.param(("train", "--gaps", "1,,10"), "--gaps has an empty item: '1,,10'",
+                 id="train-gaps-empty-item"),
     pytest.param(("synth", "--planted", "edge-weights", "--weight-range", "1"),
                  "--weight-range needs lo,hi: '1'", id="synth-weight-range-one-value"),
 ])
@@ -529,7 +535,7 @@ def test_edge_predictor_roundtrip(tmp_path):
     assert run("evaluate", "--out", out, "--predictor", "edge") == 0
     model = load_model(out / "model_edge_gap1.tsv")
     community_rows = (out / "community.tsv").read_text().splitlines()
-    assert len(model.weights) == len(community_rows)
+    assert len(model.edges) == len(community_rows)
 
 
 def test_predictors_trained_on_different_gaps_both_evaluate(tmp_path):

@@ -223,7 +223,7 @@ class TestCommunityEnergy:
         m = 5
         c, names = _random_community(rng, 12, 20)
         vectors = _random_vectors(rng, names, m, coverage=1.0)
-        edges = c.sorted_edges()
+        edges = c.edges
         half = len(edges) // 2
         from sentpop.graph import CommunityGraph
 
@@ -294,7 +294,7 @@ def test_per_edge_energies_order_is_sorted_edges():
     c = _community([("b", "c"), ("a", "b")])
     vectors = {"a": np.ones(2), "b": np.ones(2), "c": np.ones(2)}
     edges, values = per_edge_energies(c, vectors, EnergyFunction.COSINE)
-    assert edges == [("a", "b"), ("b", "c")]
+    assert edges is c.edges == (("a", "b"), ("b", "c"))
     assert values == pytest.approx([1.0, 1.0], abs=1e-12)
 
 

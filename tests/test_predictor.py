@@ -599,6 +599,9 @@ def test_save_model_returns_its_line_count(tmp_path):
     ("kind\tedge\na\tb\t1.0\n", "malformed edge model"),
     ("kind\tedge\na\tb\nrho\t0.5\n", "malformed edge model"),
     ("kind\tedge\na\tb\t1.0\nrho\t0.5\t1\n", "malformed edge model"),
+    # save_model writes each edge once, in sorted order
+    ("kind\tedge\na\tb\t1.0\na\tb\t2.0\nrho\t0.5\n", "malformed edge model"),
+    ("kind\tedge\nb\tc\t1.0\na\tb\t2.0\nrho\t0.5\n", "malformed edge model"),
     ("kind\tcubic\n", "unknown model kind 'cubic'"),
 ])
 def test_malformed_model_file_rejected(tmp_path, text, message):

@@ -104,6 +104,16 @@ class TestPearson:
         x2, y2 = ([math.ldexp(v, power) for v in s] for s in (x, y))
         assert pearson(x2, y) == pearson(x, y2) == pearson(x2, y2) == pearson(x, y)
 
+    @pytest.mark.parametrize("x,y", [
+        ([math.nan, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]),  # was r = 1.0, "Perfect"
+        ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, math.nan, 4.0]),
+        ([math.inf, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]),  # was "-inf + inf in fsum"
+        ([1.0, 2.0, 3.0, 4.0], [1.0, -math.inf, 3.0, 4.0]),
+    ])
+    def test_non_finite_value_rejected(self, x, y):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            pearson(x, y)
+
     @pytest.mark.parametrize("x,y,message", [
         (np.ones((3, 2)), [1.0, 2.0, 3.0], "x must be one-dimensional"),
         ([1.0, 2.0, 3.0], [[1.0], [2.0], [3.0]], "y must be one-dimensional"),

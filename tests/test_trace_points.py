@@ -63,3 +63,10 @@ def test_traced_stages_pass_through_the_wrapped_helpers(tmp_path):
                                 "--gaps", "1")
     assert {"energy.community_energy", "energy.load_energy_report", "stats.pearson",
             "energy.per_edge_energies"} <= names
+    # the edge predictor: samples from the community's edges, model files in that order
+    names = _traced_span_names(tmp_path / "train.json", "train", "--out", out, "--gaps", "1",
+                               "--predictor", "edge", "--epochs", "5")
+    names |= _traced_span_names(tmp_path / "evaluate.json", "evaluate", "--out", out,
+                                "--gaps", "1", "--predictor", "edge")
+    assert {"predictor.make_samples", "predictor.train", "predictor.load_model",
+            "predictor.evaluate", "energy.per_edge_energies", "io.save_model"} <= names
