@@ -53,7 +53,6 @@ _EXPORTS = {
         "Strength",
         "classify_strength",
         "pearson",
-        "r_squared",
         "rse",
     ),
     "topics": (

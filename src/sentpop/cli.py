@@ -26,6 +26,7 @@ from .corpus import (
     load_lexicon,
     open_corpus,
     parse_tweet_line,
+    save_lexicon,
     stream_corpus,
 )
 from .manifest import RunManifest, StaleArtifactError, atomic_write, file_digest, read_rows
@@ -102,6 +103,7 @@ def __getattr__(name: str):
 
 
 NORMALIZED_CORPUS = "corpus_normalized.tsv"
+NORMALIZED_LEXICON = "lexicon_normalized.tsv"
 GRAPH_FILE = "graph.tsv"
 COMMUNITY_FILE = "community.tsv"
 CATALOG_FILE = "catalog.tsv"
@@ -159,15 +161,16 @@ class Stage:
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, dict] = {}
 
-    def read(
-        self, path_or_name: str | Path, reader: str | None = None, required: bool = True
-    ) -> Path:
-        """Verify an artifact of the run (by name) or any file (by ``Path``); return its path.
+    def read(self, path_or_name: str | Path) -> Path:
+        """Verify an artifact of the run (by name) or an outside file (by ``Path``).
 
-        The digest that was checked is the one the stage records for it.
+        An artifact must have a record; an outside file, which only this stage
+        reads, needs none. The digest that was checked is the one the stage
+        records for it. Returns the path.
         """
-        path = path_or_name if isinstance(path_or_name, Path) else self.out / path_or_name
-        self.inputs[str(path)] = self.manifest.verify_input(path, reader, required)
+        required = isinstance(path_or_name, str)
+        path = self.out / path_or_name if required else path_or_name
+        self.inputs[str(path)] = self.manifest.verify_input(path, required)
         return path
 
     def write(self, name: str, save, data) -> int:
@@ -184,11 +187,10 @@ class Stage:
         self.manifest.record_stage(name, config, self.inputs, self.outputs)
 
     def corpus(self):
-        """The normalized corpus path, the lexicon and the window that ``ingest`` recorded."""
-        cfg = self.manifest.stage_config("ingest")
-        lexicon_path = self.read((self.manifest.root / cfg["lexicon"]).resolve(), reader="ingest")
+        """The normalized corpus path and lexicon, and the window that ``ingest`` recorded."""
+        window = CorpusWindow(*self.manifest.stage_config("ingest")["window"])
         corpus_path = self.read(NORMALIZED_CORPUS)
-        return corpus_path, load_lexicon(lexicon_path), CorpusWindow(*cfg["window"])
+        return corpus_path, load_lexicon(self.read(NORMALIZED_LEXICON)), window
 
     def features(self, vectors: bool = True):
         """The community, the catalog and (if ``vectors``) the vectors by topic, else None."""
@@ -302,13 +304,13 @@ def cmd_ingest(stage: Stage, args) -> int:
         # that every recorded input was read under its writer's digest. This
         # runs after the last line and before the rename, so a stale input,
         # like a malformed line, leaves the earlier artifact in place.
-        stage.read(Path(args.corpus), required=False)
-        stage.read(Path(args.lexicon), required=False)
+        stage.read(Path(args.corpus))
+        stage.read(Path(args.lexicon))
 
     rows = stage.write(NORMALIZED_CORPUS, _write_lines, kept())
-    # relative to the run directory, so later stages find it from any directory
-    lexicon = os.path.relpath(Path(args.lexicon).resolve(), stage.manifest.root)
-    stage.record("ingest", args, window=bounds, lexicon=lexicon)
+    # later stages read the lexicon from the run, as they read the corpus
+    stage.write(NORMALIZED_LEXICON, save_lexicon, lexicon)
+    stage.record("ingest", args, window=bounds)
     print(f"ingest: kept {rows} tweets ({dropped} outside window) -> "
           f"{stage.out / NORMALIZED_CORPUS}")
     return 0
@@ -332,7 +334,7 @@ def cmd_graph(stage: Stage, args) -> int:
 
 def cmd_topics(stage: Stage, args) -> int:
     corpus_path, lexicon, window = stage.corpus()
-    stopwords = load_stopwords(stage.read(Path(args.stopwords), required=False))
+    stopwords = load_stopwords(stage.read(Path(args.stopwords)))
     first_month_end = args.first_month_end
     if first_month_end is None:
         first_month_end = window.test_start + (window.test_end - window.test_start) // 2

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
+from .manifest import write_lines
+
 # Hashtags are paired '#...#' spans; an unpaired trailing '#' yields nothing.
 _HASHTAG_RE = re.compile(r"#([^#]+)#")
 # Mentions run from '@' to the first non-word character.
@@ -48,10 +50,9 @@ class LexiconError(ValueError):
 class EmoticonCounts(NamedTuple):
     pos: int
     neg: int
-    neu: int
 
 
-_NO_EMOTICONS = EmoticonCounts(0, 0, 0)
+_NO_EMOTICONS = EmoticonCounts(0, 0)
 
 # counting looks up only _EMOTICON_RE matches, so a lexicon token must be one
 _NOT_BRACKETED = (
@@ -76,22 +77,20 @@ class EmoticonLexicon:
         return len(self.entries)
 
     def count(self, text: str) -> EmoticonCounts:
-        """Count lexicon emoticons in ``text`` by polarity.
+        """Count the positive and negative lexicon emoticons in ``text``.
 
-        Bracketed tokens absent from the lexicon are ignored.
+        Neutral tokens and bracketed tokens absent from the lexicon are ignored.
         """
         if "[" not in text:
             return _NO_EMOTICONS
-        pos = neg = neu = 0
+        pos = neg = 0
         for token in _EMOTICON_RE.findall(text):
             polarity = self.entries.get(token)
             if polarity == "positive":
                 pos += 1
             elif polarity == "negative":
                 neg += 1
-            elif polarity == "neutral":
-                neu += 1
-        return EmoticonCounts(pos, neg, neu)
+        return EmoticonCounts(pos, neg)
 
 
 class Tweet(NamedTuple):
@@ -156,10 +155,10 @@ def parse_tweet_line(
     tweet_id, user, ts_raw, retweet_raw, text = fields
     if not tweet_id or not user:
         raise ParseError("empty id or user field", line_no)
-    try:
-        timestamp = int(ts_raw)
-    except ValueError:
-        raise ParseError(f"bad timestamp {ts_raw!r}", line_no) from None
+    # int() would also take "1_0", " +7 " and non-ASCII digits
+    if not (ts_raw.isascii() and ts_raw.removeprefix("-").isdigit()):
+        raise ParseError(f"bad timestamp {ts_raw!r}", line_no)
+    timestamp = int(ts_raw)
     retweet_of = None if retweet_raw == NO_RETWEET else retweet_raw
     if retweet_of == "":
         raise ParseError("empty retweet field (use '-' for none)", line_no)
@@ -219,6 +218,11 @@ def load_lexicon(path: str | Path) -> EmoticonLexicon:
                 raise LexiconError(f"line {line_no}: duplicate token {token!r}")
             entries[token] = polarity
     return EmoticonLexicon(entries)
+
+
+def save_lexicon(lexicon: EmoticonLexicon, path: str | Path) -> int:
+    """Write ``token<TAB>polarity`` lines sorted by token; return the row count."""
+    return write_lines((f"{t}\t{p}" for t, p in sorted(lexicon.entries.items())), path)
 
 
 def stream_corpus(

@@ -61,6 +61,10 @@ class CommunityGraph:
         object.__setattr__(self, "members", tuple(sorted(set(self.members))))
         object.__setattr__(self, "edges", tuple(sorted(set(self.edges))))
 
+    def __reduce__(self):
+        # only the fields: a copy builds its own read-only index
+        return CommunityGraph, (self.seed, self.max_depth, self.members, self.edges)
+
     @cached_property
     def row(self) -> dict[str, int]:
         return {user: i for i, user in enumerate(self.members)}

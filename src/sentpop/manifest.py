@@ -187,23 +187,16 @@ class RunManifest:
                     break
         return memo[stage]
 
-    def verify_input(
-        self, path: str | Path, reader: str | None = None, required: bool = True
-    ) -> str:
+    def verify_input(self, path: str | Path, required: bool) -> str:
         """Digest ``path`` and compare against the manifest record.
 
-        The record is the digest under which a stage last wrote ``path``, else
-        the one under which ``reader`` read it. A file that no stage wrote is
-        checked only against the stage that reads it from outside the run
-        (``reader``): the stages that merely re-verify it record it too, and
-        their older records must not outrank a rerun of its reader.
-
-        A ``required`` artifact must have a record. Without one (a manifest
-        from another directory, or from before this keying) nothing could be
+        The record is the digest under which a stage last wrote ``path``. A
+        ``required`` artifact must have one. Without it (a manifest from
+        another directory, or from before this keying) nothing could be
         verified, so the stage fails instead of reading the file unchecked. A
-        file supplied from outside the run and read by the calling stage alone
-        is not required. An artifact whose writer, or any stage upstream of
-        it, read an input that a stage has rewritten since is stale as well.
+        file from outside the run is read by one stage alone and needs no
+        record. An artifact whose writer, or any stage upstream of it, read an
+        input that a stage has rewritten since is stale as well.
         """
         path = Path(path)
         if not path.exists():
@@ -211,12 +204,10 @@ class RunManifest:
         actual = file_digest(path)
         key = self.key(path)
         writer, recorded = self._writer(key)
-        if recorded is None and reader is not None:
-            recorded = self.data["stages"].get(reader, {}).get("inputs", {}).get(key)
         if recorded is None and required:
-            rerun = reader or "the stage that writes it"
             raise StaleArtifactError(
-                f"upstream artifact {path} has no record in {self.path}; rerun {rerun}"
+                f"upstream artifact {path} has no record in {self.path}; "
+                "rerun the stage that writes it"
             )
         if recorded is not None and recorded != actual:
             raise StaleArtifactError(

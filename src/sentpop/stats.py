@@ -213,8 +213,3 @@ def rse(predicted: Sequence[float], actual: Sequence[float]) -> float:
             return float(num / sum((y - mean) ** 2 for y in exact))
         except OverflowError:
             return math.inf
-
-
-def r_squared(predicted: Sequence[float], actual: Sequence[float]) -> float:
-    """Coefficient of determination, 1 - RSE."""
-    return 1.0 - rse(predicted, actual)

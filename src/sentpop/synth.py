@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ._lazy import np
-from .corpus import CorpusWindow, EmoticonLexicon, Tweet, open_corpus, parse_tweet_line
+from .corpus import (
+    CorpusWindow,
+    EmoticonLexicon,
+    Tweet,
+    open_corpus,
+    parse_tweet_line,
+    save_lexicon,
+)
 from .manifest import atomic_write, atomic_write_text, read_rows, write_lines
 from .energy import EnergyFunction, per_edge_energies
 from .graph import Edge, build_graph, extract_community
@@ -353,10 +360,7 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
     lexicon_path = out / "lexicon.tsv"
     stopwords_path = out / "stopwords.tsv"
     expected_path = out / "expected.tsv"
-    atomic_write_text(
-        lexicon_path,
-        "".join(f"{token}\t{polarity}\n" for token, polarity in sorted(lexicon.entries.items())),
-    )
+    lexicon_rows = atomic_write(lambda tmp: save_lexicon(lexicon, tmp), lexicon_path)
     atomic_write_text(
         stopwords_path, "".join(f"{_filler(i)}\n" for i in range(_N_STOPWORDS))
     )
@@ -418,7 +422,7 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
         n_test_tweets=n_test_tweets,
         rows={
             corpus_path: n_train_tweets + n_test_tweets,
-            lexicon_path: len(lexicon),
+            lexicon_path: lexicon_rows,
             stopwords_path: _N_STOPWORDS,
             expected_path: len(rows),
         },

@@ -1,6 +1,7 @@
 """Scalar reference implementations that the library's fast paths are checked against."""
 
 import math
+import re
 from collections.abc import Sequence
 
 import numpy as np
@@ -42,10 +43,9 @@ def parse_tweet_line(line: str, lexicon: EmoticonLexicon, line_no: int | None = 
     tweet_id, user, ts_raw, retweet_raw, text = fields
     if not tweet_id or not user:
         raise ParseError("empty id or user field", line_no)
-    try:
-        timestamp = int(ts_raw)
-    except ValueError:
-        raise ParseError(f"bad timestamp {ts_raw!r}", line_no) from None
+    if re.fullmatch("-?[0-9]+", ts_raw) is None:
+        raise ParseError(f"bad timestamp {ts_raw!r}", line_no)
+    timestamp = int(ts_raw)
     retweet_of = None if retweet_raw == NO_RETWEET else retweet_raw
     if retweet_of == "":
         raise ParseError("empty retweet field (use '-' for none)", line_no)
@@ -58,9 +58,7 @@ def parse_tweet_line(line: str, lexicon: EmoticonLexicon, line_no: int | None = 
         hashtags=tuple(_HASHTAG_RE.findall(text)),
         mentions=tuple(_MENTION_RE.findall(text)),
         retweet_of=retweet_of,
-        emoticon_counts=EmoticonCounts(
-            *(polarities.count(p) for p in ("positive", "negative", "neutral"))
-        ),
+        emoticon_counts=EmoticonCounts(polarities.count("positive"), polarities.count("negative")),
     )
 
 

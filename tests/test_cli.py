@@ -133,9 +133,8 @@ def test_manifest_records_stages_and_digests(pipeline_dir):
         assert stage in stages
         assert "config_digest" in stages[stage]
     # artifacts in the run directory are keyed relative to it
-    norm = "corpus_normalized.tsv"
-    assert norm in stages["ingest"]["outputs"]
-    assert stages["ingest"]["outputs"][norm]["rows"] > 0
+    for norm in ("corpus_normalized.tsv", "lexicon_normalized.tsv"):
+        assert stages["ingest"]["outputs"][norm]["rows"] > 0, norm
     # each config is the stage's flags as parsed, with the values it resolved
     w = SYNTH_WINDOW
     out = str(pipeline_dir)
@@ -147,7 +146,7 @@ def test_manifest_records_stages_and_digests(pipeline_dir):
             "tweets_per_user": 8, "max_depth": 3,
         },
         "ingest": {
-            "corpus": f"{out}/corpus.tsv", "lexicon": "lexicon.tsv",
+            "corpus": f"{out}/corpus.tsv", "lexicon": f"{out}/lexicon.tsv",
             "window": [w.train_start, w.train_end, w.test_start, w.test_end],
         },
         "graph": {"seed_user": "u00000", "max_depth": 3},
@@ -203,9 +202,10 @@ def test_rerun_is_byte_identical(pipeline_dir):
 # every file each stage verifies; appending a byte to one must stop the stage
 VERIFIED = {
     "ingest": ("corpus.tsv", "lexicon.tsv"),
-    "graph": ("lexicon.tsv", "corpus_normalized.tsv"),
-    "topics": ("lexicon.tsv", "corpus_normalized.tsv", "stopwords.tsv"),
-    "sentiment": ("lexicon.tsv", "corpus_normalized.tsv", "community.tsv", "catalog.tsv"),
+    "graph": ("corpus_normalized.tsv", "lexicon_normalized.tsv"),
+    "topics": ("corpus_normalized.tsv", "lexicon_normalized.tsv", "stopwords.tsv"),
+    "sentiment": ("corpus_normalized.tsv", "lexicon_normalized.tsv", "community.tsv",
+                  "catalog.tsv"),
     "energy": ("community.tsv", "catalog.tsv", "vectors.tsv"),
     "correlate": ("catalog.tsv", "energies.tsv"),
     # the linear model's one feature is the topic's energy: no community, no vectors
@@ -278,9 +278,9 @@ def test_synth_records_the_line_count_of_each_output(tmp_path, planted):
 
 def test_stages_record_the_lexicon_and_split_they_verify(pipeline_dir):
     stages = json.loads((pipeline_dir / "manifest.json").read_text())["stages"]
-    lexicon = "lexicon.tsv"
     for stage in ("graph", "topics", "sentiment"):
-        assert lexicon in stages[stage]["inputs"], stage
+        assert "lexicon_normalized.tsv" in stages[stage]["inputs"], stage
+        assert "lexicon.tsv" not in stages[stage]["inputs"], stage
     assert "splits_linear.tsv" in stages["evaluate:linear"]["inputs"]
     assert "splits_edge.tsv" in stages["evaluate:edge"]["inputs"]
 
@@ -477,9 +477,9 @@ def test_stale_artifact_detected(pipeline_dir, capsys):
 
 
 def test_edited_own_lexicon_and_stopwords_are_taken_after_a_rerun(tmp_path, capsys):
-    """A lexicon that no stage wrote is checked against ingest's record, and
-    user stopwords against none: the later stages' own older records of them
-    must not make a rerun of their reader fail forever."""
+    """Only the stage that takes an outside file reads it: an edited lexicon
+    counts from the next ingest on, through its snapshot in the run, and user
+    stopwords from the next topics; no older record makes those reruns fail."""
     out, own = tmp_path / "run", tmp_path / "own"
     assert run("synth", "--out", out, "--seed", "11", "--n-users", "14",
                "--edge-density", "0.35", "--n-topics", "6",
@@ -500,14 +500,26 @@ def test_edited_own_lexicon_and_stopwords_are_taken_after_a_rerun(tmp_path, caps
 
     assert ingest() == 0
     downstream()
+    snapshot = (out / "lexicon_normalized.tsv").read_bytes()
+    assert snapshot == lexicon.read_bytes()
     with open(lexicon, "a", encoding="utf-8") as fh:
         fh.write("[brandnew]\tpositive\n")
-    capsys.readouterr()
-    assert run("graph", "--out", out, "--seed-user", "u00000", "--max-depth", "3") == 1
-    err = capsys.readouterr().err
-    assert "stale" in err and str(lexicon) in err
-    assert ingest() == 0
+    # the run keeps its snapshot until ingest runs again
     downstream()
+    assert (out / "lexicon_normalized.tsv").read_bytes() == snapshot
+    assert ingest() == 0
+    capsys.readouterr()
+    assert run("sentiment", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "stale" in err and "lexicon_normalized.tsv" in err, err
+    assert err.rstrip().endswith("rerun graph"), err
+    downstream()
+    # the same entries, reordered and with a blank line, leave the snapshot as it was
+    snapshot = (out / "lexicon_normalized.tsv").read_bytes()
+    lexicon.write_bytes(b"\n".join(reversed(lexicon.read_bytes().splitlines())) + b"\n\n")
+    assert ingest() == 0
+    assert (out / "lexicon_normalized.tsv").read_bytes() == snapshot
+    assert run("energy", "--out", out) == 0
     with open(stopwords, "a", encoding="utf-8") as fh:
         fh.write("zzzz\n")
     assert run("topics", "--out", out, "--stopwords", stopwords) == 0
@@ -515,7 +527,7 @@ def test_edited_own_lexicon_and_stopwords_are_taken_after_a_rerun(tmp_path, caps
 
 def test_missing_upstream_stage_fails(tmp_path, capsys):
     assert run("graph", "--out", tmp_path / "fresh", "--seed-user", "u0") == 1
-    assert "ingest" in capsys.readouterr().err
+    assert "stage 'ingest' has not been run yet" in capsys.readouterr().err
 
 
 def test_edge_predictor_roundtrip(tmp_path):
@@ -686,6 +698,61 @@ def test_rerun_upstream_stage_makes_downstream_artifacts_stale(tmp_path, capsys)
     assert run(*edge) == 0
 
 
+def _outside_readers(stages) -> dict[str, list[str]]:
+    """The stages that read each input no analysis stage wrote, by manifest key.
+
+    synth stands in for the user: the corpus, lexicon and stopwords it wrote
+    come from outside the analysis, as the user's own files would.
+    """
+    written = {key for name, entry in stages.items() if name != "synth"
+               for key in entry["outputs"]}
+    readers: dict[str, list[str]] = {}
+    for name, entry in stages.items():
+        for key in entry["inputs"]:
+            if key not in written:
+                readers.setdefault(key, []).append(name)
+    return readers
+
+
+def test_each_file_from_outside_the_run_is_read_by_one_stage(pipeline_dir):
+    stages = json.loads((pipeline_dir / "manifest.json").read_text())["stages"]
+    assert _outside_readers(stages) == {
+        "corpus.tsv": ["ingest"], "lexicon.tsv": ["ingest"], "stopwords.tsv": ["topics"],
+    }
+
+
+def test_ingest_with_a_swapped_lexicon_makes_its_readers_stale(tmp_path, capsys):
+    """The corpus normalizes the same under any lexicon; the lexicon's
+    snapshot in the run is what changes, and every stage that read it is
+    upstream of the vectors. One positive and one negative token swap: a
+    swap of them all would negate every vector and leave every energy as
+    it was, since both energy functions ignore the sign."""
+    out = tmp_path / "run"
+    _run_every_stage(out)
+    energies = (out / "energies.tsv").read_bytes()
+    lines = (out / "lexicon.tsv").read_text().replace("[n0]\tnegative", "[n0]\tpositive")
+    swapped = tmp_path / "swapped.tsv"
+    swapped.write_text(lines.replace("[p0]\tpositive", "[p0]\tnegative"))
+    normalized = (out / "corpus_normalized.tsv").read_bytes()
+    assert run("ingest", "--out", out, "--corpus", out / "corpus.tsv",
+               "--lexicon", swapped, "--window", WINDOW_FLAG) == 0
+    assert (out / "corpus_normalized.tsv").read_bytes() == normalized
+    edge = ("train", "--out", out, "--gaps", "1", "--predictor", "edge", "--eta", "0.001")
+    for argv in (("energy", "--out", out), edge):
+        capsys.readouterr()
+        assert run(*argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "stale" in err and "lexicon_normalized.tsv" in err, err
+        assert err.rstrip().endswith("rerun graph"), err
+    for stage in ("graph", "topics", "sentiment"):
+        assert run(*pipeline_argv(out)[stage]) == 0, stage
+    assert run("energy", "--out", out) == 0
+    assert (out / "energies.tsv").read_bytes() != energies
+    assert run(*edge) == 0
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert _outside_readers(stages)[str(swapped.resolve())] == ["ingest"]
+
+
 def test_linear_train_without_the_mrf_row_of_its_function_exits_1_and_writes_nothing(
     tmp_path, capsys
 ):
@@ -746,7 +813,8 @@ def test_stages_recording_in_parallel_keep_every_entry(tmp_path):
     assert len(stages) == 100
 
 
-def test_moved_lexicon_outside_the_run_asks_for_ingest(tmp_path, monkeypatch, capsys):
+def test_moved_project_with_its_own_lexicon_needs_no_ingest_rerun(tmp_path, monkeypatch):
+    """Later stages read the lexicon's snapshot in the run, which moves with it."""
     (tmp_path / "proj").mkdir()
     monkeypatch.chdir(tmp_path / "proj")
     out = Path("rel")
@@ -762,16 +830,15 @@ def test_moved_lexicon_outside_the_run_asks_for_ingest(tmp_path, monkeypatch, ca
     assert ingest() == 0
     (tmp_path / "proj").rename(tmp_path / "proj2")
     monkeypatch.chdir(tmp_path / "proj2")
-    capsys.readouterr()
-    assert run("graph", "--out", out, "--seed-user", "u00000") == 1
-    err = capsys.readouterr().err
-    assert "lexicon.tsv has no record" in err and err.rstrip().endswith("rerun ingest"), err
+    assert run("graph", "--out", out, "--seed-user", "u00000") == 0
+    # ingest, rerun from the moved project, takes the lexicon again
     assert ingest() == 0
     assert run("graph", "--out", out, "--seed-user", "u00000") == 0
 
 
 def test_later_stages_find_the_lexicon_from_any_directory(tmp_path, monkeypatch):
-    """ingest records the lexicon relative to the run, not to where it ran."""
+    """Later stages read the lexicon's snapshot in the run; ingest records
+    ``--lexicon`` as given, like ``--corpus``."""
     proj = tmp_path / "proj"
     proj.mkdir()
     monkeypatch.chdir(proj)
@@ -785,7 +852,10 @@ def test_later_stages_find_the_lexicon_from_any_directory(tmp_path, monkeypatch)
     assert run("topics", "--out", proj / "run", "--stopwords", proj / "syn/stopwords.tsv") == 0
     assert run("sentiment", "--out", proj / "run") == 0
     stages = json.loads((proj / "run/manifest.json").read_text())["stages"]
-    assert stages["ingest"]["config"]["lexicon"] == "../syn/lexicon.tsv"
+    assert stages["ingest"]["config"]["lexicon"] == "syn/lexicon.tsv"
+    assert (proj / "run/lexicon_normalized.tsv").read_bytes() == (
+        proj / "syn/lexicon.tsv"
+    ).read_bytes()
 
 
 def test_evaluate_flags_a_model_worse_than_predicting_the_mean(tmp_path, capsys):
@@ -816,12 +886,15 @@ def test_edge_predictor_trains_on_a_community_without_edges(tmp_path):
     assert run("evaluate", "--out", out, "--predictor", "edge") == 0
 
 
-def _ingest_text(tmp_path, name, corpus: bytes):
-    """Run ingest on ``corpus`` under a fresh output directory; return the exit code."""
+_LEXICON_TEXT = "[smile]\tpositive\n[cry]\tnegative\n"
+
+
+def _ingest_text(tmp_path, name, corpus: bytes, lexicon_text=_LEXICON_TEXT):
+    """Run ingest on ``corpus`` and ``lexicon_text`` into ``tmp_path/name``; return its exit."""
     path = tmp_path / f"{name}.tsv"
     path.write_bytes(corpus)
     lexicon = tmp_path / "lexicon.tsv"
-    lexicon.write_text("[smile]\tpositive\n[cry]\tnegative\n", encoding="utf-8")
+    lexicon.write_text(lexicon_text, encoding="utf-8")
     return run("ingest", "--out", tmp_path / name, "--corpus", path,
                "--lexicon", lexicon, "--window", WINDOW_FLAG)
 
@@ -862,14 +935,16 @@ def test_ingest_normalizes_a_crlf_corpus_like_its_lf_twin(tmp_path):
     f"t1\tu1\t{SYNTH_WINDOW.train_start + 9}\t-\tlast",  # repeats the id on line 2
 ], ids=["malformed", "duplicate-id"])
 def test_failed_ingest_rerun_keeps_the_earlier_artifacts(tmp_path, capsys, last_line):
-    """ingest writes as it parses; a bad last line still leaves the earlier run intact."""
+    """ingest writes as it parses; a bad last line still leaves the earlier run
+    intact, the lexicon snapshot included, though the rerun's lexicon differs."""
     good = _corpus_lines("one [smile]", "#tag# two", "@u1 three [cry]")
     assert _ingest_text(tmp_path, "run", good) == 0
     out = tmp_path / "run"
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert set(before) == {"corpus_normalized.tsv", "manifest.json"}
+    assert set(before) == {"corpus_normalized.tsv", "lexicon_normalized.tsv", "manifest.json"}
     capsys.readouterr()
-    assert _ingest_text(tmp_path, "run", good + f"{last_line}\n".encode()) == 1
+    swapped = "[smile]\tnegative\n[cry]\tpositive\n"
+    assert _ingest_text(tmp_path, "run", good + f"{last_line}\n".encode(), swapped) == 1
     assert "line 4: " in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert not list(tmp_path.rglob("*.tmp"))

@@ -25,12 +25,12 @@ class TestParseTweetLine:
     def test_hashtags_and_emoticons(self, lexicon):
         t = make_tweet(lexicon, "great #Rio2016# [smile][smile][cry]")
         assert t.hashtags == ("Rio2016",)
-        assert t.emoticon_counts == EmoticonCounts(2, 1, 0)
+        assert t.emoticon_counts == EmoticonCounts(2, 1)
 
     def test_plain_text(self, lexicon):
         t = make_tweet(lexicon, "nothing interesting here")
         assert t.hashtags == ()
-        assert t.emoticon_counts == (0, 0, 0)
+        assert t.emoticon_counts == (0, 0)
 
     def test_multiple_hashtags(self, lexicon):
         t = make_tweet(lexicon, "#a# mid #b#")
@@ -45,11 +45,11 @@ class TestParseTweetLine:
 
     def test_unknown_bracket_token_ignored(self, lexicon):
         t = make_tweet(lexicon, "odd [nosuch] [smile]")
-        assert t.emoticon_counts == (1, 0, 0)
+        assert t.emoticon_counts == (1, 0)
 
-    def test_neutral_counted_separately(self, lexicon):
+    def test_neutral_not_counted(self, lexicon):
         t = make_tweet(lexicon, "[meh][meh][cry]")
-        assert t.emoticon_counts == (0, 1, 2)
+        assert t.emoticon_counts == (0, 1)
 
     def test_retweet_field(self, lexicon):
         assert make_tweet(lexicon, "x", retweet_of="bob").retweet_of == "bob"
@@ -62,6 +62,17 @@ class TestParseTweetLine:
     def test_bad_timestamp(self, lexicon):
         with pytest.raises(ParseError, match="timestamp"):
             parse_tweet_line("id\tu\tnot_a_number\t-\ttext", lexicon, line_no=1)
+
+    # int() reads each of these as a number
+    @pytest.mark.parametrize("ts", ["1_0", "\u0661\u0662", " +7 "],
+                             ids=["underscore", "arabic-indic-digits", "plus-and-spaces"])
+    def test_other_timestamp_spellings_rejected(self, lexicon, ts):
+        with pytest.raises(ParseError, match="bad timestamp"):
+            parse_tweet_line(f"id\tu\t{ts}\t-\ttext", lexicon, line_no=1)
+
+    def test_timestamp_is_an_optional_minus_and_ascii_digits(self, lexicon):
+        assert make_tweet(lexicon, "x", timestamp=-7).timestamp == -7
+        assert parse_tweet_line("id\tu\t007\t-\tx", lexicon).timestamp == 7
 
 
 _ORACLE_LEXICON = EmoticonLexicon(
@@ -170,7 +181,9 @@ def test_emoticon_count_totals_match_occurrences(lexicon):
     ]
     for text in texts:
         t = make_tweet(lexicon, text)
-        occurrences = sum(text.count(token) for token in lexicon.entries)
+        occurrences = sum(
+            text.count(token) for token, p in lexicon.entries.items() if p != "neutral"
+        )
         assert sum(t.emoticon_counts) == occurrences
 
 

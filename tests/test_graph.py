@@ -160,7 +160,12 @@ def test_community_graph_is_immutable():
         c.members = ("a",)
     with pytest.raises(AttributeError):
         c.edges.append(("a", "c"))
-    assert pickle.loads(pickle.dumps(c)) == c
+    # once the index is built, a copy still builds its own, read-only, index
+    assert list(c.i_idx) == [0, 1] and list(c.j_idx) == [1, 2]
+    copy = pickle.loads(pickle.dumps(c))
+    assert copy == c
+    assert list(copy.i_idx) == [0, 1] and list(copy.j_idx) == [1, 2]
+    assert not copy.i_idx.flags.writeable and not copy.j_idx.flags.writeable
 
 
 def test_edge_list_round_trip(tmp_path):

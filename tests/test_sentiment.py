@@ -97,7 +97,7 @@ class TestUserPhraseSentiment:
             naive = 0.0
             for t in tweets:
                 if phrase in t.text:
-                    pos, neg, _ = t.emoticon_counts
+                    pos, neg = t.emoticon_counts
                     naive += (pos - neg) / (pos + neg) if pos + neg else 0.0
             naive /= len(tweets)
             assert user_phrase_sentiment(tweets, phrase) == pytest.approx(naive, abs=1e-12)
@@ -154,11 +154,11 @@ def _random_user_tweets(lexicon, rng, user, n):
 
 
 def _flip(tweet: Tweet) -> Tweet:
-    pos, neg, neu = tweet.emoticon_counts
+    pos, neg = tweet.emoticon_counts
     return Tweet(
         id=tweet.id, user=tweet.user, timestamp=tweet.timestamp, text=tweet.text,
         hashtags=tweet.hashtags, mentions=tweet.mentions, retweet_of=tweet.retweet_of,
-        emoticon_counts=EmoticonCounts(neg, pos, neu),
+        emoticon_counts=EmoticonCounts(neg, pos),
     )
 
 
@@ -217,7 +217,7 @@ def test_catalog_vectors_match_raw_scan(phrase_lists, rows):
     ]
     tweets = [
         Tweet(id=f"i{n}", user=user, timestamp=n, text=text, hashtags=(), mentions=(),
-              retweet_of=None, emoticon_counts=EmoticonCounts(pos, neg, 0))
+              retweet_of=None, emoticon_counts=EmoticonCounts(pos, neg))
         for n, (user, text, pos, neg) in enumerate(rows)
     ]
     members = ["u0", "u1", "u2", "silent"]
