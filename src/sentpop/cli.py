@@ -20,6 +20,7 @@ from pathlib import Path
 from . import __version__
 from .corpus import (
     CorpusWindow,
+    EmoticonLexicon,
     ParseError,
     Tweet,
     format_tweet_line,
@@ -112,6 +113,11 @@ ENERGIES_FILE = "energies.tsv"
 CORRELATION_FILE = "correlation.tsv"
 MANIFEST_FILE = "manifest.json"
 
+# Only sentiment uses emoticon counts, and reads the run's lexicon snapshot;
+# ingest, graph and topics parse with no lexicon, so a new one leaves graph
+# and topics fresh.
+_NO_LEXICON = EmoticonLexicon({})
+
 
 def _out_meta(path: Path, rows: int) -> dict:
     return {"digest": file_digest(path), "rows": rows}
@@ -187,10 +193,9 @@ class Stage:
         self.manifest.record_stage(name, config, self.inputs, self.outputs)
 
     def corpus(self):
-        """The normalized corpus path and lexicon, and the window that ``ingest`` recorded."""
+        """The normalized corpus path and the window that ``ingest`` recorded."""
         window = CorpusWindow(*self.manifest.stage_config("ingest")["window"])
-        corpus_path = self.read(NORMALIZED_CORPUS)
-        return corpus_path, load_lexicon(self.read(NORMALIZED_LEXICON)), window
+        return self.read(NORMALIZED_CORPUS), window
 
     def features(self, vectors: bool = True):
         """The community, the catalog and (if ``vectors``) the vectors by topic, else None."""
@@ -271,6 +276,7 @@ def cmd_synth(stage: Stage, args) -> int:
         f"{gen.window.train_start},{gen.window.train_end},"
         f"{gen.window.test_start},{gen.window.test_end} seed-user {gen.seed_user}"
     )
+    print(f"synth: popularity - exact_target at most {gen.max_popularity_shift:.4g}")
     return 0
 
 
@@ -290,7 +296,7 @@ def cmd_ingest(stage: Stage, args) -> int:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                tweet = parse_tweet_line(line, lexicon, line_no)
+                tweet = parse_tweet_line(line, _NO_LEXICON, line_no)
                 seen = first_line.setdefault(tweet.id, line_no)
                 if seen != line_no:
                     raise ParseError(
@@ -308,7 +314,7 @@ def cmd_ingest(stage: Stage, args) -> int:
         stage.read(Path(args.lexicon))
 
     rows = stage.write(NORMALIZED_CORPUS, _write_lines, kept())
-    # later stages read the lexicon from the run, as they read the corpus
+    # sentiment reads the lexicon from the run, as the later stages read the corpus
     stage.write(NORMALIZED_LEXICON, save_lexicon, lexicon)
     stage.record("ingest", args, window=bounds)
     print(f"ingest: kept {rows} tweets ({dropped} outside window) -> "
@@ -317,8 +323,8 @@ def cmd_ingest(stage: Stage, args) -> int:
 
 
 def cmd_graph(stage: Stage, args) -> int:
-    corpus_path, lexicon, window = stage.corpus()
-    tweets = stream_corpus(corpus_path, lexicon, window, "all")
+    corpus_path, window = stage.corpus()
+    tweets = stream_corpus(corpus_path, _NO_LEXICON, window, "all")
     graph = build_graph(tweets)
     community = extract_community(graph, args.seed_user, args.max_depth)
     g_rows = stage.write(GRAPH_FILE, save_edge_list, graph.edges)
@@ -333,7 +339,7 @@ def cmd_graph(stage: Stage, args) -> int:
 
 
 def cmd_topics(stage: Stage, args) -> int:
-    corpus_path, lexicon, window = stage.corpus()
+    corpus_path, window = stage.corpus()
     stopwords = load_stopwords(stage.read(Path(args.stopwords)))
     first_month_end = args.first_month_end
     if first_month_end is None:
@@ -342,7 +348,7 @@ def cmd_topics(stage: Stage, args) -> int:
 
     def test_tweets() -> Iterator[Tweet]:
         """The test split, once; each text is kept for every distinct hashtag it has."""
-        for tweet in stream_corpus(corpus_path, lexicon, window, "test"):
+        for tweet in stream_corpus(corpus_path, _NO_LEXICON, window, "test"):
             for tag in set(tweet.hashtags):
                 texts.setdefault(tag, []).append(tweet.text)
             yield tweet
@@ -363,7 +369,8 @@ def cmd_topics(stage: Stage, args) -> int:
 
 
 def cmd_sentiment(stage: Stage, args) -> int:
-    corpus_path, lexicon, window = stage.corpus()
+    corpus_path, window = stage.corpus()
+    lexicon = load_lexicon(stage.read(NORMALIZED_LEXICON))
     community, catalog, _ = stage.features(vectors=False)
     train_tweets = stream_corpus(corpus_path, lexicon, window, "train")
     vectors_by_topic = catalog_vectors(community.members, catalog, train_tweets)

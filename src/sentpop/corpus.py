@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
@@ -60,18 +59,27 @@ _NOT_BRACKETED = (
 )
 
 
-@dataclass(frozen=True)
 class EmoticonLexicon:
-    """Maps bracketed emoticon tokens (e.g. ``[smile]``) to a polarity."""
+    """Maps bracketed emoticon tokens (e.g. ``[smile]``) to a polarity.
 
-    entries: dict[str, str]
+    Immutable: ``entries`` is validated once, here, and cannot be reassigned.
+    """
 
-    def __post_init__(self):
-        for token, polarity in self.entries.items():
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: dict[str, str]):
+        for token, polarity in entries.items():
             if not _EMOTICON_RE.fullmatch(token):
                 raise LexiconError(_NOT_BRACKETED.format(token))
             if polarity not in POLARITIES:
                 raise LexiconError(f"unknown polarity {polarity!r} for {token!r}")
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -79,9 +87,10 @@ class EmoticonLexicon:
     def count(self, text: str) -> EmoticonCounts:
         """Count the positive and negative lexicon emoticons in ``text``.
 
-        Neutral tokens and bracketed tokens absent from the lexicon are ignored.
+        Neutral tokens and bracketed tokens absent from the lexicon are ignored,
+        so an empty lexicon counts nothing and scans no text.
         """
-        if "[" not in text:
+        if not self.entries or "[" not in text:
             return _NO_EMOTICONS
         pos = neg = 0
         for token in _EMOTICON_RE.findall(text):
@@ -106,20 +115,28 @@ class Tweet(NamedTuple):
     emoticon_counts: EmoticonCounts
 
 
-@dataclass(frozen=True)
-class CorpusWindow:
-    """Half-open train and test intervals, in UTC seconds."""
-
+class _Bounds(NamedTuple):
     train_start: int
     train_end: int
     test_start: int
     test_end: int
 
-    def __post_init__(self):
-        if not (self.train_start < self.train_end <= self.test_start < self.test_end):
+
+class CorpusWindow(_Bounds):
+    """Half-open train and test intervals, in UTC seconds."""
+
+    __slots__ = ()
+
+    def __new__(cls, train_start: int, train_end: int, test_start: int, test_end: int):
+        if not (train_start < train_end <= test_start < test_end):
             raise ValueError(
                 "window must satisfy train_start < train_end <= test_start < test_end"
             )
+        return super().__new__(cls, train_start, train_end, test_start, test_end)
+
+    @classmethod
+    def _make(cls, iterable):  # NamedTuple's skips __new__, and _replace calls it
+        return cls(*iterable)
 
     def contains(self, timestamp: int, split: str) -> bool:
         """True if ``timestamp`` falls in the requested split.

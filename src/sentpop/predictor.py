@@ -200,17 +200,28 @@ def _standardize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """Column z-scores of ``values``, computed in place; returns them with ``mu`` and ``sd``.
 
     Constant columns keep scale 1 so they map to zero. Each column is first
-    scaled by a power of two into [-1, 1], so its squares in ``std`` neither
-    overflow nor underflow; the scaling is exact in the normal range, which
-    leaves the z-scores and the returned ``mu`` and ``sd`` those of
-    ``(values - mu) / sd``, bit for bit, without its two temporaries.
+    scaled by a power of two into [-1, 1], so its squares neither overflow nor
+    underflow; the scaling is exact in the normal range, which leaves the
+    z-scores and the returned ``mu`` and ``sd`` those of
+    ``(values - mu) / values.std(axis=0)``, bit for bit, without an n x d
+    temporary.
     """
     _, exponents = np.frexp(np.maximum(values.max(axis=0), -values.min(axis=0)))
     np.ldexp(values, -exponents, out=values)
     mu = values.mean(axis=0)
-    sd = values.std(axis=0)
+    if values.shape[1] == 1:
+        sd = values.std(axis=0)  # numpy sums a single column pairwise
+        values -= mu
+    else:
+        # numpy's std adds the squared deviations of more than one column row
+        # by row; the same sum over the deviations formed in place
+        values -= mu
+        sd = np.zeros_like(mu)
+        for row in values:
+            sd += row * row
+        sd /= len(values)
+        np.sqrt(sd, out=sd)
     constant = sd == 0.0
-    values -= mu
     values /= np.where(constant, 1.0, sd)
     return values, np.ldexp(mu, exponents), np.where(constant, 1.0, np.ldexp(sd, exponents))
 

@@ -10,7 +10,9 @@ known parameters.
 Every user gets a latent stance per topic and emits emoticons consistent
 with it; roughly ``emoticon_rate`` of tweets carry emoticons. The expected
 values file records the planted parameters, each topic's community energy,
-its exact (unrounded) target and the realized tweet count.
+its exact (unrounded) target and the realized tweet count, and the largest
+shift ``popularity - exact_target``, which making the popularities distinct
+can make large.
 """
 
 from __future__ import annotations
@@ -129,6 +131,7 @@ class GeneratedCorpus:
     max_depth: int
     n_train_tweets: int
     n_test_tweets: int
+    max_popularity_shift: float  # largest popularity - exact_target
     rows: dict[Path, int]  # each written file -> its line count
 
 
@@ -333,6 +336,9 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
         if pops[k] <= prev:
             pops[k] = prev + 1
         prev = int(pops[k])
+    # raising each tie past the value below it moves crowded targets far: the
+    # popularity then follows the rank more than the plant
+    max_popularity_shift = max(p - e for p, e in zip(pops.tolist(), exact.tolist()))
     n_test_tweets = int(pops.sum())
     total_tweets = n_train_tweets + n_test_tweets
     if total_tweets > MAX_TOTAL_TWEETS:
@@ -396,6 +402,7 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
     param("n_community_edges", len(community.edges))
     param("n_train_tweets", n_train_tweets)
     param("n_test_tweets", n_test_tweets)
+    param("max_popularity_shift", repr(max_popularity_shift))
     if isinstance(config.planted, PlantedLinear):
         param("alpha", repr(config.planted.alpha))
         param("beta", repr(config.planted.beta))
@@ -420,6 +427,7 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
         max_depth=config.max_depth,
         n_train_tweets=n_train_tweets,
         n_test_tweets=n_test_tweets,
+        max_popularity_shift=max_popularity_shift,
         rows={
             corpus_path: n_train_tweets + n_test_tweets,
             lexicon_path: lexicon_rows,

@@ -199,11 +199,12 @@ def test_rerun_is_byte_identical(pipeline_dir):
     assert before == after
 
 
-# every file each stage verifies; appending a byte to one must stop the stage
+# every file each stage verifies; appending a byte to one must stop the
+# stage. Only sentiment counts emoticons, so only it reads the lexicon's snapshot.
 VERIFIED = {
     "ingest": ("corpus.tsv", "lexicon.tsv"),
-    "graph": ("corpus_normalized.tsv", "lexicon_normalized.tsv"),
-    "topics": ("corpus_normalized.tsv", "lexicon_normalized.tsv", "stopwords.tsv"),
+    "graph": ("corpus_normalized.tsv",),
+    "topics": ("corpus_normalized.tsv", "stopwords.tsv"),
     "sentiment": ("corpus_normalized.tsv", "lexicon_normalized.tsv", "community.tsv",
                   "catalog.tsv"),
     "energy": ("community.tsv", "catalog.tsv", "vectors.tsv"),
@@ -277,12 +278,13 @@ def test_synth_records_the_line_count_of_each_output(tmp_path, planted):
 
 
 def test_stages_record_the_lexicon_and_split_they_verify(pipeline_dir):
+    """Each stage records exactly the files it verifies: the lexicon's snapshot
+    for sentiment alone, and each predictor's split file for its evaluate."""
     stages = json.loads((pipeline_dir / "manifest.json").read_text())["stages"]
-    for stage in ("graph", "topics", "sentiment"):
-        assert "lexicon_normalized.tsv" in stages[stage]["inputs"], stage
-        assert "lexicon.tsv" not in stages[stage]["inputs"], stage
-    assert "splits_linear.tsv" in stages["evaluate:linear"]["inputs"]
-    assert "splits_edge.tsv" in stages["evaluate:edge"]["inputs"]
+    recorded_as = {"train": "train:linear", "evaluate": "evaluate:linear"}
+    assert {
+        stage: set(stages[recorded_as.get(stage, stage)]["inputs"]) for stage in VERIFIED
+    } == {stage: set(names) for stage, names in VERIFIED.items()}
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path):
@@ -509,10 +511,10 @@ def test_edited_own_lexicon_and_stopwords_are_taken_after_a_rerun(tmp_path, caps
     assert (out / "lexicon_normalized.tsv").read_bytes() == snapshot
     assert ingest() == 0
     capsys.readouterr()
-    assert run("sentiment", "--out", out) == 1
+    assert run("energy", "--out", out) == 1
     err = capsys.readouterr().err
     assert "stale" in err and "lexicon_normalized.tsv" in err, err
-    assert err.rstrip().endswith("rerun graph"), err
+    assert err.rstrip().endswith("rerun sentiment"), err
     downstream()
     # the same entries, reordered and with a blank line, leave the snapshot as it was
     snapshot = (out / "lexicon_normalized.tsv").read_bytes()
@@ -723,10 +725,10 @@ def test_each_file_from_outside_the_run_is_read_by_one_stage(pipeline_dir):
 
 def test_ingest_with_a_swapped_lexicon_makes_its_readers_stale(tmp_path, capsys):
     """The corpus normalizes the same under any lexicon; the lexicon's
-    snapshot in the run is what changes, and every stage that read it is
-    upstream of the vectors. One positive and one negative token swap: a
-    swap of them all would negate every vector and leave every energy as
-    it was, since both energy functions ignore the sign."""
+    snapshot in the run is what changes, and sentiment, its one reader, is
+    stale while graph and topics stay fresh. One positive and one negative
+    token swap: a swap of them all would negate every vector and leave every
+    energy as it was, since both energy functions ignore the sign."""
     out = tmp_path / "run"
     _run_every_stage(out)
     energies = (out / "energies.tsv").read_bytes()
@@ -734,6 +736,7 @@ def test_ingest_with_a_swapped_lexicon_makes_its_readers_stale(tmp_path, capsys)
     swapped = tmp_path / "swapped.tsv"
     swapped.write_text(lines.replace("[p0]\tpositive", "[p0]\tnegative"))
     normalized = (out / "corpus_normalized.tsv").read_bytes()
+    before = json.loads((out / "manifest.json").read_text())["stages"]
     assert run("ingest", "--out", out, "--corpus", out / "corpus.tsv",
                "--lexicon", swapped, "--window", WINDOW_FLAG) == 0
     assert (out / "corpus_normalized.tsv").read_bytes() == normalized
@@ -743,14 +746,16 @@ def test_ingest_with_a_swapped_lexicon_makes_its_readers_stale(tmp_path, capsys)
         assert run(*argv) == 1, argv
         err = capsys.readouterr().err
         assert "stale" in err and "lexicon_normalized.tsv" in err, err
-        assert err.rstrip().endswith("rerun graph"), err
-    for stage in ("graph", "topics", "sentiment"):
-        assert run(*pipeline_argv(out)[stage]) == 0, stage
+        assert err.rstrip().endswith("rerun sentiment"), err
+    # graph and topics are not rerun: the community and catalog they wrote are fresh
+    assert run(*pipeline_argv(out)["sentiment"]) == 0
     assert run("energy", "--out", out) == 0
     assert (out / "energies.tsv").read_bytes() != energies
     assert run(*edge) == 0
     stages = json.loads((out / "manifest.json").read_text())["stages"]
     assert _outside_readers(stages)[str(swapped.resolve())] == ["ingest"]
+    for name in ("graph", "topics"):
+        assert stages[name] == before[name], name
 
 
 def test_linear_train_without_the_mrf_row_of_its_function_exits_1_and_writes_nothing(

@@ -235,6 +235,17 @@ class TestLexicon:
         path.write_text("\n".join(rows) + "\n")
         assert len(load_lexicon(path)) == 436
 
+    def test_lexicon_is_immutable(self, lexicon):
+        for change in (lambda: setattr(lexicon, "entries", {}),
+                       lambda: delattr(lexicon, "entries"),
+                       lambda: setattr(lexicon, "extra", 1)):
+            with pytest.raises(AttributeError):
+                change()
+        assert len(lexicon) == 5
+
+    def test_empty_lexicon_counts_nothing(self):
+        assert EmoticonLexicon({}).count("[smile] [cry] [cry]") == (0, 0)
+
 
 class TestStreamCorpus:
     WINDOW = CorpusWindow(train_start=0, train_end=100, test_start=100, test_end=200)
@@ -320,7 +331,12 @@ class TestStreamCorpus:
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="train_start < train_end <= test_start < test_end"):
         CorpusWindow(train_start=0, train_end=0, test_start=10, test_end=20)
     with pytest.raises(ValueError):
         CorpusWindow(train_start=0, train_end=50, test_start=40, test_end=60)
+    window = CorpusWindow(0, 50, 50, 60)
+    with pytest.raises(ValueError):
+        window._replace(train_end=70)
+    with pytest.raises(AttributeError):
+        window.train_end = 10

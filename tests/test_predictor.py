@@ -687,3 +687,23 @@ def test_standardize_scales_a_column_whose_squares_overflow():
     assert mu[0] == pytest.approx(np.mean(huge)) and sd[0] == pytest.approx(
         float(np.std(np.array(huge) / 1e200)) * 1e200
     )
+
+
+@pytest.mark.parametrize("d", [1, 2, 50, 3010])
+@pytest.mark.parametrize("n", [1, 2, 9, 50])
+def test_standardize_is_numpys_std_bit_for_bit(n, d):
+    """More than one column: squared deviations summed row by row, which is the
+    order of numpy's axis-0 sum; one column: numpy's own pairwise ``std``."""
+    rng = np.random.default_rng(n * 10_000 + d)
+    values = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 8, size=d)
+    values[:, 0] = 0.75  # constant
+    values[:, -1] *= 2.0 ** rng.integers(-40, 40)  # a power of two scales exactly
+    scaled = values.copy()
+    _, exponents = np.frexp(np.maximum(scaled.max(axis=0), -scaled.min(axis=0)))
+    np.ldexp(scaled, -exponents, out=scaled)
+    mu, sd = scaled.mean(axis=0), scaled.std(axis=0)
+    scale = np.where(sd == 0.0, 1.0, sd)
+    z, got_mu, got_sd = predictor._standardize(values)
+    assert np.array_equal(z, (scaled - mu) / scale)
+    assert np.array_equal(got_mu, np.ldexp(mu, exponents))
+    assert np.array_equal(got_sd, np.where(sd == 0.0, 1.0, np.ldexp(sd, exponents)))

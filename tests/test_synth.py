@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sentpop.cli import main
 from sentpop.corpus import load_lexicon, stream_corpus
 from sentpop.graph import build_graph
 from sentpop.stats import pearson
@@ -107,6 +108,27 @@ def test_popularities_are_distinct(tmp_path):
     gen = generate(config, tmp_path)
     pops = [t.popularity for t in load_expected(gen.expected_path).topics]
     assert len(set(pops)) == len(pops)
+
+
+@pytest.mark.parametrize("argv, shift", [
+    # the benchmark's train-edge corpus: 100 planted targets within about 24 integers
+    (("--seed", "33", "--n-users", "20", "--edge-density", "0.27", "--n-topics", "100",
+      "--tweets-per-user", "60", "--planted", "edge-weights", "--weight-range", "0.5,3",
+      "--rho", "100", "--noise-sigma", "0.02"), 80.5),
+    # the README quick start: 30 planted targets spread over about 90 integers
+    (("--seed", "7", "--n-users", "200", "--edge-density", "0.03", "--n-topics", "30",
+      "--tweets-per-user", "18", "--planted", "linear", "--alpha", "2.0", "--beta", "180",
+      "--noise-sigma", "0.1"), 2.4),
+], ids=["crowded", "spread"])
+def test_synth_reports_the_largest_popularity_shift(tmp_path, capsys, argv, shift):
+    assert main(["synth", "--out", str(tmp_path), *argv]) == 0
+    exp = load_expected(tmp_path / "expected.tsv")
+    largest = max(t.popularity - t.exact_target for t in exp.topics)
+    assert exp.params["max_popularity_shift"] == repr(largest)
+    assert round(largest, 1) == shift
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"synth: popularity - exact_target at most {largest:.4g}"
+    )
 
 
 def test_planted_edge_weights_recorded_and_consistent(tmp_path):
