@@ -156,6 +156,14 @@ class CorpusWindow(_Bounds):
         raise ValueError(f"unknown split {split!r}")
 
 
+def _read_timestamp(field: str) -> int | None:
+    """The timestamp ``field`` spells, an optional ``-`` then ASCII digits; else None."""
+    # int() would also take "1_0", " +7 " and non-ASCII digits
+    if field.isascii() and field.removeprefix("-").isdigit():
+        return int(field)
+    return None
+
+
 def parse_tweet_line(
     line: str, lexicon: EmoticonLexicon, line_no: int | None = None
 ) -> Tweet:
@@ -172,10 +180,9 @@ def parse_tweet_line(
     tweet_id, user, ts_raw, retweet_raw, text = fields
     if not tweet_id or not user:
         raise ParseError("empty id or user field", line_no)
-    # int() would also take "1_0", " +7 " and non-ASCII digits
-    if not (ts_raw.isascii() and ts_raw.removeprefix("-").isdigit()):
+    timestamp = _read_timestamp(ts_raw)
+    if timestamp is None:
         raise ParseError(f"bad timestamp {ts_raw!r}", line_no)
-    timestamp = int(ts_raw)
     retweet_of = None if retweet_raw == NO_RETWEET else retweet_raw
     if retweet_of == "":
         raise ParseError("empty retweet field (use '-' for none)", line_no)
@@ -250,10 +257,11 @@ def stream_corpus(
 ) -> Iterator[Tweet]:
     """Yield tweets whose timestamp falls in the requested split, in file order.
 
-    For the ``train`` and ``test`` splits, a line whose timestamp field reads
-    as outside the split is skipped without being parsed; a line whose
-    timestamp cannot be read is parsed, so a malformed record still raises
-    :class:`ParseError` at its line. ``all`` parses every line.
+    ``all`` parses every line. For the ``train`` and ``test`` splits, a line
+    whose timestamp field reads as outside the split is skipped without being
+    parsed; the field is read by :func:`parse_tweet_line`'s rule, so a line
+    whose timestamp it would reject is parsed and raises :class:`ParseError`
+    at its line.
     """
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
@@ -261,14 +269,12 @@ def stream_corpus(
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            if split != "all":
-                try:
-                    timestamp = int(line.split("\t", 3)[2])
-                except (IndexError, ValueError):
-                    pass
-                else:
-                    if not window.contains(timestamp, split):
-                        continue
-            tweet = parse_tweet_line(line, lexicon, line_no)
-            if window.contains(tweet.timestamp, split):
-                yield tweet
+            if split == "all":
+                tweet = parse_tweet_line(line, lexicon, line_no)
+                if window.contains(tweet.timestamp, split):
+                    yield tweet
+                continue
+            fields = line.split("\t", 3)
+            timestamp = _read_timestamp(fields[2]) if len(fields) > 2 else None
+            if timestamp is None or window.contains(timestamp, split):
+                yield parse_tweet_line(line, lexicon, line_no)

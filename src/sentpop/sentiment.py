@@ -205,6 +205,6 @@ def save_vectors(
 def load_vectors(path: str | Path) -> dict[str, dict[str, np.ndarray]]:
     vectors: dict[str, dict[str, np.ndarray]] = {}
     for _, (hashtag, user, joined) in read_rows(path, 3, "vector"):
-        values = np.array([float(v) for v in joined.split(",")], dtype=np.float64)
+        values = np.array(joined.split(","), dtype=np.float64)
         vectors.setdefault(hashtag, {})[user] = values
     return vectors

@@ -22,26 +22,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ._lazy import np
-from .corpus import (
-    CorpusWindow,
-    EmoticonLexicon,
-    Tweet,
-    open_corpus,
-    parse_tweet_line,
-    save_lexicon,
-)
+from .corpus import CorpusWindow, EmoticonLexicon, save_lexicon, stream_corpus
 from .manifest import atomic_write, atomic_write_text, read_rows, write_lines
 from .energy import EnergyFunction, per_edge_energies
-from .graph import Edge, build_graph, extract_community
-# community_topic_vectors and group_tweets_by_user are not called here; they
-# stay importable from this module because perfbench/trace_stage.py times
-# them where callers look them up
-from .sentiment import (  # noqa: F401
-    catalog_vectors,
-    community_topic_vectors,
-    group_tweets_by_user,
-)
+from .graph import Edge, SocialGraph, canonical_edge, extract_community
+from .sentiment import catalog_vectors
 from .topics import Topic
+
+# Not called here: these stay importable from this module because
+# perfbench/trace_stage.py times them where callers look them up.
+from .corpus import parse_tweet_line  # noqa: F401
+from .graph import build_graph  # noqa: F401
+from .sentiment import community_topic_vectors, group_tweets_by_user  # noqa: F401
 
 MONTH_SECONDS = 30 * 24 * 3600
 SYNTH_WINDOW = CorpusWindow(
@@ -271,17 +263,13 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
                 yield f"s{counter:07d}\t{user}\t{ts}\t-\t" + " ".join(tokens)
                 counter += 1
 
-    def train_tweets() -> Iterator[Tweet]:
-        """The train split, parsed back from the corpus file a line at a time."""
-        with open_corpus(corpus_tmp) as fh:
-            for line in fh:
-                yield parse_tweet_line(line, lexicon)
-
-    # the train split goes to the corpus file first, and is run through the
-    # real pipeline from there to learn each topic's community energy before
-    # popularity is planted; no line or parsed tweet is held
+    # the train split goes to the corpus file first. The corpus's only
+    # mentions and retweets are the edge tweets, and every user writes a train
+    # tweet, so the drawn graph is the one `graph` builds from the corpus;
+    # names sort like indices only below 100,000 users, so edges are made
+    # canonical.
     n_train_tweets = write_lines(train_lines(), corpus_tmp)
-    graph = build_graph(train_tweets())
+    graph = SocialGraph(set(users), {canonical_edge(a, b) for a, b in edges})
     community = extract_community(graph, seed_user, config.max_depth)
 
     topics = [
@@ -291,7 +279,12 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
         )
         for k in range(config.n_topics)
     ]
-    vectors_by_topic = catalog_vectors(community.members, topics, train_tweets())
+    # the train split is read back once, as `sentiment` reads it, to learn each
+    # topic's community energy before popularity is planted; no line or
+    # parsed tweet is held
+    vectors_by_topic = catalog_vectors(
+        community.members, topics, stream_corpus(corpus_tmp, lexicon, window, "train")
+    )
     # the topics x edges matrix is needed only to plant edge weights: its
     # product with them is not the per-row dots. Its row sums are np.sum of
     # each row, bit for bit, so otherwise only those are kept.

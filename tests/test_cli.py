@@ -1039,9 +1039,9 @@ def test_sentiment_memory_stays_flat_as_the_train_corpus_grows(tmp_path):
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
 def test_synth_memory_stays_flat_as_the_train_corpus_grows(tmp_path):
-    """synth reads its train split back from the corpus file for each pass and holds
-    no line: from 20 to 80 tweets per user (200 users, 40 topics) its peak RSS grows by
-    less than 1 MB. Holding the train lines as strings grew it by about 2 MB."""
+    """synth reads its train split back from the corpus file once, as a stream, and
+    holds no line: from 20 to 80 tweets per user (200 users, 40 topics) its peak RSS grows
+    by less than 1 MB. Holding the train lines as strings grew it by about 2 MB."""
     src = str(Path(sentpop.cli.__file__).resolve().parents[1])
     peak = {}
     for per_user in (20, 80):

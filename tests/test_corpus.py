@@ -1,5 +1,9 @@
 """Corpus and lexicon parsing tests."""
 
+import ast
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +15,7 @@ from sentpop.corpus import (
     EmoticonCounts,
     EmoticonLexicon,
     LexiconError,
+    SPLITS,
     ParseError,
     format_tweet_line,
     load_lexicon,
@@ -321,6 +326,19 @@ class TestStreamCorpus:
         with pytest.raises(ParseError, match=f"^line 3: {message}"):
             list(stream_corpus(path, lexicon, self.WINDOW, split))
 
+    # int() reads each as 150, in the test interval; the parser takes none of them
+    @pytest.mark.parametrize("split", SPLITS)
+    @pytest.mark.parametrize("ts", ["1_50", " 150", "+150", "150 ", "\u0661\u0665\u0660"],
+                             ids=["underscore", "leading-space", "plus", "trailing-space",
+                                  "arabic-indic-digits"])
+    def test_a_timestamp_the_parser_rejects_raises_in_every_split(
+        self, tmp_path, lexicon, split, ts
+    ):
+        path = tmp_path / "corpus.tsv"
+        path.write_text(f"a\tu\t10\t-\tone\nb\tu\t{ts}\t-\ttwo\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^line 2: bad timestamp {re.escape(repr(ts))}$"):
+            list(stream_corpus(path, lexicon, self.WINDOW, split))
+
     def test_crlf_line_ends_read_like_lf(self, tmp_path, lexicon):
         lf = self._write(tmp_path, [10, 20, 150])
         crlf = tmp_path / "crlf.tsv"
@@ -340,3 +358,22 @@ def test_window_validation():
         window._replace(train_end=70)
     with pytest.raises(AttributeError):
         window.train_end = 10
+
+
+def _callers(name: str) -> set[tuple[str, str]]:
+    """(file, top-level function) of every call to ``name`` in the package source."""
+    package = Path(sentpop.corpus.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    found.add((path.name, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_only_stream_corpus_and_ingest_open_a_corpus():
+    # a stage that needs tweets reads them through stream_corpus
+    assert _callers("open_corpus") == {("corpus.py", "stream_corpus"), ("cli.py", "cmd_ingest")}

@@ -241,10 +241,16 @@ def test_vectors_file_round_trip(tmp_path, lexicon):
     data = {
         "rio": {"alice": rng.uniform(-1, 1, 4), "bob": rng.uniform(-1, 1, 4)},
         "games": {"carol": rng.uniform(-1, 1, 4)},
+        # the least subnormal, a signed zero, the least normal and the largest float
+        "edges": {"dave": np.array(
+            [5e-324, -0.0, 2.2250738585072014e-308, 1.7976931348623157e308]
+        )},
     }
     path = tmp_path / "vectors.tsv"
-    assert save_vectors(data, path) == 3
+    assert save_vectors(data, path) == 4
     loaded = load_vectors(path)
     for topic, per_user in data.items():
         for user, values in per_user.items():
-            assert np.array_equal(loaded[topic][user], values)
+            assert loaded[topic][user].dtype == np.float64
+            # bit for bit, so -0.0 is not taken for 0.0
+            assert loaded[topic][user].tobytes() == values.tobytes()

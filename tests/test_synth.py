@@ -1,11 +1,17 @@
 """Synthetic corpus generator tests."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentpop.cli import main
 from sentpop.corpus import load_lexicon, stream_corpus
 from sentpop.graph import build_graph
+from sentpop.manifest import read_rows
 from sentpop.stats import pearson
 from sentpop.synth import (
     FIRST_TEST_MONTH_END,
@@ -177,3 +183,47 @@ def test_emoticon_rate_controls_coverage(tmp_path):
     with_emoticons = sum(1 for t in train if sum(t.emoticon_counts) > 0)
     rate = with_emoticons / len(train)
     assert 0.35 < rate < 0.65
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    n_users=st.integers(2, 30),
+    # low enough that u00000 is often isolated and gets the fallback edge
+    density=st.sampled_from([0.01, 0.03, 0.08, 0.2]),
+    max_depth=st.integers(0, 4),
+    n_topics=st.integers(1, 3),
+)
+def test_pipeline_energies_match_the_energies_synth_planted(
+    seed, n_users, density, max_depth, n_topics
+):
+    """synth's community, drawn not parsed, is the one the pipeline extracts."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        assert main(["synth", "--out", tmp, "--seed", str(seed), "--n-users", str(n_users),
+                     "--edge-density", str(density), "--n-topics", str(n_topics),
+                     "--m", "3", "--tweets-per-user", "2", "--max-depth", str(max_depth),
+                     "--planted", "none"]) == 0
+        exp = load_expected(out / "expected.tsv")
+        p = exp.params
+        window = ",".join(p[k] for k in ("train_start", "train_end", "test_start", "test_end"))
+        for argv in (
+            ["ingest", "--corpus", out / "corpus.tsv", "--lexicon", out / "lexicon.tsv",
+             "--window", window],
+            ["graph", "--seed-user", p["seed_user"], "--max-depth", p["max_depth"]],
+            ["topics", "--stopwords", out / "stopwords.tsv", "--m", "3"],
+            ["sentiment"],
+            ["energy"],
+        ):
+            assert main([*map(str, argv), "--out", tmp]) == 0, argv[0]
+        planted = {t.hashtag: t.energy for t in exp.topics}
+        energies = {
+            row[0]: float(row[3])
+            for _, row in read_rows(out / "energies.tsv", 4, "energy")
+            if row[1:3] == ["mrf", "cosine"]
+        }
+        catalog = [row[0] for _, row in read_rows(out / "catalog.tsv", None, "catalog")]
+        assert catalog and set(energies) == set(catalog)
+        assert all(energies[tag] == planted[tag] for tag in catalog)
+        rows = sum(1 for _ in read_rows(out / "community.tsv", 2, "edge"))
+        assert rows == int(p["n_community_edges"])
