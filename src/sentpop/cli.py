@@ -441,12 +441,7 @@ def _sgd_summary(result: predictor.TrainResult, eta: float) -> str:
 def cmd_train(stage: Stage, args) -> int:
     gaps = _gaps(args.gaps)
     catalog, samples_of = stage.samples(args.predictor, EnergyFunction(args.function))
-    config = predictor.TrainConfig(
-        learning_rate=args.eta,
-        epochs=args.epochs,
-        rng_seed=args.seed,
-        l2=args.l2,
-    )
+    config = predictor.TrainConfig(learning_rate=args.eta, epochs=args.epochs, rng_seed=args.seed)
     split_lines: list[str] = []
     results = []  # every gap trains before any file is written
     for gap in gaps:
@@ -478,15 +473,15 @@ def cmd_train(stage: Stage, args) -> int:
 def cmd_evaluate(stage: Stage, args) -> int:
     train_cfg = stage.manifest.stage_config(f"train:{args.predictor}")
     catalog, samples_of = stage.samples(args.predictor, EnergyFunction(train_cfg["function"]))
-    gaps = _gaps(args.gaps) if args.gaps else list(train_cfg["gaps"])
+    # every gap train recorded; the split file, verified against that record,
+    # holds test topics for each, since a split of n >= 2 topics leaves some
+    gaps = train_cfg["gaps"]
     test_tags: dict[int, set[str]] = {}
     for _, (gap_s, tag, role) in read_rows(stage.read(f"splits_{args.predictor}.tsv"), 3, "split"):
         if role == "test":
             test_tags.setdefault(int(gap_s), set()).add(tag)
     results = []  # every gap is scored before any file is written
     for gap in gaps:
-        if gap not in test_tags:
-            raise StaleArtifactError(f"no recorded split for gap {gap}; run train first")
         model = predictor.load_model(stage.read(f"model_{args.predictor}_gap{gap}.tsv"))
         test_topics = [t for t in catalog if t.hashtag in test_tags[gap]]
         results.append((gap, predictor.evaluate(model, samples_of(test_topics))))
@@ -571,12 +566,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=0.01)
     p.add_argument("--epochs", type=int, default=500,
                    help="most SGD epochs; a loss plateau stops training earlier")
-    p.add_argument("--l2", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("evaluate", cmd_evaluate, "evaluate trained predictors on held-out topics")
+    p = add("evaluate", cmd_evaluate, "evaluate trained predictors on every gap train recorded")
     p.add_argument("--predictor", choices=["linear", "edge"], default="linear")
-    p.add_argument("--gaps", default=None, help="default: gaps used at train time")
 
     return parser
 

@@ -17,6 +17,7 @@ so stored models always apply to unscaled energies.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -76,7 +77,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     epochs: int = 500
     rng_seed: int = 0
-    l2: float = 0.0
     stop_tol: float = 1e-5  # relative: see ``train``
 
     def __post_init__(self):
@@ -84,8 +84,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be finite and non-negative")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not (math.isfinite(self.l2) and self.l2 >= 0.0):
-            raise ValueError("l2 must be finite and non-negative")
         if not (math.isfinite(self.stop_tol) and self.stop_tol >= 0.0):
             raise ValueError("stop_tol must be finite and non-negative")
 
@@ -178,35 +176,41 @@ def _predict_batch(
     return (feats @ model.weight_values + model.rho).tolist()
 
 
-def sgd_step(
-    w: np.ndarray, rho: float, row: np.ndarray, target: float, eta: float, l2: float
-) -> float:
+def sgd_step(w: np.ndarray, rho: float, row: np.ndarray, target: float, eta: float) -> float:
     """One per-sample update of the weights ``w``, in place; returns the new intercept.
 
-    ``row`` is the sample's ``(1, d)`` feature row. The optional L2 penalty
-    applies to the weights, never to the intercept. A step may leave ``w`` or
+    ``row`` is the sample's ``(1, d)`` feature row. A step may leave ``w`` or
     the intercept non-finite; ``train`` reports that at the end of the epoch.
     """
     err = float((row @ w)[0]) + rho - target
     grad = row[0] * err
-    if l2:
-        grad += l2 * w
     grad *= eta
     w -= grad
     return rho - eta * err
 
 
+# A column whose sd is at most this times the train matrix's largest magnitude
+# is rounding noise, and counts as constant. The rounded dot product of two
+# m-vectors is within about m * eps * |u||v| of the exact one, so the cosine
+# energy of an exactly orthogonal pair can read up to about (m + 2) * eps
+# instead of 0, with m <= 99 key phrases; 256 is the power of two above twice that.
+_ROUNDING_SPREAD = 256 * sys.float_info.epsilon
+
+
 def _standardize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column z-scores of ``values``, computed in place; returns them with ``mu`` and ``sd``.
 
-    Constant columns keep scale 1 so they map to zero. Each column is first
+    A column counts as constant when its sd is at most ``_ROUNDING_SPREAD``
+    times the whole matrix's largest magnitude: its z-scores are set to 0
+    and its scale to 1, so it never gets a weight. Each column is first
     scaled by a power of two into [-1, 1], so its squares neither overflow nor
     underflow; the scaling is exact in the normal range, which leaves the
-    z-scores and the returned ``mu`` and ``sd`` those of
+    other columns' z-scores and the returned ``mu`` and ``sd`` those of
     ``(values - mu) / values.std(axis=0)``, bit for bit, without an n x d
     temporary.
     """
-    _, exponents = np.frexp(np.maximum(values.max(axis=0), -values.min(axis=0)))
+    largest = np.maximum(values.max(axis=0), -values.min(axis=0))
+    _, exponents = np.frexp(largest)
     np.ldexp(values, -exponents, out=values)
     mu = values.mean(axis=0)
     if values.shape[1] == 1:
@@ -221,9 +225,12 @@ def _standardize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
             sd += row * row
         sd /= len(values)
         np.sqrt(sd, out=sd)
-    constant = sd == 0.0
+    raw_sd = np.ldexp(sd, exponents)
+    # fmax skips a NaN column, which makes the run diverge anyway
+    constant = raw_sd <= _ROUNDING_SPREAD * np.fmax.reduce(largest, initial=0.0)
     values /= np.where(constant, 1.0, sd)
-    return values, np.ldexp(mu, exponents), np.where(constant, 1.0, np.ldexp(sd, exponents))
+    values[:, constant] = 0.0
+    return values, np.ldexp(mu, exponents), np.where(constant, 1.0, raw_sd)
 
 
 def train(
@@ -265,7 +272,7 @@ def train(
     # (1, d) rows keep the residual's BLAS summation order of a batch of one
     rows = [z[i : i + 1] for i in range(n)]
     d = z.shape[1]
-    eta, l2 = config.learning_rate, config.l2
+    eta = config.learning_rate
     # row norms without a z * z copy
     omega_max = eta * (float(np.einsum("ij,ij->i", z, z).max()) + 1.0)
     w, rho = np.zeros(d, dtype=np.float64), 0.0
@@ -280,7 +287,7 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             for i in rng.permutation(n).tolist():
-                rho = sgd_step(w, rho, rows[i], target_list[i], eta, l2)
+                rho = sgd_step(w, rho, rows[i], target_list[i], eta)
             errors = z @ w + rho - targets
             epoch_loss = float(np.dot(errors, errors)) / (2.0 * n)
             curve.append(epoch_loss)

@@ -17,6 +17,7 @@ can make large.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,6 +58,15 @@ class InfeasibleConfigError(ValueError):
     """The requested configuration cannot be realized as a corpus."""
 
 
+def _check_planted(planted, *names: str) -> None:
+    """Reject a non-finite planted parameter, or a negative ``noise_sigma``, by name."""
+    for name in names:
+        if not math.isfinite(getattr(planted, name)):
+            raise ValueError(f"{name} must be finite")
+    if not (math.isfinite(planted.noise_sigma) and planted.noise_sigma >= 0.0):
+        raise ValueError("noise_sigma must be finite and non-negative")
+
+
 @dataclass(frozen=True)
 class PlantedLinear:
     """popularity ~ alpha * community_energy + beta + noise."""
@@ -64,6 +74,9 @@ class PlantedLinear:
     alpha: float
     beta: float
     noise_sigma: float = 0.0  # fraction of the mean noiseless popularity
+
+    def __post_init__(self):
+        _check_planted(self, "alpha", "beta")
 
 
 @dataclass(frozen=True)
@@ -76,6 +89,7 @@ class PlantedEdgeWeights:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
+        _check_planted(self, "weight_lo", "weight_hi", "rho")
         if self.weight_lo > self.weight_hi:
             raise ValueError("weight_lo must be <= weight_hi")
 

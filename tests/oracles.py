@@ -102,6 +102,8 @@ def standardize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     Each column is scaled by 2^-e, where 2^(e-1) <= max|v| < 2^e, before its
     mean and deviation are taken; ``mu`` and ``sd`` are scaled back by 2^e.
+    A column whose deviation is at most 256 * eps times the largest magnitude
+    in ``values`` (NaN aside) is rounding noise: its z-scores are 0, its scale 1.
     """
     exponents = np.array(
         [math.frexp(float(np.abs(column).max()))[1] for column in values.T], dtype=int
@@ -112,9 +114,11 @@ def standardize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     ).reshape(values.shape)
     mu = scaled.mean(axis=0)
     sd = scaled.std(axis=0)
-    constant = sd == 0.0
-    z = (scaled - mu) / np.where(constant, 1.0, sd)
-    return z, np.ldexp(mu, exponents), np.where(constant, 1.0, np.ldexp(sd, exponents))
+    raw_sd = np.ldexp(sd, exponents)
+    largest = max((abs(v) for v in values.flat if not math.isnan(v)), default=0.0)
+    constant = raw_sd <= 256 * np.finfo(np.float64).eps * largest
+    z = np.where(constant, 0.0, (scaled - mu) / np.where(constant, 1.0, sd))
+    return z, np.ldexp(mu, exponents), np.where(constant, 1.0, raw_sd)
 
 
 def loss(model: LinearModel | EdgeModel, samples: Sequence[TopicSample]) -> float:
@@ -181,21 +185,14 @@ def sgd_step(
     batch: Sequence[TopicSample],
     config: TrainConfig,
 ) -> LinearModel | EdgeModel:
-    """One gradient-descent update on the mean batch gradient.
-
-    The optional L2 penalty applies to slopes and edge weights, never to the
-    intercept.
-    """
+    """One gradient-descent update on the mean batch gradient."""
     eta = config.learning_rate
     if isinstance(model, LinearModel):
         d_alpha, d_beta = gradient_linear(model, batch)
-        d_alpha += config.l2 * model.alpha
         return LinearModel(
             alpha=model.alpha - eta * d_alpha, beta=model.beta - eta * d_beta
         )
     grad_w, d_rho = gradient_edge_model(model, batch)
-    if config.l2:
-        grad_w = grad_w + config.l2 * model.weight_values
     return EdgeModel(
         edges=model.edges,
         weight_values=model.weight_values - eta * grad_w,

@@ -159,12 +159,12 @@ def test_manifest_records_stages_and_digests(pipeline_dir):
         "correlate": {"gaps": [1, 3]},
         "train:linear": {
             "predictor": "linear", "function": "cosine", "gaps": [1], "eta": 0.01,
-            "epochs": 120, "seed": 7, "l2": 0.0, "stop_tol": 1e-5,
+            "epochs": 120, "seed": 7, "stop_tol": 1e-5,
         },
         "evaluate:linear": {"predictor": "linear", "gaps": [1]},
         "train:edge": {
             "predictor": "edge", "function": "cosine", "gaps": [1], "eta": 0.001,
-            "epochs": 50, "seed": 7, "l2": 0.0, "stop_tol": 1e-5,
+            "epochs": 50, "seed": 7, "stop_tol": 1e-5,
         },
         "evaluate:edge": {"predictor": "edge", "gaps": [1]},
     }
@@ -351,20 +351,15 @@ def test_train_stops_on_a_plateau_below_the_epoch_cap(pipeline_dir, tmp_path, ca
 
 _EMPTY_GAPS = "--gaps lists no gap: ','"
 _REPEATED_GAP = "--gaps lists gap 1 more than once"
-_BAD_L2 = "l2 must be finite and non-negative"
 
 
 @pytest.mark.parametrize("argv, message", [
     pytest.param(("correlate", "--gaps", ","), _EMPTY_GAPS, id="correlate-empty-gaps"),
     pytest.param(("train", "--gaps", ","), _EMPTY_GAPS, id="train-empty-gaps"),
-    pytest.param(("evaluate", "--gaps", ","), _EMPTY_GAPS, id="evaluate-empty-gaps"),
     pytest.param(("correlate", "--gaps", "1,1"), _REPEATED_GAP, id="correlate-repeated-gap"),
     pytest.param(("correlate", "--gaps", "1,x"), "--gaps lists 'x', which is not an integer",
                  id="correlate-gaps-not-integer"),
     pytest.param(("train", "--gaps", "1,1"), _REPEATED_GAP, id="train-repeated-gap"),
-    pytest.param(("evaluate", "--gaps", "1,1"), _REPEATED_GAP, id="evaluate-repeated-gap"),
-    pytest.param(("train", "--gaps", "1", "--l2", "nan"), _BAD_L2, id="train-l2-nan"),
-    pytest.param(("train", "--gaps", "1", "--l2", "inf"), _BAD_L2, id="train-l2-inf"),
     # warnings are errors under pytest, so an overflow warning would escape main
     pytest.param(("train", "--gaps", "1", "--eta", "1e300"),
                  "loss became non-finite at epoch 0", id="train-eta-1e300"),
@@ -377,6 +372,48 @@ def test_rejected_stage_exits_1_and_writes_nothing(pipeline_dir, tmp_path, capsy
     assert run(argv[0], "--out", out, *argv[1:]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     # the manifest, models and logs of the earlier run are untouched
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+_BAD_NOISE = "noise_sigma must be finite and non-negative"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("synth", "--edge-density", "{}"), "edge_density must be in (0, 1]",
+                 id="synth-edge-density"),
+    pytest.param(("synth", "--emoticon-rate", "{}"), "emoticon_rate must be in [0, 1]",
+                 id="synth-emoticon-rate"),
+    pytest.param(("synth", "--planted", "linear", "--alpha", "{}"), "alpha must be finite",
+                 id="synth-alpha"),
+    pytest.param(("synth", "--planted", "linear", "--beta", "{}"), "beta must be finite",
+                 id="synth-beta"),
+    pytest.param(("synth", "--planted", "linear", "--noise-sigma", "{}"), _BAD_NOISE,
+                 id="synth-linear-noise-sigma"),
+    pytest.param(("synth", "--planted", "edge-weights", "--noise-sigma", "{}"), _BAD_NOISE,
+                 id="synth-edge-noise-sigma"),
+    pytest.param(("synth", "--planted", "edge-weights", "--rho", "{}"), "rho must be finite",
+                 id="synth-rho"),
+    pytest.param(("synth", "--planted", "edge-weights", "--weight-range", "{},1"),
+                 "weight_lo must be finite", id="synth-weight-lo"),
+    pytest.param(("synth", "--planted", "edge-weights", "--weight-range", "0.5,{}"),
+                 "weight_hi must be finite", id="synth-weight-hi"),
+    pytest.param(("train", "--gaps", "1", "--eta", "{}"),
+                 "learning_rate must be finite and non-negative", id="train-eta"),
+])
+def test_non_finite_float_flag_exits_1_and_writes_nothing(
+    pipeline_dir, tmp_path, capsys, argv, message, value
+):
+    # synth starts from an empty directory; train from a finished run, which it must leave
+    out = tmp_path / "run"
+    if argv[0] == "train":
+        shutil.copytree(pipeline_dir, out)
+    else:
+        out.mkdir()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert run(argv[0], "--out", out, *(a.format(value) for a in argv[1:])) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -421,24 +458,19 @@ def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys):
         assert main(argv) == 0, (argv, capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("argv, message, removed", [
+@pytest.mark.parametrize("argv, message", [
     pytest.param(("train", "--gaps", "1,100000", "--seed", "8"),
-                 "need at least 2 topics to split", None, id="train-gap-with-one-topic"),
+                 "need at least 2 topics to split", id="train-gap-with-one-topic"),
     pytest.param(("train", "--gaps", "1,0", "--seed", "8"),
-                 "gap must be a positive integer", None, id="train-gap-0"),
-    # rewritten, gap 1's residuals would not differ: removed, they must stay absent
-    pytest.param(("evaluate", "--gaps", "1,2"), "no recorded split for gap 2; run train first",
-                 "residuals_linear_gap1.tsv", id="evaluate-gap-without-split"),
+                 "gap must be a positive integer", id="train-gap-0"),
 ])
 def test_a_failing_later_gap_leaves_the_earlier_gaps_files(
-    pipeline_dir, tmp_path, capsys, argv, message, removed
+    pipeline_dir, tmp_path, capsys, argv, message
 ):
     # every gap runs before any file is written, so gap 1's model and log
     # from another seed cannot replace the earlier run's
     out = tmp_path / "run"
     shutil.copytree(pipeline_dir, out)
-    if removed:
-        (out / removed).unlink()
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
     assert run(argv[0], "--out", out, *argv[1:]) == 1
@@ -579,6 +611,39 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")
     assert exc.value.code == 0
+
+
+# Every value a user can set, by command; "--out" and "-h" aside. A new option
+# must be added here too.
+_SETTABLE = {
+    "synth": {"--seed", "--n-users", "--edge-density", "--n-topics", "--m",
+              "--emoticon-rate", "--tweets-per-user", "--max-depth", "--planted",
+              "--alpha", "--beta", "--rho", "--weight-range", "--noise-sigma"},
+    "ingest": {"--corpus", "--lexicon", "--window"},
+    "graph": {"--seed-user", "--max-depth"},
+    "topics": {"--stopwords", "--m", "--min-popularity", "--first-month-end"},
+    "sentiment": set(),
+    "energy": set(),
+    "correlate": {"--gaps"},
+    "train": {"--gaps", "--predictor", "--function", "--eta", "--epochs", "--seed"},
+    "evaluate": {"--predictor"},
+}
+
+
+def test_settable_values_are_the_documented_set(capsys):
+    parser = sentpop.cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    assert set(commands) == set(_SETTABLE)
+    for name, command in commands.items():
+        options = {o for a in command._actions for o in a.option_strings}
+        assert options - {"-h", "--help", "--out"} == _SETTABLE[name], name
+    fields = [f.name for f in dataclasses.fields(TrainConfig)]
+    assert fields == ["learning_rate", "epochs", "rng_seed", "stop_tol"]
+    for argv in (("train", "--gaps", "1", "--l2", "0.1"), ("evaluate", "--gaps", "1")):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _run_through_topics(out, max_depth=3):

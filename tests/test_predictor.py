@@ -365,9 +365,8 @@ class TestTrain:
 
 
 @pytest.mark.parametrize("name, value", [
-    ("l2", np.nan), ("l2", np.inf), ("l2", -1.0), ("learning_rate", np.nan),
-    ("learning_rate", np.inf), ("learning_rate", -1.0), ("stop_tol", np.nan),
-    ("stop_tol", np.inf), ("stop_tol", -1.0),
+    ("learning_rate", np.nan), ("learning_rate", np.inf), ("learning_rate", -1.0),
+    ("stop_tol", np.nan), ("stop_tol", np.inf), ("stop_tol", -1.0),
 ])
 def test_config_rejects_a_non_finite_or_negative_rate(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative$"):
@@ -377,13 +376,9 @@ def test_config_rejects_a_non_finite_or_negative_rate(name, value):
 def test_sgd_step_updates_weights_in_place_and_returns_intercept():
     # error 2 on features (0.5, 0, 1): each weight moves by -eta * error * feature
     w = np.zeros(3)
-    rho = predictor.sgd_step(w, 2.0, np.array([[0.5, 0.0, 1.0]]), 0.0, 0.1, 0.0)
+    rho = predictor.sgd_step(w, 2.0, np.array([[0.5, 0.0, 1.0]]), 0.0, 0.1)
     assert w.tolist() == [-0.1, 0.0, -0.2]
     assert rho == pytest.approx(1.8, abs=1e-15)
-    # zero error: only the L2 penalty moves the weight, never the intercept
-    w = np.array([1.0])
-    rho = predictor.sgd_step(w, 0.0, np.array([[0.0]]), 0.0, 0.5, 0.2)
-    assert w.tolist() == [0.9] and rho == 0.0
 
 
 def test_train_calls_sgd_step_once_per_sample_and_epoch(monkeypatch):
@@ -431,7 +426,6 @@ def _outcome(kind, samples, config, trainer):
     n=st.integers(1, 10),
     seed=st.integers(0, 2**32 - 1),
     constant_column=st.booleans(),
-    l2=st.sampled_from([0.0, 1e-3, 0.5]),
     eta=st.sampled_from([0.0, 1e-3, 0.05, 0.8, 30.0, 1e6, 1e150, 1e300]),
     epochs=st.integers(1, 25),
     stop_tol=st.sampled_from([0.0, 1e-9, 1e-5, 1e-3]),
@@ -445,7 +439,7 @@ def _outcome(kind, samples, config, trainer):
     ),
 )
 def test_train_matches_object_per_step_oracle_bit_for_bit(
-    kind, d, n, seed, constant_column, l2, eta, epochs, stop_tol, extremes
+    kind, d, n, seed, constant_column, eta, epochs, stop_tol, extremes
 ):
     rng = np.random.default_rng(seed)
     feats = rng.uniform(0, 1, (n, d)) * rng.uniform(0.1, 100)
@@ -455,7 +449,7 @@ def test_train_matches_object_per_step_oracle_bit_for_bit(
     for k, value in extremes:
         values.flat[k % values.size] = value
     config = TrainConfig(
-        learning_rate=eta, epochs=epochs, rng_seed=seed % 1000, l2=l2, stop_tol=stop_tol
+        learning_rate=eta, epochs=epochs, rng_seed=seed % 1000, stop_tol=stop_tol
     )
     # extreme values and diverging runs overflow on the way; both trainers
     # report it the same way
@@ -486,11 +480,6 @@ DIVERGING = [
     pytest.param("edge", _X, _with(_T, 3, -np.inf), {}, id="infinite-target"),
     pytest.param("edge", _X, _with(_T, 3, np.nan), {}, id="nan-target"),
     pytest.param("edge", _X, _T, {"learning_rate": 1e300}, id="gradient-overflows"),
-    pytest.param("edge", _X, _T, {"learning_rate": 1e-3, "l2": 1e300},
-                 id="l2-term-overflows"),
-    # l2 * w and the residual term are finite; their sum is not
-    pytest.param("linear", _X, np.tile([1e307, -1e307], 4),
-                 {"learning_rate": 1.0, "l2": 2.0}, id="l2-sum-overflows"),
     pytest.param("edge", np.zeros((2, 0)), [1.0, np.inf], {},
                  id="no-features-infinite-target"),
 ]
@@ -676,13 +665,14 @@ def test_energy_samples_train_and_evaluate_the_linear_model_of_make_samples():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_standardize_scales_a_column_whose_squares_overflow():
     huge = [1e200, -1e200, 3e200, 2e199]
-    normal = [0.5, 1.5, 0.25, 2.0]
-    samples = _matrix_samples(np.array([huge, normal]).T, [10.0, 20.0, 5.0, 30.0])
+    # ten decades smaller, and still far above rounding noise next to 3e200
+    other = [0.5e190, 1.5e190, 0.25e190, 2e190]
+    samples = _matrix_samples(np.array([huge, other]).T, [10.0, 20.0, 5.0, 30.0])
     model = train("edge", samples, TrainConfig(learning_rate=0.05, epochs=50)).model
     weights = model.weight_values
     assert np.all(np.isfinite(weights)) and np.isfinite(model.rho)
     assert weights[0] != 0.0 and weights[1] != 0.0
-    z, mu, sd = predictor._standardize(np.array([huge, normal]).T)
+    z, mu, sd = predictor._standardize(np.array([huge, other]).T)
     assert np.allclose(z.mean(axis=0), 0.0) and np.allclose(z.std(axis=0), 1.0)
     assert mu[0] == pytest.approx(np.mean(huge)) and sd[0] == pytest.approx(
         float(np.std(np.array(huge) / 1e200)) * 1e200
@@ -702,8 +692,50 @@ def test_standardize_is_numpys_std_bit_for_bit(n, d):
     _, exponents = np.frexp(np.maximum(scaled.max(axis=0), -scaled.min(axis=0)))
     np.ldexp(scaled, -exponents, out=scaled)
     mu, sd = scaled.mean(axis=0), scaled.std(axis=0)
-    scale = np.where(sd == 0.0, 1.0, sd)
+    raw_sd = np.ldexp(sd, exponents)
+    # a spread within 256 * eps of the largest entry is rounding noise
+    constant = raw_sd <= 256 * np.finfo(np.float64).eps * np.abs(values).max()
+    assert constant[0]
     z, got_mu, got_sd = predictor._standardize(values)
-    assert np.array_equal(z, (scaled - mu) / scale)
+    assert np.array_equal(z, np.where(constant, 0.0, (scaled - mu) / np.where(constant, 1.0, sd)))
     assert np.array_equal(got_mu, np.ldexp(mu, exponents))
-    assert np.array_equal(got_sd, np.where(sd == 0.0, 1.0, np.ldexp(sd, exponents)))
+    assert np.array_equal(got_sd, np.where(constant, 1.0, raw_sd))
+
+
+def test_standardize_counts_a_spread_within_rounding_of_the_matrix_as_constant():
+    # 256 * eps times the largest entry, 3.0, is 1.7e-13: the second column's
+    # spread is that of rounding, the third's is not
+    values = np.array([[3.0, 0.0, 0.0], [1.0, 3.5e-17, 1e-12], [2.0, 0.0, 2e-12]])
+    z, _, sd = predictor._standardize(values.copy())
+    assert z[:, 1].tolist() == [0.0, 0.0, 0.0] and sd[1] == 1.0
+    assert sd[2] == pytest.approx(np.std(values[:, 2]), rel=1e-15)
+    assert np.allclose(z[:, [0, 2]].std(axis=0), 1.0)
+
+
+def test_an_edge_orthogonal_up_to_rounding_on_train_gets_no_weight():
+    """Members a and b are orthogonal in exact arithmetic on every train topic,
+    where their cosine reads 0 or a rounded 3.9e-17, and not on the test topics;
+    unit variance for that column would put a weight near 1e16 on the edge."""
+    from sentpop.graph import CommunityGraph
+
+    community = CommunityGraph("a", 1, ("a", "b", "c", "d"), (("a", "b"), ("c", "d")))
+    vectors, train_topics, test_topics = {}, [], []
+    for k in range(12):
+        cos = 0.1 * (k % 9 + 1)  # the (c, d) edge's cosine, which popularity follows
+        topic_vectors = {"a": np.array([0.1, 0.2, 0.3]), "c": np.array([1.0, 0.0, 0.0]),
+                         "d": np.array([cos, np.sqrt(1.0 - cos * cos), 0.0])}
+        if k >= 8:
+            topic_vectors["b"] = np.array([0.3, 0.3, 0.3])
+        elif k % 2:
+            topic_vectors["b"] = np.array([-0.9, 0.0, 0.3])
+        topic = Topic(f"h{k}", 0, 100 + round(50 * cos) + k % 3)
+        vectors[topic.hashtag] = topic_vectors
+        (test_topics if k >= 8 else train_topics).append(topic)
+    samples = make_samples(community, vectors, train_topics)
+    noise = sorted({float(s.edge_energies[0]) for s in samples})
+    assert noise[0] == 0.0 and 0.0 < noise[1] < 1e-16 and len(noise) == 2
+    model = train("edge", samples, TrainConfig(learning_rate=0.05)).model
+    assert model.weight_values[0] == 0.0
+    held_out = make_samples(community, vectors, test_topics)
+    assert min(s.edge_energies[0] for s in held_out) > 0.5
+    assert evaluate(model, held_out).rse < 0.01

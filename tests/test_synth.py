@@ -170,6 +170,12 @@ def test_config_validation():
         SynthConfig(emoticon_rate=1.5)
     with pytest.raises(ValueError):
         PlantedEdgeWeights(2.0, 1.0, rho=0.0)
+    # the CLI tests reject NaN and inf in every planted parameter
+    negative_noise = "^noise_sigma must be finite and non-negative$"
+    with pytest.raises(ValueError, match=negative_noise):
+        PlantedLinear(1.0, 150.0, noise_sigma=-0.5)
+    with pytest.raises(ValueError, match=negative_noise):
+        PlantedEdgeWeights(0.5, 1.0, rho=150.0, noise_sigma=-0.5)
 
 
 def test_emoticon_rate_controls_coverage(tmp_path):

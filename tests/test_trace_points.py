@@ -67,6 +67,6 @@ def test_traced_stages_pass_through_the_wrapped_helpers(tmp_path):
     names = _traced_span_names(tmp_path / "train.json", "train", "--out", out, "--gaps", "1",
                                "--predictor", "edge", "--epochs", "5")
     names |= _traced_span_names(tmp_path / "evaluate.json", "evaluate", "--out", out,
-                                "--gaps", "1", "--predictor", "edge")
+                                "--predictor", "edge")
     assert {"predictor.make_samples", "predictor.train", "predictor.load_model",
             "predictor.evaluate", "energy.per_edge_energies", "io.save_model"} <= names
