@@ -341,9 +341,7 @@ def cmd_graph(stage: Stage, args) -> int:
 def cmd_topics(stage: Stage, args) -> int:
     corpus_path, window = stage.corpus()
     stopwords = load_stopwords(stage.read(Path(args.stopwords)))
-    first_month_end = args.first_month_end
-    if first_month_end is None:
-        first_month_end = window.test_start + (window.test_end - window.test_start) // 2
+    first_month_end = window.test_start + (window.test_end - window.test_start) // 2
     texts: dict[str, list[str]] = {}  # hashtag -> its tweets' texts, in corpus order
 
     def test_tweets() -> Iterator[Tweet]:
@@ -548,8 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stopwords", required=True)
     p.add_argument("--m", type=int, default=10)
     p.add_argument("--min-popularity", type=int, default=100)
-    p.add_argument("--first-month-end", type=int, default=None,
-                   help="cutoff for a topic's first tweet (default: middle of test window)")
 
     add("sentiment", cmd_sentiment, "compute per-user topic sentiment vectors")
 

@@ -91,6 +91,12 @@ def read_rows(
             yield line_no, fields
 
 
+def _command(stage: str) -> str:
+    """The command that reruns a stage: ``train:linear`` is ``train --predictor linear``."""
+    name, _, predictor = stage.partition(":")
+    return f"{name} --predictor {predictor}" if predictor else name
+
+
 class RunManifest:
     def __init__(self, path: str | Path, data: dict | None = None, version: str = ""):
         self.path = Path(path)
@@ -199,11 +205,11 @@ class RunManifest:
         input that a stage has rewritten since is stale as well.
         """
         path = Path(path)
+        writer, recorded = self._writer(self.key(path))
+        rerun = f"; rerun {_command(writer)}" if writer else ""
         if not path.exists():
-            raise StaleArtifactError(f"upstream artifact {path} is missing")
+            raise StaleArtifactError(f"upstream artifact {path} is missing{rerun}")
         actual = file_digest(path)
-        key = self.key(path)
-        writer, recorded = self._writer(key)
         if recorded is None and required:
             raise StaleArtifactError(
                 f"upstream artifact {path} has no record in {self.path}; "
@@ -212,13 +218,13 @@ class RunManifest:
         if recorded is not None and recorded != actual:
             raise StaleArtifactError(
                 f"stale upstream artifact {path}: recorded digest {recorded} "
-                f"but file now digests to {actual}"
+                f"but file now digests to {actual}{rerun}"
             )
         rewritten = writer and self._rewritten_input(writer, {})
         if rewritten:
             stage, key = rewritten
             raise StaleArtifactError(
                 f"stale upstream artifact {path}: stage {stage!r} read {key}, "
-                f"which has been rewritten since; rerun {stage}"
+                f"which has been rewritten since; rerun {_command(stage)}"
             )
         return actual

@@ -13,6 +13,7 @@ from array import array
 from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from ._lazy import np
@@ -21,6 +22,9 @@ from .manifest import read_rows, write_lines
 from .topics import Topic
 
 _WORD_RUN_RE = re.compile(r"\w+")
+# catalog_vectors' cache; untuned: no benchmark workload fills it, so its time cost is unverified
+_PHRASE_CACHE_SIZE = 1 << 14
+_NO_PHRASES: frozenset[str] = frozenset()  # shared, so a token without hits costs no set
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +95,8 @@ def catalog_vectors(
     for the whole catalog. A phrase that is one ``\\w+`` run occurs in a text
     exactly when it is a substring of one of the text's maximal ``\\w+`` runs,
     and since whitespace is never a word character, each run lies inside one
-    whitespace-separated token. So the phrases in each distinct token are
-    found once, among the substrings of its runs that have a phrase's length.
+    whitespace-separated token. So a token's phrases are found among the
+    substrings of its runs that have a phrase's length, and cached per token.
     Other phrases are tested with ``in`` on every tweet. Each member's sums
     accumulate in that member's tweet order, which keeps them bit-identical to
     a per-phrase ``sum``. A member absent from a topic's vectors has a zero
@@ -103,7 +107,8 @@ def catalog_vectors(
 
     No tweet is held: the memory is one tweet count per member, plus
     ``8 * n_slots`` bytes of running sums per member with a scored tweet,
-    where ``n_slots`` is the number of key phrases over the whole catalog.
+    where ``n_slots`` is the number of key phrases over the whole catalog, plus
+    the cached hits of at most 16,384 tokens (3.2 MB if all are 8 characters, without hits).
 
     Each vector is an ``array('d')`` of float64 values, so this stage needs no
     numpy; ``np.asarray`` reads one without copying through the buffer protocol.
@@ -121,18 +126,16 @@ def catalog_vectors(
     run_phrases = {p for p in slots if _WORD_RUN_RE.fullmatch(p)}
     other_phrases = [p for p in slots if p not in run_phrases]
     lengths = sorted({len(p) for p in run_phrases})
-    in_token: dict[str, set[str]] = {}
 
-    def phrases_in(token: str) -> set[str]:
-        inside = set()
-        for run in _WORD_RUN_RE.findall(token):
-            for n in lengths:
-                if n > len(run):
-                    break
-                for i in range(len(run) - n + 1):
-                    if run[i : i + n] in run_phrases:
-                        inside.add(run[i : i + n])
-        return inside
+    @lru_cache(maxsize=_PHRASE_CACHE_SIZE)
+    def phrases_in(token: str) -> frozenset[str]:
+        return frozenset(
+            run[i : i + n]
+            for run in _WORD_RUN_RE.findall(token)
+            for n in lengths
+            for i in range(len(run) - n + 1)
+            if run[i : i + n] in run_phrases
+        ) or _NO_PHRASES
 
     counts = dict.fromkeys(members, 0)  # member -> its tweets so far
     totals: dict[str, array] = {}  # member with a scored tweet -> per-slot sums
@@ -149,11 +152,7 @@ def catalog_vectors(
         text = tweet.text
         found: set[str] = set()
         for token in text.split():
-            hits = in_token.get(token)
-            if hits is None:
-                hits = in_token[token] = phrases_in(token)
-            if hits:
-                found |= hits
+            found |= phrases_in(token)
         for phrase in other_phrases:
             if phrase in text:
                 found.add(phrase)

@@ -314,28 +314,35 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
             edge_energy_matrix[k] = values
 
     omegas: np.ndarray | None = None
-    if config.planted is None:
-        lo, hi = config.popularity_range
-        exact = rng.uniform(float(lo), float(hi), config.n_topics)
-        noise_sigma = 0.0
-    elif isinstance(config.planted, PlantedLinear):
-        exact = config.planted.alpha * energies + config.planted.beta
-        noise_sigma = config.planted.noise_sigma
-    else:
-        omegas = rng.uniform(
-            config.planted.weight_lo, config.planted.weight_hi, len(community.edges)
-        )
-        exact = edge_energy_matrix @ omegas + config.planted.rho
-        noise_sigma = config.planted.noise_sigma
+    # a plant past float64 overflows to inf or NaN here, which the checks below reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.planted is None:
+            lo, hi = config.popularity_range
+            exact = rng.uniform(float(lo), float(hi), config.n_topics)
+            noise_sigma = 0.0
+        elif isinstance(config.planted, PlantedLinear):
+            exact = config.planted.alpha * energies + config.planted.beta
+            noise_sigma = config.planted.noise_sigma
+        else:
+            omegas = rng.uniform(
+                config.planted.weight_lo, config.planted.weight_hi, len(community.edges)
+            )
+            exact = edge_energy_matrix @ omegas + config.planted.rho
+            noise_sigma = config.planted.noise_sigma
 
-    if noise_sigma > 0.0:
-        exact = exact + rng.normal(0.0, noise_sigma * float(np.mean(exact)), config.n_topics)
+        if noise_sigma > 0.0:
+            exact = exact + rng.normal(0.0, noise_sigma * float(np.mean(exact)), config.n_topics)
 
-    pops = np.rint(exact).astype(np.int64)
-    if np.any(pops < 1):
+    # checked as floats: a target past int64, or NaN, has no popularity to cast to
+    if not np.all(exact <= MAX_TOTAL_TWEETS):
         raise InfeasibleConfigError(
-            f"planted popularity drops below 1 (min {pops.min()}); raise the intercept"
+            f"planted popularity {np.max(exact)} exceeds the cap of {MAX_TOTAL_TWEETS} tweets"
         )
+    if np.any(np.rint(exact) < 1):
+        raise InfeasibleConfigError(
+            f"planted popularity drops below 1 (min {exact.min()}); raise the intercept"
+        )
+    pops = np.rint(exact).astype(np.int64)
     # popularity values must be distinct or the catalog dedupe would drop topics
     order = sorted(range(config.n_topics), key=lambda k: (pops[k], k))
     prev = 0

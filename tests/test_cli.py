@@ -417,6 +417,27 @@ def test_non_finite_float_flag_exits_1_and_writes_nothing(
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+_OVER_CAP = r"planted popularity (\S+e\+30\d|inf|nan) exceeds the cap of 200000 tweets"
+_BELOW_1 = r"planted popularity drops below 1 \(min -1(\.\d+)?e\+30[01]\); raise the intercept"
+
+
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(("--alpha", "1e300"), _OVER_CAP, id="alpha-1e300"),
+    pytest.param(("--alpha=1e307",), _OVER_CAP, id="alpha-1e307"),
+    pytest.param(("--alpha=1e308",), _OVER_CAP, id="alpha-1e308-overflows"),
+    pytest.param(("--alpha=1e308", "--noise-sigma", "0.5"), _OVER_CAP, id="alpha-1e308-noise-nan"),
+    pytest.param(("--alpha=-1e300",), _BELOW_1, id="alpha-minus-1e300"),
+    pytest.param(("--beta=-1e300",), _BELOW_1, id="beta-minus-1e300"),
+])
+def test_huge_planted_popularity_is_rejected_before_the_cast(tmp_path, capsys, flags, message):
+    """Targets past int64 once cast to garbage, with a numpy warning and a wrong minimum."""
+    out = tmp_path / "run"
+    assert run("synth", "--out", out, "--seed", "11", "--n-users", "14", "--edge-density",
+               "0.35", "--n-topics", "6", "--planted", "linear", *flags) == 1
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+    assert not (out / "corpus.tsv").exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     pytest.param(("ingest", "--corpus", "corpus.tsv", "--lexicon", "lexicon.tsv",
                   "--window", "0,1,2,x"), "--window lists 'x', which is not an integer",
@@ -559,6 +580,33 @@ def test_edited_own_lexicon_and_stopwords_are_taken_after_a_rerun(tmp_path, caps
     assert run("topics", "--out", out, "--stopwords", stopwords) == 0
 
 
+def test_stale_or_missing_artifact_names_the_stage_to_rerun(pipeline_dir, tmp_path, capsys):
+    """The ending is a command to type: a stage run per predictor gets ``--predictor``."""
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dir, out)
+    (out / "model_edge_gap1.tsv").unlink()
+    capsys.readouterr()
+    assert run(*pipeline_argv(out)["evaluate:edge"]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("model_edge_gap1.tsv is missing; rerun train --predictor edge\n"), err
+    for argv in (pipeline_argv(out)["topics"] + ("--m", "5"), ("sentiment", "--out", out),
+                 ("energy", "--out", out)):
+        assert run(*argv) == 0, argv[0]
+    capsys.readouterr()
+    assert run(*pipeline_argv(out)["evaluate"]) == 1
+    err = capsys.readouterr().err
+    assert "read catalog.tsv" in err and err.endswith("; rerun train --predictor linear\n"), err
+    with open(out / "community.tsv", "a", encoding="utf-8") as fh:
+        fh.write("u00001\tu00002\n")
+    capsys.readouterr()
+    assert run(*pipeline_argv(out)["sentiment"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stale upstream artifact") and err.endswith("; rerun graph\n")
+    (out / "corpus_normalized.tsv").unlink()
+    assert run(*pipeline_argv(out)["topics"]) == 1
+    assert capsys.readouterr().err.endswith("corpus_normalized.tsv is missing; rerun ingest\n")
+
+
 def test_missing_upstream_stage_fails(tmp_path, capsys):
     assert run("graph", "--out", tmp_path / "fresh", "--seed-user", "u0") == 1
     assert "stage 'ingest' has not been run yet" in capsys.readouterr().err
@@ -621,7 +669,7 @@ _SETTABLE = {
               "--alpha", "--beta", "--rho", "--weight-range", "--noise-sigma"},
     "ingest": {"--corpus", "--lexicon", "--window"},
     "graph": {"--seed-user", "--max-depth"},
-    "topics": {"--stopwords", "--m", "--min-popularity", "--first-month-end"},
+    "topics": {"--stopwords", "--m", "--min-popularity"},
     "sentiment": set(),
     "energy": set(),
     "correlate": {"--gaps"},
@@ -639,7 +687,8 @@ def test_settable_values_are_the_documented_set(capsys):
         assert options - {"-h", "--help", "--out"} == _SETTABLE[name], name
     fields = [f.name for f in dataclasses.fields(TrainConfig)]
     assert fields == ["learning_rate", "epochs", "rng_seed", "stop_tol"]
-    for argv in (("train", "--gaps", "1", "--l2", "0.1"), ("evaluate", "--gaps", "1")):
+    for argv in (("train", "--gaps", "1", "--l2", "0.1"), ("evaluate", "--gaps", "1"),
+                 ("topics", "--stopwords", "x", "--first-month-end", "1")):
         with pytest.raises(SystemExit) as exc:
             run(*argv)
         assert exc.value.code == 2

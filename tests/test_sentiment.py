@@ -1,9 +1,12 @@
 """Sentiment scoring tests: tweet, phrase and user-vector levels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sentpop import sentiment
 from sentpop.corpus import EmoticonCounts, Tweet
 from sentpop.sentiment import (
     catalog_vectors,
@@ -228,6 +231,37 @@ def test_catalog_vectors_match_raw_scan(phrase_lists, rows):
         assert got[hashtag].keys() == per_user.keys()
         for user, values in per_user.items():
             assert got[hashtag][user].tobytes() == values.tobytes()
+
+
+def test_catalog_vectors_match_raw_scan_when_every_hit_is_evicted(monkeypatch):
+    """A one-entry cache recomputes each token's phrases; the sums stay bit-identical."""
+    monkeypatch.setattr(sentiment, "_PHRASE_CACHE_SIZE", 1)
+    test_catalog_vectors_match_raw_scan()
+
+
+def test_catalog_vectors_memory_does_not_grow_with_the_vocabulary(monkeypatch):
+    """Every token is new, so a memo of all tokens grows with the stream; the cache is
+    shrunk so that both streams overfill it many times over within a short test."""
+    monkeypatch.setattr(sentiment, "_PHRASE_CACHE_SIZE", 1 << 10)
+    members = [f"u{u}" for u in range(20)]
+    topics = [Topic(hashtag=f"t{k}", start_time=0, popularity=1, key_phrases=(f"w{k}", "x1"))
+              for k in range(10)]
+
+    def peak_bytes(n_tweets):
+        tweets = [
+            Tweet(id=str(i), user=f"u{i % 20}", timestamp=i,
+                  text=" ".join([f"w{i}x{j}" for j in range(10)]), hashtags=(), mentions=(),
+                  retweet_of=None, emoticon_counts=EmoticonCounts(1, 0))
+            for i in range(n_tweets)
+        ]
+        tracemalloc.start()  # the tweets are built before, so only the scan is traced
+        try:
+            catalog_vectors(members, topics, iter(tweets))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(2400) - peak_bytes(600) < 1 << 20
 
 
 def test_catalog_vectors_reject_topic_without_phrases():
