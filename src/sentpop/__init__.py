@@ -44,9 +44,7 @@ _EXPORTS = {
     ),
     "sentiment": (
         "SentimentVector",
-        "phrase_sentiment",
         "tweet_sentiment",
-        "user_phrase_sentiment",
         "user_topic_vector",
     ),
     "stats": (

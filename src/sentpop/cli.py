@@ -64,6 +64,7 @@ _NAMES = {
         "dedupe_equal_popularity",
         "extract_key_phrases",
         "extract_topics",
+        "first_month_end",
         "gap_filter",
         "load_catalog",
         "load_stopwords",
@@ -341,7 +342,7 @@ def cmd_graph(stage: Stage, args) -> int:
 def cmd_topics(stage: Stage, args) -> int:
     corpus_path, window = stage.corpus()
     stopwords = load_stopwords(stage.read(Path(args.stopwords)))
-    first_month_end = window.test_start + (window.test_end - window.test_start) // 2
+    month_end = first_month_end(window)
     texts: dict[str, list[str]] = {}  # hashtag -> its tweets' texts, in corpus order
 
     def test_tweets() -> Iterator[Tweet]:
@@ -352,7 +353,7 @@ def cmd_topics(stage: Stage, args) -> int:
             yield tweet
 
     topics = dedupe_equal_popularity(
-        extract_topics(test_tweets(), first_month_end, args.min_popularity)
+        extract_topics(test_tweets(), month_end, args.min_popularity)
     )
     topics = [
         attach_key_phrases(
@@ -361,7 +362,7 @@ def cmd_topics(stage: Stage, args) -> int:
         for t in topics
     ]
     rows = stage.write(CATALOG_FILE, save_catalog, topics)
-    stage.record("topics", args, first_month_end=first_month_end)
+    stage.record("topics", args, first_month_end=month_end)
     print(f"topics: {rows} topics -> {stage.out / CATALOG_FILE}")
     return 0
 

@@ -147,7 +147,9 @@ def per_edge_energies(
     return edges, values
 
 
-def _mrf_value(values: np.ndarray) -> float:
+def mrf_total(values: np.ndarray) -> float:
+    """A topic's MRF energy; the energy stage, the edge predictor's samples and
+    ``synth``'s planted targets all take it here, so their totals agree bit for bit."""
     return float(np.sum(values))
 
 
@@ -170,7 +172,7 @@ def community_energy_mrf(
 ) -> CommunityEnergy:
     """Sum of pairwise clique energies over the community edge set."""
     _, values = per_edge_energies(community, vectors, function)
-    return CommunityEnergy(topic, EnergyModel.MRF, function, _mrf_value(values))
+    return CommunityEnergy(topic, EnergyModel.MRF, function, mrf_total(values))
 
 
 def community_energy_entropy(
@@ -196,7 +198,7 @@ def community_energy(
     for function in EnergyFunction:
         _, values = per_edge_energies(community, vectors, function)
         entropy = _entropy_value(values, function, m)
-        energies.append(CommunityEnergy(topic, EnergyModel.MRF, function, _mrf_value(values)))
+        energies.append(CommunityEnergy(topic, EnergyModel.MRF, function, mrf_total(values)))
         energies.append(CommunityEnergy(topic, EnergyModel.ENTROPY, function, entropy))
     return energies
 

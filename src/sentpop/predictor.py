@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import stats
 from ._lazy import np
-from .energy import EnergyFunction, per_edge_energies
+from .energy import EnergyFunction, mrf_total, per_edge_energies
 from .graph import CommunityGraph, Edge
 from .manifest import read_rows, write_lines
 from .topics import GapDataset, Topic
@@ -121,7 +121,7 @@ def make_samples(
                 topic=topic.hashtag,
                 edges=edges,
                 edge_energies=values,
-                total_energy=float(np.sum(values)),
+                total_energy=mrf_total(values),
                 target=float(topic.popularity),
             )
         )
@@ -131,9 +131,10 @@ def make_samples(
 def energy_samples(energies: Mapping[str, float], topics: Sequence[Topic]) -> list[TopicSample]:
     """Samples for the linear model from each topic's total energy, by hashtag.
 
-    The ``energy`` stage's mrf energy is the sum that :func:`make_samples`
-    stores as ``total_energy``, bit for bit, so the linear model trained on
-    these samples is the one trained on ``make_samples``'.
+    The ``energy`` stage's mrf energy and :func:`make_samples`' ``total_energy``
+    are both :func:`~sentpop.energy.mrf_total` of the same per-edge energies,
+    so the linear model trained on these samples is the one trained on
+    ``make_samples``'.
     """
     return [
         TopicSample(t.hashtag, (), (), energies[t.hashtag], float(t.popularity)) for t in topics

@@ -1,4 +1,4 @@
-"""Emoticon-derived sentiment at tweet, key-phrase and user level.
+"""Emoticon-derived sentiment at tweet and user level.
 
 A user's sentiment on a topic is an m-vector, one entry per key phrase: the
 mean, over all of the user's training tweets, of the tweet's emoticon score
@@ -46,34 +46,12 @@ def tweet_sentiment(pos: int, neg: int) -> float:
     return (pos - neg) / total
 
 
-def phrase_sentiment(tweet: Tweet, phrase: str) -> float:
-    """Tweet score if ``phrase`` occurs in the text (raw substring test), else 0."""
-    if not phrase:
-        raise ValueError("phrase must be non-empty")
-    if phrase not in tweet.text:
-        return 0.0
-    return tweet_sentiment(tweet.emoticon_counts.pos, tweet.emoticon_counts.neg)
-
-
-def user_phrase_sentiment(user_tweets: Sequence[Tweet], phrase: str) -> float:
-    """Mean phrase sentiment over a user's tweets, matching or not; 0 for a user with none."""
-    if not user_tweets:
-        return 0.0
-    total = sum(phrase_sentiment(tweet, phrase) for tweet in user_tweets)
-    return total / len(user_tweets)
-
-
 def user_topic_vector(
     user: str, topic: Topic, train_tweets: Iterable[Tweet]
 ) -> SentimentVector:
-    """Sentiment vector of ``user`` over the topic's key phrases."""
-    if not topic.key_phrases:
-        raise ValueError(f"topic {topic.hashtag!r} has no key phrases")
-    own = [t for t in train_tweets if t.user == user]
-    values = np.array(
-        [user_phrase_sentiment(own, p) for p in topic.key_phrases],
-        dtype=np.float64,
-    )
+    """``user``'s vector over the topic's key phrases (``catalog_vectors``' one-user case)."""
+    found = catalog_vectors([user], [topic], train_tweets)[topic.hashtag].get(user)
+    values = np.zeros(len(topic.key_phrases)) if found is None else np.array(found)
     return SentimentVector(topic=topic.hashtag, user=user, values=values)
 
 
@@ -120,6 +98,8 @@ def catalog_vectors(
         if not topic.key_phrases:
             raise ValueError(f"topic {topic.hashtag!r} has no key phrases")
         for phrase in topic.key_phrases:
+            if not phrase:
+                raise ValueError(f"topic {topic.hashtag!r} has an empty key phrase")
             slots.setdefault(phrase, []).append(n_slots)
             n_slots += 1
         spans[topic.hashtag] = (n_slots - len(topic.key_phrases), n_slots)

@@ -25,10 +25,10 @@ from pathlib import Path
 from ._lazy import np
 from .corpus import CorpusWindow, EmoticonLexicon, save_lexicon, stream_corpus
 from .manifest import atomic_write, atomic_write_text, read_rows, write_lines
-from .energy import EnergyFunction, per_edge_energies
+from .energy import EnergyFunction, mrf_total, per_edge_energies
 from .graph import Edge, SocialGraph, canonical_edge, extract_community
 from .sentiment import catalog_vectors
-from .topics import Topic
+from .topics import Topic, first_month_end
 
 # Not called here: these stay importable from this module because
 # perfbench/trace_stage.py times them where callers look them up.
@@ -43,7 +43,7 @@ SYNTH_WINDOW = CorpusWindow(
     test_start=4 * MONTH_SECONDS,
     test_end=6 * MONTH_SECONDS,
 )
-FIRST_TEST_MONTH_END = SYNTH_WINDOW.test_start + MONTH_SECONDS
+FIRST_TEST_MONTH_END = first_month_end(SYNTH_WINDOW)
 
 MAX_TOTAL_TWEETS = 200_000
 _N_FILLERS = 200
@@ -56,6 +56,12 @@ _NEU_TOKENS = tuple(f"[z{i}]" for i in range(3))
 
 class InfeasibleConfigError(ValueError):
     """The requested configuration cannot be realized as a corpus."""
+
+
+def _below_one(exact: np.ndarray) -> InfeasibleConfigError:
+    return InfeasibleConfigError(
+        f"planted popularity drops below 1 (min {exact.min()}); raise the intercept"
+    )
 
 
 def _check_planted(planted, *names: str) -> None:
@@ -300,8 +306,8 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
         community.members, topics, stream_corpus(corpus_tmp, lexicon, window, "train")
     )
     # the topics x edges matrix is needed only to plant edge weights: its
-    # product with them is not the per-row dots. Its row sums are np.sum of
-    # each row, bit for bit, so otherwise only those are kept.
+    # product with them is not the per-row dots. Otherwise only each row's
+    # total is kept, taken as the energy stage takes it.
     plant_edges = isinstance(config.planted, PlantedEdgeWeights)
     if plant_edges:
         edge_energy_matrix = np.zeros((config.n_topics, len(community.edges)))
@@ -309,7 +315,7 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
     for k, topic in enumerate(topics):
         vectors = vectors_by_topic[topic.hashtag]
         _, values = per_edge_energies(community, vectors, EnergyFunction.COSINE)
-        energies[k] = np.sum(values)
+        energies[k] = mrf_total(values)
         if plant_edges:
             edge_energy_matrix[k] = values
 
@@ -331,7 +337,10 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
             noise_sigma = config.planted.noise_sigma
 
         if noise_sigma > 0.0:
-            exact = exact + rng.normal(0.0, noise_sigma * float(np.mean(exact)), config.n_topics)
+            mean = float(np.mean(exact))
+            if mean < 0:  # no noise scale: some target is below 0, so name that
+                raise _below_one(exact)
+            exact = exact + rng.normal(0.0, noise_sigma * mean, config.n_topics)
 
     # checked as floats: a target past int64, or NaN, has no popularity to cast to
     if not np.all(exact <= MAX_TOTAL_TWEETS):
@@ -339,9 +348,7 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
             f"planted popularity {np.max(exact)} exceeds the cap of {MAX_TOTAL_TWEETS} tweets"
         )
     if np.any(np.rint(exact) < 1):
-        raise InfeasibleConfigError(
-            f"planted popularity drops below 1 (min {exact.min()}); raise the intercept"
-        )
+        raise _below_one(exact)
     pops = np.rint(exact).astype(np.int64)
     # popularity values must be distinct or the catalog dedupe would drop topics
     order = sorted(range(config.n_topics), key=lambda k: (pops[k], k))

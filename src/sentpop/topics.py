@@ -8,7 +8,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .corpus import Tweet
+from .corpus import CorpusWindow, Tweet
 from .manifest import read_rows, write_lines
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
@@ -50,6 +50,12 @@ class GapDataset:
 
     def __len__(self) -> int:
         return len(self.topics)
+
+
+def first_month_end(window: CorpusWindow) -> int:
+    """The time a topic's first test tweet must precede: the middle of the test window,
+    which ends the first month of a two-month window."""
+    return window.test_start + (window.test_end - window.test_start) // 2
 
 
 def extract_topics(

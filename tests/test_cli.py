@@ -419,21 +419,30 @@ def test_non_finite_float_flag_exits_1_and_writes_nothing(
 
 _OVER_CAP = r"planted popularity (\S+e\+30\d|inf|nan) exceeds the cap of 200000 tweets"
 _BELOW_1 = r"planted popularity drops below 1 \(min -1(\.\d+)?e\+30[01]\); raise the intercept"
+_NEGATIVE_MEAN = r"planted popularity drops below 1 \(min -\d+\.\d+\); raise the intercept"
+_LINEAR = ("--planted", "linear")
+_EDGE = ("--planted", "edge-weights")
 
 
 @pytest.mark.parametrize("flags, message", [
-    pytest.param(("--alpha", "1e300"), _OVER_CAP, id="alpha-1e300"),
-    pytest.param(("--alpha=1e307",), _OVER_CAP, id="alpha-1e307"),
-    pytest.param(("--alpha=1e308",), _OVER_CAP, id="alpha-1e308-overflows"),
-    pytest.param(("--alpha=1e308", "--noise-sigma", "0.5"), _OVER_CAP, id="alpha-1e308-noise-nan"),
-    pytest.param(("--alpha=-1e300",), _BELOW_1, id="alpha-minus-1e300"),
-    pytest.param(("--beta=-1e300",), _BELOW_1, id="beta-minus-1e300"),
+    pytest.param((*_LINEAR, "--alpha", "1e300"), _OVER_CAP, id="alpha-1e300"),
+    pytest.param((*_LINEAR, "--alpha=1e307"), _OVER_CAP, id="alpha-1e307"),
+    pytest.param((*_LINEAR, "--alpha=1e308"), _OVER_CAP, id="alpha-1e308-overflows"),
+    pytest.param((*_LINEAR, "--alpha=1e308", "--noise-sigma", "0.5"), _OVER_CAP,
+                 id="alpha-1e308-noise-nan"),
+    pytest.param((*_LINEAR, "--alpha=-1e300"), _BELOW_1, id="alpha-minus-1e300"),
+    pytest.param((*_LINEAR, "--beta=-1e300"), _BELOW_1, id="beta-minus-1e300"),
+    # a negative noiseless mean once reached the noise draw as a negative scale
+    pytest.param((*_LINEAR, "--alpha", "1", "--beta=-100", "--noise-sigma", "0.5"),
+                 _NEGATIVE_MEAN, id="linear-negative-mean-noise"),
+    pytest.param((*_EDGE, "--weight-range=-3,-2", "--rho=-50", "--noise-sigma", "0.5"),
+                 _NEGATIVE_MEAN, id="edge-negative-mean-noise"),
 ])
 def test_huge_planted_popularity_is_rejected_before_the_cast(tmp_path, capsys, flags, message):
     """Targets past int64 once cast to garbage, with a numpy warning and a wrong minimum."""
     out = tmp_path / "run"
     assert run("synth", "--out", out, "--seed", "11", "--n-users", "14", "--edge-density",
-               "0.35", "--n-topics", "6", "--planted", "linear", *flags) == 1
+               "0.35", "--n-topics", "6", *flags) == 1
     assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
     assert not (out / "corpus.tsv").exists()
 
@@ -446,6 +455,10 @@ def test_huge_planted_popularity_is_rejected_before_the_cast(tmp_path, capsys, f
                   "--window", "0,,10368000,10368000,15552000"),
                  "--window has an empty item: '0,,10368000,10368000,15552000'",
                  id="ingest-window-empty-item"),
+    pytest.param(("ingest", "--corpus", "corpus.tsv", "--lexicon", "lexicon.tsv",
+                  "--window", "10,20,30"),
+                 "--window needs train_start,train_end,test_start,test_end",
+                 id="ingest-window-three-items"),
     pytest.param(("train", "--gaps", "1,,10"), "--gaps has an empty item: '1,,10'",
                  id="train-gaps-empty-item"),
     pytest.param(("synth", "--planted", "edge-weights", "--weight-range", "1"),
@@ -1008,14 +1021,14 @@ def test_edge_predictor_trains_on_a_community_without_edges(tmp_path):
 _LEXICON_TEXT = "[smile]\tpositive\n[cry]\tnegative\n"
 
 
-def _ingest_text(tmp_path, name, corpus: bytes, lexicon_text=_LEXICON_TEXT):
+def _ingest_text(tmp_path, name, corpus: bytes, lexicon_text=_LEXICON_TEXT, window=WINDOW_FLAG):
     """Run ingest on ``corpus`` and ``lexicon_text`` into ``tmp_path/name``; return its exit."""
     path = tmp_path / f"{name}.tsv"
     path.write_bytes(corpus)
     lexicon = tmp_path / "lexicon.tsv"
     lexicon.write_text(lexicon_text, encoding="utf-8")
     return run("ingest", "--out", tmp_path / name, "--corpus", path,
-               "--lexicon", lexicon, "--window", WINDOW_FLAG)
+               "--lexicon", lexicon, "--window", window)
 
 
 def _corpus_lines(*texts) -> bytes:
@@ -1032,6 +1045,19 @@ def test_ingest_rejects_duplicate_tweet_ids(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 2: duplicate tweet id '17', first on line 1" in err
     assert not (tmp_path / "dup" / "corpus_normalized.tsv").exists()
+
+
+def test_ingest_drops_and_counts_the_tweets_outside_its_window(tmp_path, capsys):
+    lines = [f"t{ts}\tana\t{ts}\t-\tat {ts}\n" for ts in (5, 15, 25, 35, 99)]
+    assert _ingest_text(tmp_path, "w", "".join(lines).encode(), window="10,20,30,40") == 0
+    assert capsys.readouterr().out.startswith("ingest: kept 2 tweets (3 outside window) -> ")
+    assert (tmp_path / "w" / "corpus_normalized.tsv").read_text() == lines[1] + lines[3]
+
+
+def test_ingest_rejects_a_duplicate_of_a_tweet_outside_its_window(tmp_path, capsys):
+    corpus = b"a\tana\t5\t-\tearly\nb\tana\t15\t-\tin\na\tbo\t15\t-\tagain\n"
+    assert _ingest_text(tmp_path, "dup", corpus, window="10,20,30,40") == 1
+    assert "line 3: duplicate tweet id 'a', first on line 1" in capsys.readouterr().err
 
 
 def test_ingest_reports_a_lone_carriage_return_at_its_line(tmp_path, capsys):

@@ -339,6 +339,14 @@ class TestStreamCorpus:
         with pytest.raises(ParseError, match=f"^line 2: bad timestamp {re.escape(repr(ts))}$"):
             list(stream_corpus(path, lexicon, self.WINDOW, split))
 
+    @pytest.mark.parametrize("split", SPLITS)
+    def test_empty_and_whitespace_only_lines_are_skipped(self, tmp_path, lexicon, split):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("\na\tu\t10\t-\tone\n \t \nb\tu\t150\t-\ttwo\n\n   \n",
+                        encoding="utf-8")
+        ids = [t.id for t in stream_corpus(path, lexicon, self.WINDOW, split)]
+        assert ids == {"train": ["a"], "test": ["b"], "all": ["a", "b"]}[split]
+
     def test_crlf_line_ends_read_like_lf(self, tmp_path, lexicon):
         lf = self._write(tmp_path, [10, 20, 150])
         crlf = tmp_path / "crlf.tsv"

@@ -1,4 +1,4 @@
-"""Sentiment scoring tests: tweet, phrase and user-vector levels."""
+"""Sentiment scoring tests: tweet and user-vector levels."""
 
 import tracemalloc
 
@@ -13,10 +13,8 @@ from sentpop.sentiment import (
     community_topic_vectors,
     group_tweets_by_user,
     load_vectors,
-    phrase_sentiment,
     save_vectors,
     tweet_sentiment,
-    user_phrase_sentiment,
     user_topic_vector,
 )
 from sentpop.topics import Topic
@@ -47,26 +45,32 @@ class TestTweetSentiment:
         assert tweet_sentiment(neg, pos) == -s
 
 
+def _phrase_score(tweets, phrase, user="alice"):
+    """``user``'s entry for ``phrase`` in a one-phrase topic."""
+    topic = Topic(hashtag="p", start_time=0, popularity=1, key_phrases=(phrase,))
+    return user_topic_vector(user, topic, tweets).values[0]
+
+
 class TestPhraseSentiment:
     def test_present(self, lexicon):
         t = make_tweet(lexicon, "love rio [smile][smile][cry]")
-        assert phrase_sentiment(t, "rio") == pytest.approx(1 / 3)
+        assert _phrase_score([t], "rio") == pytest.approx(1 / 3)
 
     def test_absent(self, lexicon):
         t = make_tweet(lexicon, "love rio [smile]")
-        assert phrase_sentiment(t, "olympics") == 0.0
+        assert _phrase_score([t], "olympics") == 0.0
 
     def test_present_without_emoticons(self, lexicon):
-        assert phrase_sentiment(make_tweet(lexicon, "plain rio"), "rio") == 0.0
+        assert _phrase_score([make_tweet(lexicon, "plain rio")], "rio") == 0.0
 
     def test_substring_containment_is_raw(self, lexicon):
         # no tokenization: "rio" occurs inside "barrios"
         t = make_tweet(lexicon, "barrios [smile]")
-        assert phrase_sentiment(t, "rio") == 1.0
+        assert _phrase_score([t], "rio") == 1.0
 
     def test_empty_phrase_rejected(self, lexicon):
-        with pytest.raises(ValueError):
-            phrase_sentiment(make_tweet(lexicon, "x"), "")
+        with pytest.raises(ValueError, match="empty key phrase"):
+            _phrase_score([make_tweet(lexicon, "x [smile]")], "")
 
 
 def _user_tweets(lexicon, specs, user="alice"):
@@ -79,14 +83,14 @@ def _user_tweets(lexicon, specs, user="alice"):
 class TestUserPhraseSentiment:
     def test_every_tweet_divides_the_sum(self, lexicon):
         tweets = _user_tweets(lexicon, ["rio [smile]", "a", "b", "c"])
-        assert user_phrase_sentiment(tweets, "rio") == 0.25
+        assert _phrase_score(tweets, "rio") == 0.25
 
     def test_phrase_in_no_tweet(self, lexicon):
         tweets = _user_tweets(lexicon, ["a", "b"])
-        assert user_phrase_sentiment(tweets, "rio") == 0.0
+        assert _phrase_score(tweets, "rio") == 0.0
 
     def test_no_tweets(self):
-        assert user_phrase_sentiment([], "rio") == 0.0
+        assert _phrase_score([], "rio") == 0.0
 
     def test_matches_naive_summation(self, lexicon):
         rng = np.random.default_rng(8)
@@ -103,7 +107,7 @@ class TestUserPhraseSentiment:
                     pos, neg = t.emoticon_counts
                     naive += (pos - neg) / (pos + neg) if pos + neg else 0.0
             naive /= len(tweets)
-            assert user_phrase_sentiment(tweets, phrase) == pytest.approx(naive, abs=1e-12)
+            assert _phrase_score(tweets, phrase) == pytest.approx(naive, abs=1e-12)
 
 
 TOPIC = Topic(hashtag="rio", start_time=0, popularity=5,
@@ -135,9 +139,7 @@ class TestUserTopicVector:
             tweets.append(make_tweet(lexicon, f"{body} {emo}", tweet_id=f"o{i}"))
         vec = user_topic_vector("alice", TOPIC, tweets)
         for n, phrase in enumerate(TOPIC.key_phrases):
-            assert vec.values[n] == pytest.approx(
-                user_phrase_sentiment(tweets, phrase), abs=1e-12
-            )
+            assert vec.values[n] == _phrase_score(tweets, phrase)
 
     def test_order_invariance(self, lexicon):
         tweets = _user_tweets(lexicon, ["alpha [smile]", "bravo [cry]", "x", "delta [smile][cry]"])
@@ -178,19 +180,21 @@ def test_vector_antisymmetry_under_polarity_swap(lexicon):
 
 
 def test_community_vectors_match_single_user_path(lexicon):
+    """Both paths against the oracle: ``user_topic_vector`` is ``catalog_vectors`` itself."""
     rng = np.random.default_rng(5)
     users = [f"user{u}" for u in range(12)]
     all_tweets = []
     for user in users:
         all_tweets += _random_user_tweets(lexicon, rng, user, int(rng.integers(0, 8)))
-    by_user = group_tweets_by_user(all_tweets)
+    users.append("silent")  # a member with no tweets
     got = community_topic_vectors(users, TOPIC, all_tweets)
-    for user in users:
-        expected = user_topic_vector(user, TOPIC, by_user.get(user, [])).values
-        if np.any(expected != 0):
-            assert np.allclose(got[user], expected, atol=1e-15)
-        else:
-            assert user not in got  # zero vectors are not materialized
+    expected = raw_scan_vectors(users, [TOPIC], group_tweets_by_user(all_tweets))[TOPIC.hashtag]
+    assert got.keys() == expected.keys()  # zero vectors are not materialized
+    for user, values in expected.items():
+        assert got[user].tobytes() == values.tobytes()
+        assert user_topic_vector(user, TOPIC, all_tweets).values.tobytes() == values.tobytes()
+    for user in set(users) - expected.keys():
+        assert np.array_equal(user_topic_vector(user, TOPIC, all_tweets).values, np.zeros(4))
 
 
 _RUN_CHARS = "abxé日٣_"  # ASCII and non-ASCII letters, a non-ASCII digit, underscore

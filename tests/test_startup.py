@@ -126,6 +126,40 @@ def test_linear_evaluate_loads_no_numpy_and_edge_evaluate_does(tmp_path):
     assert loaded == {"linear": "False", "edge": "True"}
 
 
+UNBOUND = """
+import json, sys
+from sentpop import cli
+bound = {name for module, names in cli._NAMES.items() for name in (module, *names)}
+for argv in json.loads(sys.argv[1]):
+    for name in bound:
+        vars(cli).pop(name, None)
+    if cli.main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_each_command_binds_the_names_it_uses(tmp_path):
+    """Commands run in one interpreter keep the names that earlier ones bound, which
+    hides a command that does not bind its own; so each starts with none bound."""
+    out = str(tmp_path / "run")
+    window = (f"{SYNTH_WINDOW.train_start},{SYNTH_WINDOW.train_end},"
+              f"{SYNTH_WINDOW.test_start},{SYNTH_WINDOW.test_end}")
+    argvs = [
+        ["synth", "--seed", "11", "--n-users", "14", "--edge-density", "0.35", "--n-topics",
+         "6", "--planted", "linear"],
+        ["ingest", "--corpus", f"{out}/corpus.tsv", "--lexicon", f"{out}/lexicon.tsv",
+         "--window", window],
+        ["graph", "--seed-user", "u00000"],
+        ["topics", "--stopwords", f"{out}/stopwords.tsv"],
+        ["sentiment"], ["energy"], ["correlate", "--gaps", "1"],
+        ["train", "--gaps", "1", "--predictor", "linear"],
+        ["evaluate", "--predictor", "linear"],
+        ["train", "--gaps", "1", "--predictor", "edge", "--eta", "0.001"],
+        ["evaluate", "--predictor", "edge"],
+    ]
+    _python(UNBOUND, json.dumps([[argv[0], "--out", out, *argv[1:]] for argv in argvs]))
+
+
 def test_importing_the_package_loads_no_submodule():
     code = (
         "import sys, sentpop\n"
