@@ -73,19 +73,6 @@ _NAMES = {
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in (module, *names)}
 
-# synth imports its module in cmd_synth, and ingest needs only corpus and manifest
-_COMMAND_MODULES = {
-    "synth": (),
-    "ingest": (),
-    "graph": ("graph",),
-    "topics": ("topics",),
-    "sentiment": ("graph", "topics", "sentiment"),
-    "energy": ("graph", "topics", "sentiment", "energy"),
-    "correlate": ("topics", "energy", "stats"),
-    "train": ("graph", "topics", "sentiment", "energy", "predictor"),
-    "evaluate": ("graph", "topics", "sentiment", "energy", "predictor"),
-}
-
 
 def _bind(module_name: str) -> None:
     """Import ``module_name`` and bind it and its names here, keeping names already bound."""
@@ -140,22 +127,58 @@ def _csv_ints(text: str, flag: str) -> list[int]:
     return values
 
 
-def _gaps(text: str) -> list[int]:
+def _gaps(args, manifest) -> dict:
     """The ``--gaps`` list; each gap is one dataset, so it must name each once."""
-    gaps = _csv_ints(text, "--gaps")
+    gaps = _csv_ints(args.gaps, "--gaps")
     if not gaps:
-        raise ValueError(f"--gaps lists no gap: {text!r}")
+        raise ValueError(f"--gaps lists no gap: {args.gaps!r}")
     for gap in gaps:
         if gaps.count(gap) > 1:
             raise ValueError(f"--gaps lists gap {gap} more than once")
-    return gaps
+    return {"gaps": gaps}
+
+
+def _window(args, manifest) -> dict:
+    bounds = _csv_ints(args.window, "--window")
+    if len(bounds) != 4:
+        raise ValueError("--window needs train_start,train_end,test_start,test_end")
+    return {"window": bounds}
+
+
+def _first_month_end(args, manifest) -> dict:
+    window = CorpusWindow(*manifest.stage_config("ingest")["window"])
+    return {"first_month_end": first_month_end(window)}
+
+
+def _trained_gaps(args, manifest) -> dict:
+    # every gap train recorded; the split file, verified against that record,
+    # holds test topics for each, since a split of n >= 2 topics leaves some
+    return {"gaps": manifest.stage_config(f"train:{args.predictor}")["gaps"]}
+
+
+# Per command: the modules main binds before it runs (synth imports its own in
+# cmd_synth, and ingest needs only corpus and manifest), and ``resolve(args,
+# manifest)``, the values its record holds beyond its flags. Reads and writes
+# are not listed: the manifest records both for each stage.
+_COMMANDS = {
+    "synth": ((), lambda args, manifest: {}),
+    "ingest": ((), _window),
+    "graph": (("graph",), lambda args, manifest: {}),
+    "topics": (("topics",), _first_month_end),
+    "sentiment": (("graph", "topics", "sentiment"), lambda args, manifest: {}),
+    "energy": (("graph", "topics", "sentiment", "energy"), lambda args, manifest: {}),
+    "correlate": (("topics", "energy", "stats"), _gaps),
+    "train": (("graph", "topics", "sentiment", "energy", "predictor"), lambda args, manifest: {
+        **_gaps(args, manifest), "stop_tol": predictor.TrainConfig.stop_tol}),
+    "evaluate": (("graph", "topics", "sentiment", "energy", "predictor"), _trained_gaps),
+}
 
 
 class Stage:
     """The manifest bookkeeping of one command run on ``--out``.
 
-    A command verifies each file it reads through :meth:`read`, writes each
-    artifact through :meth:`write` and ends with :meth:`record`, which stores
+    A command verifies each file it reads through :meth:`read` and writes each
+    artifact through :meth:`write`; main then calls :meth:`record`, which stores
     its config with the digests it verified and wrote. The module's helpers
     (``_out_meta``, ``_write_lines``, ``load_*``...) are looked up as globals
     when called, so ``perfbench/trace_stage.py`` sees every call it wraps.
@@ -187,10 +210,11 @@ class Stage:
         self.outputs[str(path)] = _out_meta(path, rows)
         return rows
 
-    def record(self, name: str, args, **resolved) -> None:
-        """Record the stage; its config is the parsed flags, updated with ``resolved``."""
+    def record(self, args) -> None:
+        """Record the stage as ``command`` or ``command:predictor``; its config is the
+        flags as parsed, updated with the values that main resolved before it ran."""
         config = {k: v for k, v in vars(args).items() if k not in ("out", "func", "command")}
-        config.update(resolved)
+        name = f"{args.command}:{args.predictor}" if "predictor" in config else args.command
         self.manifest.record_stage(name, config, self.inputs, self.outputs)
 
     def corpus(self):
@@ -237,7 +261,7 @@ class Stage:
         return catalog, lambda topics: predictor.energy_samples(energies, topics)
 
 
-def cmd_synth(stage: Stage, args) -> int:
+def cmd_synth(stage: Stage, args) -> None:
     # imported here so that the other stages do not pay for it
     from . import synth
 
@@ -270,7 +294,6 @@ def cmd_synth(stage: Stage, args) -> int:
     n_rows = gen.n_train_tweets + gen.n_test_tweets
     for path, rows in gen.rows.items():
         stage.outputs[str(path)] = _out_meta(path, rows)
-    stage.record("synth", args)
     print(f"synth: {n_rows} tweets -> {gen.corpus_path}")
     print(
         "synth: window "
@@ -278,14 +301,10 @@ def cmd_synth(stage: Stage, args) -> int:
         f"{gen.window.test_start},{gen.window.test_end} seed-user {gen.seed_user}"
     )
     print(f"synth: popularity - exact_target at most {gen.max_popularity_shift:.4g}")
-    return 0
 
 
-def cmd_ingest(stage: Stage, args) -> int:
-    bounds = _csv_ints(args.window, "--window")
-    if len(bounds) != 4:
-        raise ValueError("--window needs train_start,train_end,test_start,test_end")
-    window = CorpusWindow(*bounds)
+def cmd_ingest(stage: Stage, args) -> None:
+    window = CorpusWindow(*args.window)
     lexicon = load_lexicon(args.lexicon)
     dropped = 0
 
@@ -317,32 +336,27 @@ def cmd_ingest(stage: Stage, args) -> int:
     rows = stage.write(NORMALIZED_CORPUS, _write_lines, kept())
     # sentiment reads the lexicon from the run, as the later stages read the corpus
     stage.write(NORMALIZED_LEXICON, save_lexicon, lexicon)
-    stage.record("ingest", args, window=bounds)
     print(f"ingest: kept {rows} tweets ({dropped} outside window) -> "
           f"{stage.out / NORMALIZED_CORPUS}")
-    return 0
 
 
-def cmd_graph(stage: Stage, args) -> int:
+def cmd_graph(stage: Stage, args) -> None:
     corpus_path, window = stage.corpus()
     tweets = stream_corpus(corpus_path, _NO_LEXICON, window, "all")
     graph = build_graph(tweets)
     community = extract_community(graph, args.seed_user, args.max_depth)
     g_rows = stage.write(GRAPH_FILE, save_edge_list, graph.edges)
     c_rows = stage.write(COMMUNITY_FILE, save_edge_list, community.edges)
-    stage.record("graph", args)
     print(
         f"graph: {len(graph.nodes)} users, {g_rows} edges; community of "
         f"{args.seed_user!r} at depth {args.max_depth}: "
         f"{len(community.members)} members, {c_rows} edges"
     )
-    return 0
 
 
-def cmd_topics(stage: Stage, args) -> int:
+def cmd_topics(stage: Stage, args) -> None:
     corpus_path, window = stage.corpus()
     stopwords = load_stopwords(stage.read(Path(args.stopwords)))
-    month_end = first_month_end(window)
     texts: dict[str, list[str]] = {}  # hashtag -> its tweets' texts, in corpus order
 
     def test_tweets() -> Iterator[Tweet]:
@@ -353,7 +367,7 @@ def cmd_topics(stage: Stage, args) -> int:
             yield tweet
 
     topics = dedupe_equal_popularity(
-        extract_topics(test_tweets(), month_end, args.min_popularity)
+        extract_topics(test_tweets(), args.first_month_end, args.min_popularity)
     )
     topics = [
         attach_key_phrases(
@@ -362,24 +376,20 @@ def cmd_topics(stage: Stage, args) -> int:
         for t in topics
     ]
     rows = stage.write(CATALOG_FILE, save_catalog, topics)
-    stage.record("topics", args, first_month_end=month_end)
     print(f"topics: {rows} topics -> {stage.out / CATALOG_FILE}")
-    return 0
 
 
-def cmd_sentiment(stage: Stage, args) -> int:
+def cmd_sentiment(stage: Stage, args) -> None:
     corpus_path, window = stage.corpus()
     lexicon = load_lexicon(stage.read(NORMALIZED_LEXICON))
     community, catalog, _ = stage.features(vectors=False)
     train_tweets = stream_corpus(corpus_path, lexicon, window, "train")
     vectors_by_topic = catalog_vectors(community.members, catalog, train_tweets)
     rows = stage.write(VECTORS_FILE, save_vectors, vectors_by_topic)
-    stage.record("sentiment", args)
     print(f"sentiment: {rows} nonzero vectors -> {stage.out / VECTORS_FILE}")
-    return 0
 
 
-def cmd_energy(stage: Stage, args) -> int:
+def cmd_energy(stage: Stage, args) -> None:
     community, catalog, vectors_by_topic = stage.features()
     energies = [
         e
@@ -387,13 +397,10 @@ def cmd_energy(stage: Stage, args) -> int:
         for e in community_energy(community, vectors_by_topic.get(t.hashtag, {}), t.hashtag)
     ]
     rows = stage.write(ENERGIES_FILE, save_energy_report, energies)
-    stage.record("energy", args)
     print(f"energy: {rows} rows -> {stage.out / ENERGIES_FILE}")
-    return 0
 
 
-def cmd_correlate(stage: Stage, args) -> int:
-    gaps = _gaps(args.gaps)
+def cmd_correlate(stage: Stage, args) -> None:
     catalog = load_catalog(stage.read(CATALOG_FILE))
     energies_path = stage.read(ENERGIES_FILE)
     by_key: dict[tuple[str, EnergyModel, EnergyFunction], float] = {}
@@ -402,7 +409,7 @@ def cmd_correlate(stage: Stage, args) -> int:
         by_key[(e.topic, e.model, e.function)] = e.value
         combos.add((e.model, e.function))
     lines = []
-    for gap in gaps:
+    for gap in args.gaps:
         dataset = gap_filter(catalog, gap)
         pops = [float(t.popularity) for t in dataset.topics]
         for model, function in sorted(combos, key=lambda mf: (mf[0].value, mf[1].value)):
@@ -413,9 +420,7 @@ def cmd_correlate(stage: Stage, args) -> int:
                 f"{gap}\t{model.value}+{function.value}\t{r!r}\t{p!r}\t{strength.value}"
             )
     rows = stage.write(CORRELATION_FILE, _write_lines, lines)
-    stage.record("correlate", args, gaps=gaps)
     print(f"correlate: {rows} rows -> {stage.out / CORRELATION_FILE}")
-    return 0
 
 
 def _sgd_summary(result: predictor.TrainResult, eta: float) -> str:
@@ -437,13 +442,14 @@ def _sgd_summary(result: predictor.TrainResult, eta: float) -> str:
     return text
 
 
-def cmd_train(stage: Stage, args) -> int:
-    gaps = _gaps(args.gaps)
+def cmd_train(stage: Stage, args) -> None:
     catalog, samples_of = stage.samples(args.predictor, EnergyFunction(args.function))
-    config = predictor.TrainConfig(learning_rate=args.eta, epochs=args.epochs, rng_seed=args.seed)
+    config = predictor.TrainConfig(
+        learning_rate=args.eta, epochs=args.epochs, rng_seed=args.seed, stop_tol=args.stop_tol
+    )
     split_lines: list[str] = []
     results = []  # every gap trains before any file is written
-    for gap in gaps:
+    for gap in args.gaps:
         dataset = gap_filter(catalog, gap)
         train_topics, test_topics = predictor.split_train_test(dataset, args.seed)
         split_lines.extend(f"{gap}\t{t.hashtag}\ttrain" for t in train_topics)
@@ -460,27 +466,17 @@ def cmd_train(stage: Stage, args) -> int:
         summary = _sgd_summary(result, config.learning_rate)
         print(f"train: gap {gap}: {n_samples} topics, {summary}")
     stage.write(f"splits_{args.predictor}.tsv", _write_lines, split_lines)
-    stage.record(
-        f"train:{args.predictor}",
-        args,
-        gaps=gaps,
-        stop_tol=config.stop_tol,
-    )
-    return 0
 
 
-def cmd_evaluate(stage: Stage, args) -> int:
+def cmd_evaluate(stage: Stage, args) -> None:
     train_cfg = stage.manifest.stage_config(f"train:{args.predictor}")
     catalog, samples_of = stage.samples(args.predictor, EnergyFunction(train_cfg["function"]))
-    # every gap train recorded; the split file, verified against that record,
-    # holds test topics for each, since a split of n >= 2 topics leaves some
-    gaps = train_cfg["gaps"]
     test_tags: dict[int, set[str]] = {}
     for _, (gap_s, tag, role) in read_rows(stage.read(f"splits_{args.predictor}.tsv"), 3, "split"):
         if role == "test":
             test_tags.setdefault(int(gap_s), set()).add(tag)
     results = []  # every gap is scored before any file is written
-    for gap in gaps:
+    for gap in args.gaps:
         model = predictor.load_model(stage.read(f"model_{args.predictor}_gap{gap}.tsv"))
         test_topics = [t for t in catalog if t.hashtag in test_tags[gap]]
         results.append((gap, predictor.evaluate(model, samples_of(test_topics))))
@@ -497,8 +493,6 @@ def cmd_evaluate(stage: Stage, args) -> int:
         print(f"evaluate: gap {gap}: rse {result.rse:.4f} r2 {result.r_squared:.4f}{verdict}")
     lines = [f"{gap}\t{args.predictor}\t{result.rse!r}" for gap, result in results]
     stage.write(f"evaluation_{args.predictor}.tsv", _write_lines, lines)
-    stage.record(f"evaluate:{args.predictor}", args, gaps=gaps)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -580,13 +574,18 @@ def main(argv: list[str] | None = None) -> int:
     if not any(var in os.environ for var in _BLAS_THREAD_VARS):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     args = build_parser().parse_args(argv)
-    for module_name in _COMMAND_MODULES[args.command]:
+    modules, resolve = _COMMANDS[args.command]
+    for module_name in modules:
         _bind(module_name)
     try:
-        return args.func(Stage(args.out), args)
+        stage = Stage(args.out)
+        vars(args).update(resolve(args, stage.manifest))
+        args.func(stage, args)
+        stage.record(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":
