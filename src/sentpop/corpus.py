@@ -213,9 +213,11 @@ def open_corpus(path: str | Path) -> TextIO:
 
     Universal newlines would also split a record at a lone carriage return and
     report a wrong line number; here the carriage return stays in its line for
-    :func:`parse_tweet_line` to reject.
+    :func:`parse_tweet_line` to reject. A leading byte-order mark, which some
+    editors write, is dropped rather than read into the first tweet's id; the
+    outside files that a stage loads (lexicon, stopwords) are read the same way.
     """
-    return open(path, encoding="utf-8", newline="\n")
+    return open(path, encoding="utf-8-sig", newline="\n")
 
 
 def load_lexicon(path: str | Path) -> EmoticonLexicon:
@@ -225,7 +227,7 @@ def load_lexicon(path: str | Path) -> EmoticonLexicon:
     bracketed emoticon (``smile``, ``[a]b]``) are errors.
     """
     entries: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

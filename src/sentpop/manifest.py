@@ -105,11 +105,34 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str | Path, version: str = "") -> "RunManifest":
+        """The manifest at ``path``, or an empty one if there is no file.
+
+        A file that is not JSON, or not of the shape read here (each stage's
+        config, inputs and outputs, and each output's digest), is a
+        :class:`ValueError` naming the file.
+        """
         path = Path(path)
-        if path.exists():
-            with open(path, encoding="utf-8") as fh:
-                return cls(path, json.load(fh))
-        return cls(path, version=version)
+        if not path.exists():
+            return cls(path, version=version)
+        with open(path, encoding="utf-8") as fh:
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"{path} is not a run manifest: {exc}") from None
+        stages = data.get("stages") if isinstance(data, dict) else None
+        if not isinstance(stages, dict):
+            raise ValueError(f"{path} is not a run manifest: it has no stages object")
+        for name, entry in stages.items():
+            if not (
+                isinstance(entry, dict)
+                and all(isinstance(entry.get(k), dict) for k in ("config", "inputs", "outputs"))
+                and all(isinstance(m, dict) and "digest" in m for m in entry["outputs"].values())
+            ):
+                raise ValueError(
+                    f"{path} is not a run manifest: stage {name!r} needs config, inputs "
+                    "and outputs objects, and a digest for each output"
+                )
+        return cls(path, data)
 
     def key(self, path: str | Path) -> str:
         """The manifest key of ``path``.
@@ -161,7 +184,7 @@ class RunManifest:
         entry = self.data["stages"].get(stage)
         if entry is None:
             raise StaleArtifactError(
-                f"stage {stage!r} has not been run yet (no manifest entry)"
+                f"stage {stage!r} has not been run yet (no manifest entry); run {_command(stage)}"
             )
         return entry["config"]
 

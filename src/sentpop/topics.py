@@ -155,7 +155,7 @@ def attach_key_phrases(topic: Topic, phrases: Sequence[str]) -> Topic:
 def load_stopwords(path: str | Path) -> set[str]:
     """One token per line; blank lines ignored."""
     words: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             word = line.strip()
             if word:

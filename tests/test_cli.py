@@ -1,5 +1,6 @@
 """CLI pipeline tests on a small synthetic corpus."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -708,6 +709,30 @@ def test_settable_values_are_the_documented_set(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def _calls_of(method: str) -> set[tuple[str, str]]:
+    """(file, top-level function or class) of every call of ``method`` in the package."""
+    package = Path(sentpop.cli.__file__).parent
+    return {
+        (path.name, getattr(top, "name", "<module>"))
+        for path in sorted(package.glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == method
+    }
+
+
+def test_only_main_records_a_stage():
+    # main resolves, runs and records every command; no command body touches the manifest
+    assert _calls_of("record") == {("cli.py", "main")}
+    assert _calls_of("record_stage") == {("cli.py", "Stage")}
+
+
+def test_the_stage_runner_has_one_entry_per_subcommand():
+    parser = sentpop.cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    assert set(sentpop.cli._COMMANDS) == set(commands)
+
+
 def _run_through_topics(out, max_depth=3):
     """synth, ingest, graph and topics on a small corpus under ``out``."""
     assert run("synth", "--out", out, "--seed", "11", "--n-users", "14",
@@ -1018,6 +1043,60 @@ def test_edge_predictor_trains_on_a_community_without_edges(tmp_path):
     assert run("evaluate", "--out", out, "--predictor", "edge") == 0
 
 
+def _not_yet_run(stage, command):
+    return f"stage {stage!r} has not been run yet (no manifest entry); run {command}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("evaluate", "--predictor", "linear"),
+                 _not_yet_run("train:linear", "train --predictor linear"),
+                 id="evaluate-linear-before-train"),
+    pytest.param(("evaluate", "--predictor", "edge"),
+                 _not_yet_run("train:edge", "train --predictor edge"),
+                 id="evaluate-edge-before-train"),
+])
+def test_failed_resolve_leaves_out_byte_unchanged(tmp_path, capsys, argv, message):
+    """main resolves a command's recorded values before the command runs."""
+    out = tmp_path / "run"
+    _run_through_topics(out)
+    for stage in ("sentiment", "energy"):
+        assert run(stage, "--out", out) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert run(argv[0], "--out", out, *argv[1:]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def _without_a_digest(text: str) -> str:
+    data = json.loads(text)
+    del data["stages"]["ingest"]["outputs"]["corpus_normalized.tsv"]["digest"]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda text: "{}", id="no-stages"),
+    pytest.param(lambda text: '{"stages": {"ingest": {}}}', id="empty-stage"),
+    pytest.param(_without_a_digest, id="output-without-digest"),
+    pytest.param(lambda text: "[]", id="list"),
+    pytest.param(lambda text: '{"stages": []}', id="stages-list"),
+    pytest.param(lambda text: "null", id="null"),
+    pytest.param(lambda text: text[:-10], id="truncated"),
+])
+def test_malformed_manifest_exits_1_naming_it(pipeline_dir, tmp_path, capsys, edit):
+    # these once raised KeyError, TypeError or AttributeError, and null read as no stages
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dir, out)
+    manifest = out / "manifest.json"
+    manifest.write_text(edit(manifest.read_text(encoding="utf-8")), encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert run(*pipeline_argv(out)["graph"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest} is not a run manifest: ") and err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 _LEXICON_TEXT = "[smile]\tpositive\n[cry]\tnegative\n"
 
 
@@ -1058,6 +1137,18 @@ def test_ingest_rejects_a_duplicate_of_a_tweet_outside_its_window(tmp_path, caps
     corpus = b"a\tana\t5\t-\tearly\nb\tana\t15\t-\tin\na\tbo\t15\t-\tagain\n"
     assert _ingest_text(tmp_path, "dup", corpus, window="10,20,30,40") == 1
     assert "line 3: duplicate tweet id 'a', first on line 1" in capsys.readouterr().err
+
+
+def test_ingest_reads_a_corpus_with_a_byte_order_mark_like_its_twin(tmp_path, capsys):
+    # the mark once stayed in the first id, so "a" on lines 1 and 3 did not clash
+    dup = "a\tana\t15\t-\tin\nb\tana\t16\t-\tin\na\tbo\t17\t-\tagain\n"
+    assert _ingest_text(tmp_path, "dup", dup.encode("utf-8-sig"), window="10,20,30,40") == 1
+    assert "line 3: duplicate tweet id 'a', first on line 1" in capsys.readouterr().err
+    twin = dup.replace("a\tbo", "c\tbo")
+    for name, encoding in (("marked", "utf-8-sig"), ("plain", "utf-8")):
+        assert _ingest_text(tmp_path, name, twin.encode(encoding), window="10,20,30,40") == 0
+    marked, plain = (tmp_path / n / "corpus_normalized.tsv" for n in ("marked", "plain"))
+    assert marked.read_bytes() == plain.read_bytes() == twin.encode()
 
 
 def test_ingest_reports_a_lone_carriage_return_at_its_line(tmp_path, capsys):

@@ -240,6 +240,15 @@ class TestLexicon:
         path.write_text("\n".join(rows) + "\n")
         assert len(load_lexicon(path)) == 436
 
+    def test_leading_byte_order_mark_is_not_read_into_the_first_token(self, tmp_path):
+        # "\ufeff[n0]" was once rejected as a token that is not one bracketed emoticon
+        text = "[n0]\tnegative\n[p0]\tpositive\n"
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf[n0]")
+        assert load_lexicon(marked).entries == load_lexicon(plain).entries
+
     def test_lexicon_is_immutable(self, lexicon):
         for change in (lambda: setattr(lexicon, "entries", {}),
                        lambda: delattr(lexicon, "entries"),

@@ -14,6 +14,7 @@ from sentpop.topics import (
     extract_topics,
     gap_filter,
     load_catalog,
+    load_stopwords,
     save_catalog,
 )
 
@@ -192,3 +193,11 @@ def test_catalog_round_trip(tmp_path):
     path = tmp_path / "catalog.tsv"
     assert save_catalog(topics, path) == 2
     assert load_catalog(path) == topics
+
+
+def test_stopwords_with_a_leading_byte_order_mark_keep_their_first_word(tmp_path):
+    # the mark was once read into the first word, so "w000" stayed a key phrase
+    path = tmp_path / "stopwords.tsv"
+    path.write_text("w000\nw001\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbfw000")
+    assert load_stopwords(path) == {"w000", "w001"}
