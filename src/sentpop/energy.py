@@ -38,35 +38,24 @@ class CommunityEnergy:
     value: float
 
 
-def _as_vector(v: Sequence[float] | np.ndarray) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
+def _pair_matrix(v_i, v_j) -> np.ndarray:
+    """The two vectors as the rows of a 2 x m matrix: one edge, from row 0 to row 1."""
+    v_i, v_j = np.asarray(v_i, dtype=np.float64), np.asarray(v_j, dtype=np.float64)
+    if v_i.ndim != 1 or v_j.ndim != 1:
         raise ValueError("sentiment vectors must be one-dimensional")
-    return arr
-
-
-def _check_lengths(v_i: np.ndarray, v_j: np.ndarray) -> None:
     if v_i.shape[0] != v_j.shape[0]:
         raise ValueError(f"vector length mismatch: {v_i.shape[0]} vs {v_j.shape[0]}")
+    return np.stack((v_i, v_j))
 
 
 def clique_energy_cosine(v_i, v_j) -> float:
     """|v_i . v_j| / (|v_i| |v_j|) in [0, 1]; 0 if either vector is all-zero."""
-    v_i, v_j = _as_vector(v_i), _as_vector(v_j)
-    _check_lengths(v_i, v_j)
-    denom = float(np.linalg.norm(v_i)) * float(np.linalg.norm(v_j))
-    if denom == 0.0:
-        return 0.0
-    value = abs(float(np.dot(v_i, v_j))) / denom
-    # rounding can push |cos| infinitesimally past 1
-    return min(value, 1.0)
+    return float(_edge_values(_pair_matrix(v_i, v_j), [0], [1], EnergyFunction.COSINE)[0])
 
 
 def clique_energy_avglen(v_i, v_j) -> float:
     """(|v_i| + |v_j|) / 2; ranges over [0, sqrt(m)] for entries in [-1, 1]."""
-    v_i, v_j = _as_vector(v_i), _as_vector(v_j)
-    _check_lengths(v_i, v_j)
-    return (float(np.linalg.norm(v_i)) + float(np.linalg.norm(v_j))) / 2.0
+    return float(_edge_values(_pair_matrix(v_i, v_j), [0], [1], EnergyFunction.AVGLEN)[0])
 
 
 def edge_probability(v_i, v_j, function: EnergyFunction) -> float:
@@ -74,25 +63,20 @@ def edge_probability(v_i, v_j, function: EnergyFunction) -> float:
 
     The cosine energy is already a probability. The average-length energy
     ranges over [0, sqrt(m)] and is normalized by sqrt(m), then clamped.
+    Vectors of length 0 give 0.
     """
-    v_i, v_j = _as_vector(v_i), _as_vector(v_j)
-    _check_lengths(v_i, v_j)
-    if function == EnergyFunction.COSINE:
-        return clique_energy_cosine(v_i, v_j)
-    m = v_i.shape[0]
+    matrix = _pair_matrix(v_i, v_j)
+    m = matrix.shape[1]
     if m == 0:
         return 0.0
-    value = clique_energy_avglen(v_i, v_j) / float(np.sqrt(m))
-    return min(max(value, 0.0), 1.0)
+    return float(_probabilities(_edge_values(matrix, [0], [1], function), function, m)[0])
 
 
 def binary_entropy(p: float) -> float:
     """-(p log2 p + (1-p) log2(1-p)) in bits, with 0 log 0 = 0; peaks at 1."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability out of range: {p}")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return float(-(p * np.log(p) + (1.0 - p) * np.log(1.0 - p)) / np.log(2.0))
+    return float(_entropy_terms(np.array([p], dtype=np.float64))[0])
 
 
 def _vector_length(vectors: Mapping[str, np.ndarray]) -> int:
@@ -134,17 +118,23 @@ def per_edge_energies(
     if not edges:
         return edges, np.zeros(0, dtype=np.float64)
     matrix = _member_matrix(community, vectors)
-    i_idx, j_idx = community.i_idx, community.j_idx
+    return edges, _edge_values(matrix, community.i_idx, community.j_idx, function)
+
+
+def _edge_values(matrix: np.ndarray, i_idx, j_idx, function: EnergyFunction) -> np.ndarray:
+    """The energy of each edge from row ``i_idx[k]`` to row ``j_idx[k]`` of ``matrix``.
+
+    The one definition of both clique energies: the energy stage runs it on
+    the community's edges, and the scalar functions on one edge.
+    """
     norms = np.linalg.norm(matrix, axis=1)
     if function == EnergyFunction.COSINE:
         dots = np.einsum("ij,ij->i", matrix[i_idx], matrix[j_idx])
         denom = norms[i_idx] * norms[j_idx]
         with np.errstate(divide="ignore", invalid="ignore"):
             values = np.where(denom > 0.0, np.abs(dots) / denom, 0.0)
-        values = np.clip(values, 0.0, 1.0)
-    else:
-        values = (norms[i_idx] + norms[j_idx]) / 2.0
-    return edges, values
+        return np.clip(values, 0.0, 1.0)
+    return (norms[i_idx] + norms[j_idx]) / 2.0
 
 
 def mrf_total(values: np.ndarray) -> float:
@@ -153,15 +143,23 @@ def mrf_total(values: np.ndarray) -> float:
     return float(np.sum(values))
 
 
-def _entropy_value(values: np.ndarray, function: EnergyFunction, m: int) -> float:
-    """Total binary entropy, in bits, of the energies as probabilities (see edge_probability)."""
-    p = values
+def _probabilities(values: np.ndarray, function: EnergyFunction, m: int) -> np.ndarray:
+    """Edge energies as communication probabilities (see edge_probability)."""
     if function == EnergyFunction.AVGLEN:
-        p = np.clip(values / np.sqrt(m), 0.0, 1.0)
+        return np.clip(values / np.sqrt(m), 0.0, 1.0)
+    return values
+
+
+def _entropy_terms(p: np.ndarray) -> np.ndarray:
+    """The binary entropy, in bits, of each probability; 0 at 0 and at 1."""
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = -(p * np.log(p) + (1.0 - p) * np.log1p(-p)) / np.log(2.0)
-    terms = np.where((p <= 0.0) | (p >= 1.0), 0.0, terms)
-    return float(np.sum(terms))
+    return np.where((p <= 0.0) | (p >= 1.0), 0.0, terms)
+
+
+def _entropy_value(values: np.ndarray, function: EnergyFunction, m: int) -> float:
+    """Total binary entropy, in bits, of the energies as probabilities."""
+    return float(np.sum(_entropy_terms(_probabilities(values, function, m))))
 
 
 def community_energy_mrf(

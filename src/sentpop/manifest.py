@@ -108,8 +108,8 @@ class RunManifest:
         """The manifest at ``path``, or an empty one if there is no file.
 
         A file that is not JSON, or not of the shape read here (each stage's
-        config, inputs and outputs, and each output's digest), is a
-        :class:`ValueError` naming the file.
+        config, config digest, inputs and outputs, and each output's digest),
+        is a :class:`ValueError` naming the file.
         """
         path = Path(path)
         if not path.exists():
@@ -126,11 +126,12 @@ class RunManifest:
             if not (
                 isinstance(entry, dict)
                 and all(isinstance(entry.get(k), dict) for k in ("config", "inputs", "outputs"))
+                and isinstance(entry.get("config_digest"), str)
                 and all(isinstance(m, dict) and "digest" in m for m in entry["outputs"].values())
             ):
                 raise ValueError(
                     f"{path} is not a run manifest: stage {name!r} needs config, inputs "
-                    "and outputs objects, and a digest for each output"
+                    "and outputs objects, a config_digest and a digest for each output"
                 )
         return cls(path, data)
 
@@ -181,10 +182,20 @@ class RunManifest:
             os.close(fd)
 
     def stage_config(self, stage: str) -> dict:
+        """The config ``stage`` recorded, checked against the digest recorded with it.
+
+        Only the configs a command reads are checked, so a stage whose config
+        was edited can still be rerun.
+        """
         entry = self.data["stages"].get(stage)
         if entry is None:
             raise StaleArtifactError(
                 f"stage {stage!r} has not been run yet (no manifest entry); run {_command(stage)}"
+            )
+        if config_digest(entry["config"]) != entry["config_digest"]:
+            raise StaleArtifactError(
+                f"{self.path}: the config of stage {stage!r} no longer matches its recorded "
+                f"config_digest; rerun {_command(stage)}"
             )
         return entry["config"]
 

@@ -127,6 +127,11 @@ class SynthConfig:
             raise ValueError("m must be in [1, 99]")
         if self.tweets_per_user < 1:
             raise ValueError("tweets_per_user must be >= 1")
+        if self.n_users * self.tweets_per_user > MAX_TOTAL_TWEETS:
+            raise InfeasibleConfigError(
+                f"would generate over the cap of {MAX_TOTAL_TWEETS} tweets: {self.n_users} "
+                f"users x {self.tweets_per_user} train tweets each"
+            )
         lo, hi = self.care_range
         if not (0.0 <= lo <= hi <= 1.0):
             raise ValueError("care_range must satisfy 0 <= lo <= hi <= 1")
@@ -194,17 +199,26 @@ def _filler(i: int) -> str:
     return _FILLERS[i % _N_FILLERS]
 
 
-def _draw_edges(rng: np.random.Generator, users: Sequence[str], density: float) -> list[Edge]:
+def _draw_edges(
+    rng: np.random.Generator, users: Sequence[str], density: float, max_edges: float = math.inf
+) -> list[Edge]:
     """Erdos-Renyi pairs ``(users[i], users[j])``, ``i < j``, in row-major order.
 
     One row of pair coins per user: the same draws, in the same order, as one
-    ``rng.random() < density`` per pair, in O(len(users)) memory.
+    ``rng.random() < density`` per pair, in O(len(users)) memory. A row that
+    takes the edges past ``max_edges`` raises :class:`InfeasibleConfigError`
+    before the next row is drawn.
     """
     edges: list[Edge] = []
     n = len(users)
     for i in range(n):
         coins = rng.random(n - i - 1) < density
         edges.extend((users[i], users[i + 1 + j]) for j in np.flatnonzero(coins).tolist())
+        if len(edges) > max_edges:
+            raise InfeasibleConfigError(
+                f"would generate over the cap of {MAX_TOTAL_TWEETS} tweets: {len(edges)} edges "
+                f"among the first {i + 1} of {n} users, one tweet each, with room for {max_edges}"
+            )
     return edges
 
 
@@ -243,8 +257,11 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
     train_len = window.train_end - window.train_start
     test_len = window.test_end - window.test_start
 
-    # social graph (Erdos-Renyi); keep the seed attached to the graph
-    edges = _draw_edges(rng, users, config.edge_density)
+    # social graph (Erdos-Renyi); keep the seed attached to the graph. Each
+    # edge and each user's topic tweet is a train tweet, so the draw stops
+    # once they pass the cap
+    n_topic_tweets = config.n_users * config.tweets_per_user
+    edges = _draw_edges(rng, users, config.edge_density, MAX_TOTAL_TWEETS - n_topic_tweets)
     if not any(seed_user in e for e in edges):
         edges.append((users[0], users[1]))
     edges.sort()

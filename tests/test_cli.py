@@ -1074,10 +1074,17 @@ def _without_a_digest(text: str) -> str:
     return json.dumps(data)
 
 
+def _with_a_numeric_config_digest(text: str) -> str:
+    data = json.loads(text)
+    data["stages"]["train:edge"]["config_digest"] = 0
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda text: "{}", id="no-stages"),
     pytest.param(lambda text: '{"stages": {"ingest": {}}}', id="empty-stage"),
     pytest.param(_without_a_digest, id="output-without-digest"),
+    pytest.param(_with_a_numeric_config_digest, id="numeric-config-digest"),
     pytest.param(lambda text: "[]", id="list"),
     pytest.param(lambda text: '{"stages": []}', id="stages-list"),
     pytest.param(lambda text: "null", id="null"),
@@ -1096,6 +1103,51 @@ def test_malformed_manifest_exits_1_naming_it(pipeline_dir, tmp_path, capsys, ed
     assert err.startswith(f"error: {manifest} is not a run manifest: ") and err.count("\n") == 1
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+
+_DELETED = object()
+_W = SYNTH_WINDOW
+
+# each config key a later command reads, the stage that records it and a command reading it
+_READ_KEYS = [
+    ("ingest", "window", "graph"),
+    ("graph", "seed_user", "sentiment"),
+    ("graph", "max_depth", "energy"),
+    ("train:linear", "gaps", "evaluate"),
+    ("train:linear", "function", "evaluate"),
+]
+
+
+@pytest.mark.parametrize("stage, key, value, command", [
+    *(pytest.param(stage, key, value, command, id=f"{key}-{name}-{command}")
+      for stage, key, command in _READ_KEYS
+      for name, value in (("deleted", _DELETED), ("null", None), ("x", "x"))),
+    # edits of the right type were once used silently
+    pytest.param("train:linear", "function", "avglen", "evaluate", id="function-avglen-evaluate"),
+    pytest.param("ingest", "window", [_W.train_start, _W.train_end, _W.test_start,
+                                      _W.test_start + (_W.test_end - _W.test_start) // 4],
+                 "topics", id="window-quartered-topics"),
+])
+def test_hand_edited_config_exits_1_naming_its_stage(pipeline_dir, tmp_path, capsys, stage, key,
+                                                     value, command):
+    # these once raised KeyError or TypeError, or ran on the edited value
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dir, out)
+    manifest = out / "manifest.json"
+    data = json.loads(manifest.read_text(encoding="utf-8"))
+    config = data["stages"][stage]["config"]
+    if value is _DELETED:
+        del config[key]
+    else:
+        config[key] = value
+    manifest.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert run(*pipeline_argv(out)[command]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: the config of stage {stage!r} no longer matches its recorded "
+        f"config_digest; rerun {sentpop.manifest._command(stage)}\n"
+    )
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 _LEXICON_TEXT = "[smile]\tpositive\n[cry]\tnegative\n"
 

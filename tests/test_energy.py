@@ -108,6 +108,37 @@ class TestBinaryEntropy:
             binary_entropy(1.5)
 
 
+_VECTOR_FUNCTIONS = {
+    "clique_energy_cosine": clique_energy_cosine,
+    "clique_energy_avglen": clique_energy_avglen,
+    "edge_probability_cosine": lambda a, b: edge_probability(a, b, EnergyFunction.COSINE),
+    "edge_probability_avglen": lambda a, b: edge_probability(a, b, EnergyFunction.AVGLEN),
+}
+
+
+class TestScalarInputChecks:
+    @pytest.mark.parametrize("name", _VECTOR_FUNCTIONS)
+    def test_two_dimensional_vector_is_rejected(self, name):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            _VECTOR_FUNCTIONS[name](np.ones((2, 3)), np.ones(3))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            _VECTOR_FUNCTIONS[name](np.ones(3), np.ones((1, 3)))
+
+    @pytest.mark.parametrize("function", list(EnergyFunction))
+    def test_edge_probability_rejects_unequal_lengths(self, function):
+        with pytest.raises(ValueError, match="mismatch: 3 vs 4"):
+            edge_probability(np.ones(3), np.ones(4), function)
+
+    @pytest.mark.parametrize("name", _VECTOR_FUNCTIONS)
+    def test_empty_vectors_give_zero_without_a_warning(self, name):
+        # pytest turns any numpy RuntimeWarning into an error here
+        assert _VECTOR_FUNCTIONS[name](np.zeros(0), []) == 0.0
+
+    def test_binary_entropy_rejects_nan(self):
+        with pytest.raises(ValueError, match="out of range"):
+            binary_entropy(float("nan"))
+
+
 def _community(edges, extra_members=()):
     g = SocialGraph()
     for a, b in edges:
@@ -260,6 +291,34 @@ def test_community_energy_is_each_reduction_once_bit_for_bit(case):
         reduce = community_energy_mrf if e.model is EnergyModel.MRF else community_energy_entropy
         assert e.topic == "t"
         assert e.value.hex() == reduce(c, vectors, e.function).value.hex()
+
+
+@st.composite
+def _vector_pairs(draw):
+    """Two vectors of one length from 1 to 99; either may be zero, and the second a sign flip."""
+    m = draw(st.integers(1, 99))
+    vector = st.one_of(
+        st.just(np.zeros(m)),
+        st.lists(st.floats(-1, 1), min_size=m, max_size=m).map(np.array),
+    )
+    a = draw(vector)
+    return a, draw(st.one_of(vector, st.just(-a)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_vector_pairs())
+def test_scalar_functions_are_the_one_edge_case_bit_for_bit(pair):
+    a, b = pair
+    c = _community([("a", "b")])
+    vectors = {"a": a, "b": b}
+    for function, clique in (
+        (EnergyFunction.COSINE, clique_energy_cosine),
+        (EnergyFunction.AVGLEN, clique_energy_avglen),
+    ):
+        _, values = per_edge_energies(c, vectors, function)
+        assert clique(a, b).hex() == float(values[0]).hex()
+        entropy = community_energy_entropy(c, vectors, function).value
+        assert binary_entropy(edge_probability(a, b, function)).hex() == entropy.hex()
 
 
 class TestPairwiseProperties:

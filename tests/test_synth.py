@@ -1,6 +1,8 @@
 """Synthetic corpus generator tests."""
 
 import tempfile
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from sentpop.manifest import read_rows
 from sentpop.stats import pearson
 from sentpop.synth import (
     FIRST_TEST_MONTH_END,
+    MAX_TOTAL_TWEETS,
     InfeasibleConfigError,
     PlantedEdgeWeights,
     PlantedLinear,
@@ -159,6 +162,32 @@ def test_infeasible_tweet_volume(tmp_path):
                          planted=PlantedLinear(alpha=1.0, beta=50_000.0))
     with pytest.raises(InfeasibleConfigError, match="cap"):
         generate(config, tmp_path)
+
+
+@pytest.mark.parametrize("flags", [
+    pytest.param(("--n-users", "4000", "--tweets-per-user", "60"), id="users-x-tweets"),
+    pytest.param(("--n-users", "99999999999999999999"), id="huge-n-users"),
+    pytest.param(("--tweets-per-user", "99999999999999999999"), id="huge-tweets-per-user"),
+    # about 450,000 edges expected at the default density of 0.1, and room for 170,000
+    pytest.param(("--n-users", "3000", "--tweets-per-user", "10"), id="edges"),
+])
+def test_corpus_over_the_cap_is_rejected_before_it_is_drawn(tmp_path, capsys, flags):
+    # the first once ran 13 s and peaked at 402 MB RSS before its rejection; the
+    # next two grew without bound; the last drew every pair and wrote its corpus
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(["synth", "--out", str(tmp_path), *flags])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: would generate over the cap of {MAX_TOTAL_TWEETS} tweets: ")
+    assert err.count("\n") == 1
+    assert elapsed < 5.0 and peak < 64 * 2**20, (elapsed, peak)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_validation():
