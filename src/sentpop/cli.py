@@ -145,9 +145,12 @@ def _window(args, manifest) -> dict:
     return {"window": bounds}
 
 
+def _recorded_window(manifest) -> CorpusWindow:
+    return CorpusWindow(*manifest.stage_config("ingest")["window"])
+
+
 def _first_month_end(args, manifest) -> dict:
-    window = CorpusWindow(*manifest.stage_config("ingest")["window"])
-    return {"first_month_end": first_month_end(window)}
+    return {"first_month_end": first_month_end(_recorded_window(manifest))}
 
 
 def _trained_gaps(args, manifest) -> dict:
@@ -219,15 +222,13 @@ class Stage:
 
     def corpus(self):
         """The normalized corpus path and the window that ``ingest`` recorded."""
-        window = CorpusWindow(*self.manifest.stage_config("ingest")["window"])
+        window = _recorded_window(self.manifest)  # first: a missing record names its stage
         return self.read(NORMALIZED_CORPUS), window
 
     def features(self, vectors: bool = True):
         """The community, the catalog and (if ``vectors``) the vectors by topic, else None."""
-        graph_cfg = self.manifest.stage_config("graph")
-        community = community_from_edge_list(
-            self.read(COMMUNITY_FILE), graph_cfg["seed_user"], graph_cfg["max_depth"]
-        )
+        seed = self.manifest.stage_config("graph")["seed_user"]
+        community = community_from_edge_list(self.read(COMMUNITY_FILE), seed)
         catalog = load_catalog(self.read(CATALOG_FILE))
         vectors_by_topic = load_vectors(self.read(VECTORS_FILE)) if vectors else None
         return community, catalog, vectors_by_topic
@@ -245,20 +246,27 @@ class Stage:
             return catalog, lambda topics: predictor.make_samples(
                 community, vectors_by_topic, topics, function
             )
+        catalog, (energies,) = self.energies([(EnergyModel.MRF, function)])
+        return catalog, lambda topics: predictor.energy_samples(energies, topics)
+
+    def energies(self, combos):
+        """The catalog, and for each (model, function) of ``combos`` the energy by topic.
+
+        The ``energy`` stage writes every pair's row for each topic, so a missing one is stale.
+        """
         catalog = load_catalog(self.read(CATALOG_FILE))
-        model = EnergyModel.MRF
-        energies = {
-            e.topic: e.value
-            for e in load_energy_report(self.read(ENERGIES_FILE))
-            if e.model is model and e.function is function
-        }
-        for t in catalog:
-            if t.hashtag not in energies:
+        columns = {combo: {} for combo in combos}
+        for e in load_energy_report(self.read(ENERGIES_FILE)):
+            if (e.model, e.function) in columns:
+                columns[e.model, e.function][e.topic] = e.value
+        for (model, function), column in columns.items():
+            missing = next((t.hashtag for t in catalog if t.hashtag not in column), None)
+            if missing is not None:
                 raise StaleArtifactError(
                     f"{ENERGIES_FILE} has no {model.value}/{function.value} row for topic "
-                    f"{t.hashtag!r}; rerun energy"
+                    f"{missing!r}; rerun energy"
                 )
-        return catalog, lambda topics: predictor.energy_samples(energies, topics)
+        return catalog, list(columns.values())
 
 
 def cmd_synth(stage: Stage, args) -> None:
@@ -401,20 +409,15 @@ def cmd_energy(stage: Stage, args) -> None:
 
 
 def cmd_correlate(stage: Stage, args) -> None:
-    catalog = load_catalog(stage.read(CATALOG_FILE))
-    energies_path = stage.read(ENERGIES_FILE)
-    by_key: dict[tuple[str, EnergyModel, EnergyFunction], float] = {}
-    combos = set()
-    for e in load_energy_report(energies_path):
-        by_key[(e.topic, e.model, e.function)] = e.value
-        combos.add((e.model, e.function))
+    # every (model, function) pair, by model then function: str enums sort by value
+    combos = sorted((model, function) for model in EnergyModel for function in EnergyFunction)
+    catalog, columns = stage.energies(combos)
     lines = []
     for gap in args.gaps:
-        dataset = gap_filter(catalog, gap)
-        pops = [float(t.popularity) for t in dataset.topics]
-        for model, function in sorted(combos, key=lambda mf: (mf[0].value, mf[1].value)):
-            xs = [by_key[(t.hashtag, model, function)] for t in dataset.topics]
-            r, p = pearson(xs, pops)
+        topics = gap_filter(catalog, gap).topics
+        pops = [float(t.popularity) for t in topics]
+        for (model, function), energies in zip(combos, columns):
+            r, p = pearson([energies[t.hashtag] for t in topics], pops)
             strength = classify_strength(r)
             lines.append(
                 f"{gap}\t{model.value}+{function.value}\t{r!r}\t{p!r}\t{strength.value}"

@@ -43,7 +43,7 @@ class SocialGraph:
 
 @dataclass(frozen=True)
 class CommunityGraph:
-    """Subgraph induced on every user within ``max_depth`` hops of ``seed``.
+    """A seed's community: its members and the edges among them.
 
     Immutable, and its own edge index: ``members`` and ``edges`` are sorted
     tuples, ``row`` maps each member to its position in ``members``, and
@@ -52,8 +52,6 @@ class CommunityGraph:
     the arrays are read-only, and ``row`` is shared and must not be modified.
     """
 
-    seed: str
-    max_depth: int
     members: tuple[str, ...]
     edges: tuple[Edge, ...]
 
@@ -63,7 +61,7 @@ class CommunityGraph:
 
     def __reduce__(self):
         # only the fields: a copy builds its own read-only index
-        return CommunityGraph, (self.seed, self.max_depth, self.members, self.edges)
+        return CommunityGraph, (self.members, self.edges)
 
     @cached_property
     def row(self) -> dict[str, int]:
@@ -117,7 +115,7 @@ def extract_community(g: SocialGraph, seed: str, max_depth: int) -> CommunityGra
             break
         members |= frontier
     edges = {e for e in g.edges if e[0] in members and e[1] in members}
-    return CommunityGraph(seed=seed, max_depth=max_depth, members=members, edges=edges)
+    return CommunityGraph(members=members, edges=edges)
 
 
 def save_edge_list(edges: Iterable[Edge], path: str | Path) -> int:
@@ -134,7 +132,7 @@ def load_edge_list(path: str | Path) -> set[Edge]:
     return edges
 
 
-def community_from_edge_list(path: str | Path, seed: str, max_depth: int) -> CommunityGraph:
+def community_from_edge_list(path: str | Path, seed: str) -> CommunityGraph:
     """Rebuild a persisted community.
 
     Every non-seed member of a community has at least one induced edge (it was
@@ -142,8 +140,5 @@ def community_from_edge_list(path: str | Path, seed: str, max_depth: int) -> Com
     set exactly.
     """
     edges = load_edge_list(path)
-    members = {seed}
-    for a, b in edges:
-        members.add(a)
-        members.add(b)
-    return CommunityGraph(seed=seed, max_depth=max_depth, members=members, edges=edges)
+    members = {seed}.union(*edges)
+    return CommunityGraph(members=members, edges=edges)

@@ -258,8 +258,8 @@ class TestCommunityEnergy:
         half = len(edges) // 2
         from sentpop.graph import CommunityGraph
 
-        part1 = CommunityGraph(c.seed, c.max_depth, c.members, set(edges[:half]))
-        part2 = CommunityGraph(c.seed, c.max_depth, c.members, set(edges[half:]))
+        part1 = CommunityGraph(c.members, set(edges[:half]))
+        part2 = CommunityGraph(c.members, set(edges[half:]))
         total = community_energy_mrf(c, vectors, EnergyFunction.COSINE).value
         split = (
             community_energy_mrf(part1, vectors, EnergyFunction.COSINE).value

@@ -154,7 +154,7 @@ class TestExtractCommunity:
 
 
 def test_community_graph_is_immutable():
-    c = CommunityGraph("a", 1, {"c", "a", "b"}, [("b", "c"), ("a", "b"), ("b", "c")])
+    c = CommunityGraph({"c", "a", "b"}, [("b", "c"), ("a", "b"), ("b", "c")])
     assert c.members == ("a", "b", "c") and c.edges == (("a", "b"), ("b", "c"))
     with pytest.raises(dataclasses.FrozenInstanceError):
         c.members = ("a",)
@@ -185,6 +185,6 @@ def test_community_round_trip_via_edge_list(tmp_path):
     c = extract_community(g, "s", 2)
     path = tmp_path / "community.tsv"
     save_edge_list(c.edges, path)
-    loaded = community_from_edge_list(path, "s", 2)
+    loaded = community_from_edge_list(path, "s")
     assert loaded.members == c.members
     assert loaded.edges == c.edges

@@ -718,7 +718,7 @@ def test_an_edge_orthogonal_up_to_rounding_on_train_gets_no_weight():
     unit variance for that column would put a weight near 1e16 on the edge."""
     from sentpop.graph import CommunityGraph
 
-    community = CommunityGraph("a", 1, ("a", "b", "c", "d"), (("a", "b"), ("c", "d")))
+    community = CommunityGraph(("a", "b", "c", "d"), (("a", "b"), ("c", "d")))
     vectors, train_topics, test_topics = {}, [], []
     for k in range(12):
         cos = 0.1 * (k % 9 + 1)  # the (c, d) edge's cosine, which popularity follows
