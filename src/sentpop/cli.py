@@ -145,8 +145,21 @@ def _window(args, manifest) -> dict:
     return {"window": bounds}
 
 
+def _ints(value) -> list[int]:
+    """A recorded non-empty list of integers, as ``--gaps`` and ``--window`` record theirs."""
+    if isinstance(value, list) and value and all(type(v) is int for v in value):
+        return value
+    raise ValueError(value)
+
+
+def _user(value) -> str:
+    if isinstance(value, str) and value:
+        return value
+    raise ValueError(value)
+
+
 def _recorded_window(manifest) -> CorpusWindow:
-    return CorpusWindow(*manifest.stage_config("ingest")["window"])
+    return manifest.recorded("ingest", "window", lambda bounds: CorpusWindow(*_ints(bounds)))
 
 
 def _first_month_end(args, manifest) -> dict:
@@ -155,8 +168,8 @@ def _first_month_end(args, manifest) -> dict:
 
 def _trained_gaps(args, manifest) -> dict:
     # every gap train recorded; the split file, verified against that record,
-    # holds test topics for each, since a split of n >= 2 topics leaves some
-    return {"gaps": manifest.stage_config(f"train:{args.predictor}")["gaps"]}
+    # holds test topics for each, since train kept at least 4 topics per gap
+    return {"gaps": manifest.recorded(f"train:{args.predictor}", "gaps", _ints)}
 
 
 # Per command: the modules main binds before it runs (synth imports its own in
@@ -227,7 +240,7 @@ class Stage:
 
     def features(self, vectors: bool = True):
         """The community, the catalog and (if ``vectors``) the vectors by topic, else None."""
-        seed = self.manifest.stage_config("graph")["seed_user"]
+        seed = self.manifest.recorded("graph", "seed_user", _user)
         community = community_from_edge_list(self.read(COMMUNITY_FILE), seed)
         catalog = load_catalog(self.read(CATALOG_FILE))
         vectors_by_topic = load_vectors(self.read(VECTORS_FILE)) if vectors else None
@@ -408,13 +421,21 @@ def cmd_energy(stage: Stage, args) -> None:
     print(f"energy: {rows} rows -> {stage.out / ENERGIES_FILE}")
 
 
+def _gap_topics(catalog, gap: int, needed: int, why: str):
+    """The topics of ``gap``'s dataset; fewer than ``needed`` is an error saying ``why``."""
+    topics = gap_filter(catalog, gap).topics
+    if len(topics) < needed:
+        raise ValueError(f"gap {gap} leaves {len(topics)} of {len(catalog)} topics; {why}")
+    return topics
+
+
 def cmd_correlate(stage: Stage, args) -> None:
     # every (model, function) pair, by model then function: str enums sort by value
     combos = sorted((model, function) for model in EnergyModel for function in EnergyFunction)
     catalog, columns = stage.energies(combos)
     lines = []
     for gap in args.gaps:
-        topics = gap_filter(catalog, gap).topics
+        topics = _gap_topics(catalog, gap, 3, "a correlation needs 3")
         pops = [float(t.popularity) for t in topics]
         for (model, function), energies in zip(combos, columns):
             r, p = pearson([energies[t.hashtag] for t in topics], pops)
@@ -453,8 +474,9 @@ def cmd_train(stage: Stage, args) -> None:
     split_lines: list[str] = []
     results = []  # every gap trains before any file is written
     for gap in args.gaps:
-        dataset = gap_filter(catalog, gap)
-        train_topics, test_topics = predictor.split_train_test(dataset, args.seed)
+        # split_train_test holds out half, rounded down, and evaluate scores at least 2
+        topics = _gap_topics(catalog, gap, 4, "train needs 4, so that it holds out 2 to evaluate")
+        train_topics, test_topics = predictor.split_train_test(topics, args.seed)
         split_lines.extend(f"{gap}\t{t.hashtag}\ttrain" for t in train_topics)
         split_lines.extend(f"{gap}\t{t.hashtag}\ttest" for t in test_topics)
         samples = samples_of(train_topics)
@@ -472,8 +494,8 @@ def cmd_train(stage: Stage, args) -> None:
 
 
 def cmd_evaluate(stage: Stage, args) -> None:
-    train_cfg = stage.manifest.stage_config(f"train:{args.predictor}")
-    catalog, samples_of = stage.samples(args.predictor, EnergyFunction(train_cfg["function"]))
+    function = stage.manifest.recorded(f"train:{args.predictor}", "function", EnergyFunction)
+    catalog, samples_of = stage.samples(args.predictor, function)
     test_tags: dict[int, set[str]] = {}
     for _, (gap_s, tag, role) in read_rows(stage.read(f"splits_{args.predictor}.tsv"), 3, "split"):
         if role == "test":

@@ -137,8 +137,11 @@ def community_from_edge_list(path: str | Path, seed: str) -> CommunityGraph:
 
     Every non-seed member of a community has at least one induced edge (it was
     reached over one), so the edge endpoints plus the seed recover the member
-    set exactly.
+    set exactly. The seed of a community with edges is on one of them.
     """
     edges = load_edge_list(path)
-    members = {seed}.union(*edges)
+    members = set().union(*edges)
+    if members and seed not in members:
+        raise ValueError(f"{path}: seed user {seed!r} is on none of its edges")
+    members.add(seed)
     return CommunityGraph(members=members, edges=edges)

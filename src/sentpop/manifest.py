@@ -181,23 +181,33 @@ class RunManifest:
         finally:
             os.close(fd)
 
-    def stage_config(self, stage: str) -> dict:
-        """The config ``stage`` recorded, checked against the digest recorded with it.
+    def recorded(self, stage: str, key: str, read):
+        """``read`` of the value ``stage`` recorded as ``key``, under its config digest.
 
         Only the configs a command reads are checked, so a stage whose config
-        was edited can still be rerun.
+        was edited can still be rerun. A missing ``key``, or a value that
+        ``read`` rejects with :class:`TypeError` or :class:`ValueError`, is a
+        :class:`ValueError` naming the manifest, the stage and the key.
         """
         entry = self.data["stages"].get(stage)
         if entry is None:
             raise StaleArtifactError(
                 f"stage {stage!r} has not been run yet (no manifest entry); run {_command(stage)}"
             )
-        if config_digest(entry["config"]) != entry["config_digest"]:
+        config = entry["config"]
+        if config_digest(config) != entry["config_digest"]:
             raise StaleArtifactError(
                 f"{self.path}: the config of stage {stage!r} no longer matches its recorded "
                 f"config_digest; rerun {_command(stage)}"
             )
-        return entry["config"]
+        if key in config:
+            try:
+                return read(config[key])
+            except (TypeError, ValueError):
+                pass
+        raise ValueError(
+            f"{self.path}: stage {stage!r} recorded no valid {key!r}; rerun {_command(stage)}"
+        )
 
     def _writer(self, key: str) -> tuple[str | None, str | None]:
         """The stage that last recorded ``key`` as an output, and the digest it recorded."""

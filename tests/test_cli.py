@@ -495,7 +495,18 @@ def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     pytest.param(("train", "--gaps", "1,100000", "--seed", "8"),
-                 "need at least 2 topics to split", id="train-gap-with-one-topic"),
+                 "gap 100000 leaves 1 of 12 topics; train needs 4, so that it holds out 2 "
+                 "to evaluate", id="train-gap-with-one-topic"),
+    # gaps 6, 9 and 14 keep 4, 3 and 2 of the 12 topics
+    pytest.param(("train", "--gaps", "6,9", "--seed", "8"),
+                 "gap 9 leaves 3 of 12 topics; train needs 4, so that it holds out 2 "
+                 "to evaluate", id="train-gap-with-three-topics"),
+    pytest.param(("train", "--gaps", "6,14", "--seed", "8"),
+                 "gap 14 leaves 2 of 12 topics; train needs 4, so that it holds out 2 "
+                 "to evaluate", id="train-gap-with-two-topics"),
+    pytest.param(("correlate", "--gaps", "9,14"),
+                 "gap 14 leaves 2 of 12 topics; a correlation needs 3",
+                 id="correlate-gap-with-two-topics"),
     pytest.param(("train", "--gaps", "1,0", "--seed", "8"),
                  "gap must be a positive integer", id="train-gap-0"),
 ])
@@ -709,22 +720,44 @@ def test_settable_values_are_the_documented_set(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def _calls_of(method: str) -> set[tuple[str, str]]:
-    """(file, top-level function or class) of every call of ``method`` in the package."""
-    package = Path(sentpop.cli.__file__).parent
-    return {
-        (path.name, getattr(top, "name", "<module>"))
-        for path in sorted(package.glob("*.py"))
-        for top in ast.parse(path.read_text(encoding="utf-8")).body
-        for node in ast.walk(top)
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == method
-    }
+def _sites(match) -> set[tuple[str, str]]:
+    """(file, innermost def or class, dotted) of every node of the package ``match`` accepts."""
+    found = set()
+
+    def visit(node, file, scope):
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                found.add((file, ".".join(scope) or "<module>"))
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, file, (*scope, child.name) if named else scope)
+
+    for path in sorted(Path(sentpop.cli.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, ())
+    return found
+
+
+def _calls_of(name: str) -> set[tuple[str, str]]:
+    """The sites of every call of the function or method ``name`` in the package."""
+    return _sites(lambda node: isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) == name)
 
 
 def test_only_main_records_a_stage():
     # main resolves, runs and records every command; no command body touches the manifest
     assert _calls_of("record") == {("cli.py", "main")}
-    assert _calls_of("record_stage") == {("cli.py", "Stage")}
+    assert _calls_of("record_stage") == {("cli.py", "Stage.record")}
+
+
+def test_each_upstream_input_has_one_reader():
+    assert _calls_of("load_energy_report") == {("cli.py", "Stage.energies")}
+    # ingest builds the window from its flag; every later stage from ingest's record
+    assert {site for site in _calls_of("CorpusWindow") if site[0] == "cli.py"} == {
+        ("cli.py", "cmd_ingest"), ("cli.py", "_recorded_window")
+    }
+    indexes_config = _sites(lambda node: isinstance(node, ast.Subscript)
+                            and isinstance(node.slice, ast.Constant)
+                            and node.slice.value == "config")
+    assert indexes_config == {("manifest.py", "RunManifest.recorded")}
 
 
 def test_the_stage_runner_has_one_entry_per_subcommand():
@@ -910,6 +943,28 @@ def test_ingest_with_a_swapped_lexicon_makes_its_readers_stale(tmp_path, capsys)
         assert stages[name] == before[name], name
 
 
+def _keep_energy_rows(out, keep):
+    """Keep the energies.tsv rows that ``keep`` accepts, under a record of the result."""
+    energies = out / "energies.tsv"
+    lines = [line for line in energies.read_text().splitlines(keepends=True) if keep(line)]
+    energies.write_text("".join(lines))
+    manifest_path = out / "manifest.json"
+    data = json.loads(manifest_path.read_text())
+    data["stages"]["energy"]["outputs"]["energies.tsv"] = {
+        "digest": sentpop.manifest.file_digest(energies), "rows": len(lines)
+    }
+    manifest_path.write_text(json.dumps(data))
+
+
+def _error_of(out, argv, capsys) -> str:
+    """What ``argv`` printed to stderr; it must exit 1 and leave ``out`` byte-unchanged."""
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    return capsys.readouterr().err
+
+
 def test_linear_train_without_the_mrf_row_of_its_function_exits_1_and_writes_nothing(
     tmp_path, capsys
 ):
@@ -918,16 +973,7 @@ def test_linear_train_without_the_mrf_row_of_its_function_exits_1_and_writes_not
     assert run("sentiment", "--out", out) == 0
     assert run("energy", "--out", out) == 0
     # as an energy run restricted to avglen left it, under the record it wrote
-    energies = out / "energies.tsv"
-    lines = [line for line in energies.read_text().splitlines(keepends=True)
-             if "\tmrf\tcosine\t" not in line]
-    energies.write_text("".join(lines))
-    manifest_path = out / "manifest.json"
-    data = json.loads(manifest_path.read_text())
-    data["stages"]["energy"]["outputs"]["energies.tsv"] = {
-        "digest": sentpop.manifest.file_digest(energies), "rows": len(lines)
-    }
-    manifest_path.write_text(json.dumps(data))
+    _keep_energy_rows(out, lambda line: "\tmrf\tcosine\t" not in line)
     first = (out / "catalog.tsv").read_text().split("\t", 1)[0]
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
@@ -938,6 +984,26 @@ def test_linear_train_without_the_mrf_row_of_its_function_exits_1_and_writes_not
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert run("train", "--out", out, "--gaps", "1", "--predictor", "linear",
                "--function", "avglen") == 0
+
+
+@pytest.mark.parametrize("last_only", [
+    pytest.param(False, id="every-mrf-avglen-row"),
+    pytest.param(True, id="one-mrf-avglen-row"),
+])
+def test_correlate_on_an_incomplete_energy_report_exits_1_and_writes_nothing(
+    pipeline_dir, tmp_path, capsys, last_only
+):
+    # the first once wrote the other pairs' rows and exited 0, the second raised KeyError
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dir, out)
+    tags = [line.split("\t", 1)[0] for line in (out / "catalog.tsv").read_text().splitlines()]
+    missing = tags[-1:] if last_only else tags
+    _keep_energy_rows(out, lambda line: line.split("\t")[:3] not in [
+        [tag, "mrf", "avglen"] for tag in missing
+    ])
+    assert _error_of(out, ("correlate", "--out", out, "--gaps", "1"), capsys) == (
+        f"error: energies.tsv has no mrf/avglen row for topic {missing[0]!r}; rerun energy\n"
+    )
 
 
 def test_stages_recorded_from_stale_manifests_keep_both_entries(tmp_path):
@@ -1107,7 +1173,7 @@ def test_malformed_manifest_exits_1_naming_it(pipeline_dir, tmp_path, capsys, ed
 _DELETED = object()
 _W = SYNTH_WINDOW
 
-# each config key a later command reads, the stage that records it and a command reading it
+# config keys, the stage that records each and a command that reads that stage's config
 _READ_KEYS = [
     ("ingest", "window", "graph"),
     ("graph", "seed_user", "sentiment"),
@@ -1148,6 +1214,46 @@ def test_hand_edited_config_exits_1_naming_its_stage(pipeline_dir, tmp_path, cap
         f"config_digest; rerun {sentpop.manifest._command(stage)}\n"
     )
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+# each recorded value a later command reads: stage, key, a reading command, a wrong-typed value
+_RECORDED = [
+    ("ingest", "window", "graph", ["a", "b", "c", "d"]),
+    ("graph", "seed_user", "sentiment", 7),
+    ("train:linear", "gaps", "evaluate", ["1"]),
+    ("train:linear", "function", "evaluate", 7),
+]
+
+
+@pytest.mark.parametrize("stage, key, command, value", [
+    pytest.param(stage, key, command, value, id=f"{key}-{name}")
+    for stage, key, command, wrong in _RECORDED
+    for name, value in (("deleted", _DELETED), ("null", None), ("x", "x"), ("wrong-type", wrong))
+])
+def test_invalid_recorded_value_exits_1_naming_its_key(pipeline_dir, tmp_path, capsys, stage,
+                                                       key, command, value):
+    # under a recomputed config digest, most of these once raised a traceback or named no key
+    out = tmp_path / "run"
+    shutil.copytree(pipeline_dir, out)
+    manifest = out / "manifest.json"
+    data = json.loads(manifest.read_text(encoding="utf-8"))
+    entry = data["stages"][stage]
+    if value is _DELETED:
+        del entry["config"][key]
+    else:
+        entry["config"][key] = value
+    entry["config_digest"] = sentpop.manifest.config_digest(entry["config"])
+    manifest.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    err = _error_of(out, pipeline_argv(out)[command], capsys)
+    if (key, value) == ("seed_user", "x"):
+        # a well-formed seed is checked against the community it seeded
+        assert err == f"error: {out / 'community.tsv'}: seed user 'x' is on none of its edges\n"
+    else:
+        assert err == (
+            f"error: {manifest}: stage {stage!r} recorded no valid {key!r}; "
+            f"rerun {sentpop.manifest._command(stage)}\n"
+        )
+
 
 _LEXICON_TEXT = "[smile]\tpositive\n[cry]\tnegative\n"
 
