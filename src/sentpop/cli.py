@@ -40,7 +40,7 @@ from .manifest import write_lines as _write_lines
 # perfbench/trace_stage.py finds and wraps it; binding keeps a name already
 # bound, so main leaves its wrappers in place. community_topic_vectors and
 # group_tweets_by_user are not called here: they are bound because the tracer
-# wraps them where callers look them up. predictor is used as a module.
+# wraps them where callers look them up. predictor and synth are used as modules.
 _NAMES = {
     "energy": (
         "EnergyFunction",
@@ -59,6 +59,7 @@ _NAMES = {
         "save_vectors",
     ),
     "stats": ("classify_strength", "pearson"),
+    "synth": (),
     "topics": (
         "attach_key_phrases",
         "dedupe_equal_popularity",
@@ -172,24 +173,6 @@ def _trained_gaps(args, manifest) -> dict:
     return {"gaps": manifest.recorded(f"train:{args.predictor}", "gaps", _ints)}
 
 
-# Per command: the modules main binds before it runs (synth imports its own in
-# cmd_synth, and ingest needs only corpus and manifest), and ``resolve(args,
-# manifest)``, the values its record holds beyond its flags. Reads and writes
-# are not listed: the manifest records both for each stage.
-_COMMANDS = {
-    "synth": ((), lambda args, manifest: {}),
-    "ingest": ((), _window),
-    "graph": (("graph",), lambda args, manifest: {}),
-    "topics": (("topics",), _first_month_end),
-    "sentiment": (("graph", "topics", "sentiment"), lambda args, manifest: {}),
-    "energy": (("graph", "topics", "sentiment", "energy"), lambda args, manifest: {}),
-    "correlate": (("topics", "energy", "stats"), _gaps),
-    "train": (("graph", "topics", "sentiment", "energy", "predictor"), lambda args, manifest: {
-        **_gaps(args, manifest), "stop_tol": predictor.TrainConfig.stop_tol}),
-    "evaluate": (("graph", "topics", "sentiment", "energy", "predictor"), _trained_gaps),
-}
-
-
 class Stage:
     """The manifest bookkeeping of one command run on ``--out``.
 
@@ -229,7 +212,7 @@ class Stage:
     def record(self, args) -> None:
         """Record the stage as ``command`` or ``command:predictor``; its config is the
         flags as parsed, updated with the values that main resolved before it ran."""
-        config = {k: v for k, v in vars(args).items() if k not in ("out", "func", "command")}
+        config = {k: v for k, v in vars(args).items() if k not in ("out", "command")}
         name = f"{args.command}:{args.predictor}" if "predictor" in config else args.command
         self.manifest.record_stage(name, config, self.inputs, self.outputs)
 
@@ -283,9 +266,6 @@ class Stage:
 
 
 def cmd_synth(stage: Stage, args) -> None:
-    # imported here so that the other stages do not pay for it
-    from . import synth
-
     if args.planted == "linear":
         planted = synth.PlantedLinear(
             alpha=args.alpha, beta=args.beta, noise_sigma=args.noise_sigma
@@ -520,6 +500,25 @@ def cmd_evaluate(stage: Stage, args) -> None:
     stage.write(f"evaluation_{args.predictor}.tsv", _write_lines, lines)
 
 
+# Per command: the modules main binds before it runs (ingest needs only corpus
+# and manifest), ``resolve(args, manifest)``, the values its record holds
+# beyond its flags, and the body that main runs. Reads and writes are not
+# listed: the manifest records both for each stage.
+_COMMANDS = {
+    "synth": (("synth",), lambda args, manifest: {}, cmd_synth),
+    "ingest": ((), _window, cmd_ingest),
+    "graph": (("graph",), lambda args, manifest: {}, cmd_graph),
+    "topics": (("topics",), _first_month_end, cmd_topics),
+    "sentiment": (("graph", "topics", "sentiment"), lambda args, manifest: {}, cmd_sentiment),
+    "energy": (("graph", "topics", "sentiment", "energy"), lambda args, manifest: {}, cmd_energy),
+    "correlate": (("topics", "energy", "stats"), _gaps, cmd_correlate),
+    "train": (("graph", "topics", "sentiment", "energy", "predictor"), lambda args, manifest: {
+        **_gaps(args, manifest), "stop_tol": predictor.TrainConfig.stop_tol}, cmd_train),
+    "evaluate": (("graph", "topics", "sentiment", "energy", "predictor"), _trained_gaps,
+                 cmd_evaluate),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sentpop",
@@ -528,13 +527,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", default="out", help="artifact directory (default: out)")
-        p.set_defaults(func=func)
         return p
 
-    p = add("synth", cmd_synth, "generate a synthetic corpus with planted structure")
+    p = add("synth", "generate a synthetic corpus with planted structure")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-users", type=int, default=50)
     p.add_argument("--edge-density", type=float, default=0.1)
@@ -552,29 +550,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-range", default="0.5,2.0")
     p.add_argument("--noise-sigma", type=float, default=0.0)
 
-    p = add("ingest", cmd_ingest, "validate and normalize a corpus")
+    p = add("ingest", "validate and normalize a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--window", required=True,
                    help="train_start,train_end,test_start,test_end (UTC seconds)")
 
-    p = add("graph", cmd_graph, "build the user graph and extract the community")
+    p = add("graph", "build the user graph and extract the community")
     p.add_argument("--seed-user", required=True)
     p.add_argument("--max-depth", type=int, default=3)
 
-    p = add("topics", cmd_topics, "extract topics, popularity and key phrases")
+    p = add("topics", "extract topics, popularity and key phrases")
     p.add_argument("--stopwords", required=True)
     p.add_argument("--m", type=int, default=10)
     p.add_argument("--min-popularity", type=int, default=100)
 
-    add("sentiment", cmd_sentiment, "compute per-user topic sentiment vectors")
+    add("sentiment", "compute per-user topic sentiment vectors")
 
-    add("energy", cmd_energy, "compute community energies under every model and function")
+    add("energy", "compute community energies under every model and function")
 
-    p = add("correlate", cmd_correlate, "correlate energies with popularity per gap")
+    p = add("correlate", "correlate energies with popularity per gap")
     p.add_argument("--gaps", required=True, help="comma list of popularity gaps")
 
-    p = add("train", cmd_train, "train popularity predictors per gap dataset")
+    p = add("train", "train popularity predictors per gap dataset")
     p.add_argument("--gaps", required=True)
     p.add_argument("--predictor", choices=["linear", "edge"], default="linear")
     # literals, so that parsing imports nothing: tests pin them to the enums
@@ -584,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="most SGD epochs; a loss plateau stops training earlier")
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("evaluate", cmd_evaluate, "evaluate trained predictors on every gap train recorded")
+    p = add("evaluate", "evaluate trained predictors on every gap train recorded")
     p.add_argument("--predictor", choices=["linear", "edge"], default="linear")
 
     return parser
@@ -599,13 +597,13 @@ def main(argv: list[str] | None = None) -> int:
     if not any(var in os.environ for var in _BLAS_THREAD_VARS):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     args = build_parser().parse_args(argv)
-    modules, resolve = _COMMANDS[args.command]
+    modules, resolve, body = _COMMANDS[args.command]
     for module_name in modules:
         _bind(module_name)
     try:
         stage = Stage(args.out)
         vars(args).update(resolve(args, stage.manifest))
-        args.func(stage, args)
+        body(stage, args)
         stage.record(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -114,11 +114,8 @@ def per_edge_energies(
     feature layout shared with the per-edge popularity predictor. The edges
     returned are ``community.edges`` itself.
     """
-    edges = community.edges
-    if not edges:
-        return edges, np.zeros(0, dtype=np.float64)
     matrix = _member_matrix(community, vectors)
-    return edges, _edge_values(matrix, community.i_idx, community.j_idx, function)
+    return community.edges, _edge_values(matrix, community.i_idx, community.j_idx, function)
 
 
 def _edge_values(matrix: np.ndarray, i_idx, j_idx, function: EnergyFunction) -> np.ndarray:
@@ -162,6 +159,14 @@ def _entropy_value(values: np.ndarray, function: EnergyFunction, m: int) -> floa
     return float(np.sum(_entropy_terms(_probabilities(values, function, m))))
 
 
+def _energies(community: CommunityGraph, vectors, function: EnergyFunction, topic: str):
+    """The topic's MRF and entropy energies under ``function``, from one per-edge pass."""
+    _, values = per_edge_energies(community, vectors, function)
+    entropy = _entropy_value(values, function, _vector_length(vectors))
+    return (CommunityEnergy(topic, EnergyModel.MRF, function, mrf_total(values)),
+            CommunityEnergy(topic, EnergyModel.ENTROPY, function, entropy))
+
+
 def community_energy_mrf(
     community: CommunityGraph,
     vectors: Mapping[str, np.ndarray],
@@ -169,8 +174,7 @@ def community_energy_mrf(
     topic: str = "",
 ) -> CommunityEnergy:
     """Sum of pairwise clique energies over the community edge set."""
-    _, values = per_edge_energies(community, vectors, function)
-    return CommunityEnergy(topic, EnergyModel.MRF, function, mrf_total(values))
+    return _energies(community, vectors, function, topic)[0]
 
 
 def community_energy_entropy(
@@ -180,9 +184,7 @@ def community_energy_entropy(
     topic: str = "",
 ) -> CommunityEnergy:
     """Total binary entropy, in bits, of per-edge communication probabilities."""
-    _, values = per_edge_energies(community, vectors, function)
-    value = _entropy_value(values, function, _vector_length(vectors))
-    return CommunityEnergy(topic, EnergyModel.ENTROPY, function, value)
+    return _energies(community, vectors, function, topic)[1]
 
 
 def community_energy(
@@ -191,14 +193,7 @@ def community_energy(
     topic: str = "",
 ) -> list[CommunityEnergy]:
     """The topic's energy under every model and function, from one per-edge pass per function."""
-    m = _vector_length(vectors)
-    energies = []
-    for function in EnergyFunction:
-        _, values = per_edge_energies(community, vectors, function)
-        entropy = _entropy_value(values, function, m)
-        energies.append(CommunityEnergy(topic, EnergyModel.MRF, function, mrf_total(values)))
-        energies.append(CommunityEnergy(topic, EnergyModel.ENTROPY, function, entropy))
-    return energies
+    return [e for f in EnergyFunction for e in _energies(community, vectors, f, topic)]
 
 
 def save_energy_report(energies: Sequence[CommunityEnergy], path: str | Path) -> int:

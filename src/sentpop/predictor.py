@@ -27,7 +27,7 @@ from ._lazy import np
 from .energy import EnergyFunction, mrf_total, per_edge_energies
 from .graph import CommunityGraph, Edge
 from .manifest import read_rows, write_lines
-from .topics import GapDataset, Topic
+from .topics import Topic
 
 PREDICTOR_KINDS = ("linear", "edge")
 
@@ -141,11 +141,8 @@ def energy_samples(energies: Mapping[str, float], topics: Sequence[Topic]) -> li
     ]
 
 
-def split_train_test(
-    dataset: GapDataset | Sequence[Topic], rng_seed: int
-) -> tuple[list[Topic], list[Topic]]:
+def split_train_test(topics: Sequence[Topic], rng_seed: int) -> tuple[list[Topic], list[Topic]]:
     """Uniform random split with ceil(n/2) topics in train, deterministic by seed."""
-    topics = list(dataset.topics if isinstance(dataset, GapDataset) else dataset)
     n = len(topics)
     if n < 2:
         raise ValueError("need at least 2 topics to split")
@@ -157,11 +154,9 @@ def split_train_test(
     return train, test
 
 
-def _check_edges(model: EdgeModel, sample: TopicSample) -> None:
-    if sample.edges is not model.edges and sample.edges != model.edges:
-        raise ValueError(
-            f"sample {sample.topic!r} covers a different edge set than the model"
-        )
+def _check_edges(edges: tuple[Edge, ...], sample: TopicSample, owner: str = "the model") -> None:
+    if sample.edges is not edges and sample.edges != edges:
+        raise ValueError(f"sample {sample.topic!r} covers a different edge set than {owner}")
 
 
 def _predict_batch(
@@ -172,7 +167,7 @@ def _predict_batch(
         return [model.alpha * s.total_energy + model.beta for s in samples]
     # samples from one make_samples call share one edges tuple: compare each once
     for s in {id(s.edges): s for s in samples}.values():
-        _check_edges(model, s)
+        _check_edges(model.edges, s)
     feats = np.stack([s.edge_energies for s in samples])
     return (feats @ model.weight_values + model.rho).tolist()
 
@@ -261,8 +256,7 @@ def train(
     else:
         edges = train_samples[0].edges
         for s in train_samples:
-            if s.edges is not edges and s.edges != edges:
-                raise ValueError("samples cover different edge sets")
+            _check_edges(edges, s, f"sample {train_samples[0].topic!r}")
         feats = np.stack([s.edge_energies for s in train_samples])
     # an infinite feature turns its column into NaN (inf - inf); training
     # then diverges in epoch 0 and the loss check below reports it

@@ -136,7 +136,7 @@ def predict_linear(model: LinearModel, energy: float) -> float:
 
 
 def predict_edge(model: EdgeModel, sample: TopicSample) -> float:
-    _check_edges(model, sample)
+    _check_edges(model.edges, sample)
     return float(np.dot(model.weight_values, sample.edge_energies)) + model.rho
 
 

@@ -66,7 +66,7 @@ def random_samples(rng, n_edges=5, n_samples=12, targets=None):
 class TestSplit:
     def _dataset(self, n):
         topics = tuple(Topic(f"h{i}", 0, 10 + i) for i in range(n))
-        return GapDataset(gap=1, topics=topics)
+        return GapDataset(gap=1, topics=topics).topics
 
     def test_even_split(self):
         train_t, test_t = split_train_test(self._dataset(10), rng_seed=1)
