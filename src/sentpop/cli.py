@@ -128,15 +128,20 @@ def _csv_ints(text: str, flag: str) -> list[int]:
     return values
 
 
-def _gaps(args, manifest) -> dict:
-    """The ``--gaps`` list; each gap is one dataset, so it must name each once."""
-    gaps = _csv_ints(args.gaps, "--gaps")
-    if not gaps:
-        raise ValueError(f"--gaps lists no gap: {args.gaps!r}")
+def _distinct(gaps: list[int]) -> list[int]:
+    """``gaps``, which flag and record alike must list each once: each gap is one dataset."""
     for gap in gaps:
         if gaps.count(gap) > 1:
             raise ValueError(f"--gaps lists gap {gap} more than once")
-    return {"gaps": gaps}
+    return gaps
+
+
+def _gaps(args, manifest) -> dict:
+    """The ``--gaps`` list, which must name some gap and each once."""
+    gaps = _csv_ints(args.gaps, "--gaps")
+    if not gaps:
+        raise ValueError(f"--gaps lists no gap: {args.gaps!r}")
+    return {"gaps": _distinct(gaps)}
 
 
 def _window(args, manifest) -> dict:
@@ -170,7 +175,8 @@ def _first_month_end(args, manifest) -> dict:
 def _trained_gaps(args, manifest) -> dict:
     # every gap train recorded; the split file, verified against that record,
     # holds test topics for each, since train kept at least 4 topics per gap
-    return {"gaps": manifest.recorded(f"train:{args.predictor}", "gaps", _ints)}
+    gaps = manifest.recorded(f"train:{args.predictor}", "gaps", lambda v: _distinct(_ints(v)))
+    return {"gaps": gaps}
 
 
 class Stage:

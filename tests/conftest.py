@@ -26,3 +26,10 @@ def make_tweet(
 ):
     retweet = retweet_of if retweet_of is not None else "-"
     return parse_tweet_line(f"{tweet_id}\t{user}\t{timestamp}\t{retweet}\t{text}", lexicon)
+
+
+def assert_raises(call, error: type, message: str) -> None:
+    """``call()`` raises ``error`` itself, not a subclass of it, with ``message`` as its text."""
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -764,6 +764,13 @@ def test_the_stage_runner_has_one_entry_per_subcommand():
     parser = sentpop.cli.build_parser()
     commands = next(a for a in parser._actions if a.dest == "command").choices
     assert set(sentpop.cli._COMMANDS) == set(commands)
+    # main takes each command's body from its entry, not from the parsed flags
+    assert {c for c, sub in commands.items() if sub.get_default("func") is not None} == set()
+    for command, (_, _, body) in sentpop.cli._COMMANDS.items():
+        assert body is getattr(sentpop.cli, f"cmd_{command}"), command
+    # and binds the modules the entry lists: no command imports one itself
+    imports = _sites(lambda node: isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert {site for site in imports if site[0] == "cli.py"} == {("cli.py", "<module>")}
 
 
 def _run_through_topics(out, max_depth=3):
@@ -1226,9 +1233,12 @@ _RECORDED = [
 
 
 @pytest.mark.parametrize("stage, key, command, value", [
-    pytest.param(stage, key, command, value, id=f"{key}-{name}")
-    for stage, key, command, wrong in _RECORDED
-    for name, value in (("deleted", _DELETED), ("null", None), ("x", "x"), ("wrong-type", wrong))
+    *(pytest.param(stage, key, command, value, id=f"{key}-{name}")
+      for stage, key, command, wrong in _RECORDED
+      for name, value in (("deleted", _DELETED), ("null", None), ("x", "x"),
+                          ("wrong-type", wrong))),
+    # each gap is one dataset: evaluate once scored a repeated gap twice
+    pytest.param("train:linear", "gaps", "evaluate", [1, 1], id="gaps-repeated"),
 ])
 def test_invalid_recorded_value_exits_1_naming_its_key(pipeline_dir, tmp_path, capsys, stage,
                                                        key, command, value):

@@ -23,7 +23,7 @@ from sentpop.corpus import (
     stream_corpus,
 )
 
-from conftest import make_tweet
+from conftest import assert_raises, make_tweet
 
 
 class TestParseTweetLine:
@@ -394,3 +394,30 @@ def _callers(name: str) -> set[tuple[str, str]]:
 def test_only_stream_corpus_and_ingest_open_a_corpus():
     # a stage that needs tweets reads them through stream_corpus
     assert _callers("open_corpus") == {("corpus.py", "stream_corpus"), ("cli.py", "cmd_ingest")}
+
+
+def _lexicon_file(tmp_path, text):
+    path = tmp_path / "lex.tsv"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+_WINDOW = CorpusWindow(0, 10, 10, 20)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda tmp: EmoticonLexicon({"[x]": "happy"}), LexiconError,
+                 "unknown polarity 'happy' for '[x]'", id="lexicon-polarity"),
+    pytest.param(lambda tmp: _WINDOW.contains(5, "both"), ValueError,
+                 "unknown split 'both'", id="window-split"),
+    pytest.param(lambda tmp: next(stream_corpus(tmp / "corpus.tsv", EmoticonLexicon({}),
+                                                _WINDOW, "both")),
+                 ValueError, "split must be one of ('train', 'test', 'all'), got 'both'",
+                 id="stream-split"),
+    pytest.param(lambda tmp: load_lexicon(_lexicon_file(tmp, "[x]\tpositive\textra\n")),
+                 LexiconError, "line 1: expected 2 fields, got 3", id="lexicon-fields-3"),
+    pytest.param(lambda tmp: load_lexicon(_lexicon_file(tmp, "[y]\tnegative\n[x]\n")),
+                 LexiconError, "line 2: expected 2 fields, got 1", id="lexicon-fields-1"),
+])
+def test_rejected_input_raises_its_message(tmp_path, call, error, message):
+    assert_raises(lambda: call(tmp_path), error, message)

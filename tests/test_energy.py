@@ -22,7 +22,9 @@ from sentpop.energy import (
     per_edge_energies,
     save_energy_report,
 )
-from sentpop.graph import SocialGraph, extract_community
+from sentpop.graph import CommunityGraph, SocialGraph, extract_community
+
+from conftest import assert_raises
 
 
 def _unit(m, i):
@@ -369,3 +371,17 @@ def test_energy_report_round_trip(tmp_path):
     loaded = load_energy_report(path)
     assert loaded[0].topic == "a" and loaded[1].topic == "z"
     assert {e.value for e in loaded} == {1.5, 0.25}
+
+
+_PAIR = CommunityGraph(("a", "b"), (("a", "b"),))
+_UNEVEN = {"a": np.ones(2), "b": np.ones(3)}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: per_edge_energies(_PAIR, _UNEVEN, EnergyFunction.COSINE), ValueError,
+                 "inconsistent vector lengths", id="per-edge"),
+    pytest.param(lambda: community_energy(_PAIR, _UNEVEN, "t"), ValueError,
+                 "inconsistent vector lengths", id="community"),
+])
+def test_rejected_input_raises_its_message(call, error, message):
+    assert_raises(call, error, message)

@@ -18,7 +18,7 @@ from sentpop.graph import (
     save_edge_list,
 )
 
-from conftest import make_tweet
+from conftest import assert_raises, make_tweet
 
 
 def test_single_mention_creates_edge(lexicon):
@@ -188,3 +188,19 @@ def test_community_round_trip_via_edge_list(tmp_path):
     loaded = community_from_edge_list(path, "s")
     assert loaded.members == c.members
     assert loaded.edges == c.edges
+
+
+def _path_graph() -> SocialGraph:
+    g = SocialGraph()
+    g.add_edge("A", "B")
+    return g
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: extract_community(_path_graph(), "A", -1), ValueError,
+                 "max_depth must be >= 0", id="depth"),
+    pytest.param(lambda: extract_community(_path_graph(), "Z", 1), ValueError,
+                 "seed user 'Z' is not in the graph", id="seed"),
+])
+def test_rejected_input_raises_its_message(call, error, message):
+    assert_raises(call, error, message)

@@ -24,6 +24,7 @@ from sentpop.predictor import (
 )
 from sentpop.topics import GapDataset, Topic
 
+from conftest import assert_raises
 from oracles import (
     closed_form_linear_fit,
     gradient_edge,
@@ -739,3 +740,23 @@ def test_an_edge_orthogonal_up_to_rounding_on_train_gets_no_weight():
     held_out = make_samples(community, vectors, test_topics)
     assert min(s.edge_energies[0] for s in held_out) > 0.5
     assert evaluate(model, held_out).rse < 0.01
+
+
+_ODD = [sample([0.1, 0.2, 0.3], 1.0, topic="t0"),
+        sample([0.1, 0.2], 2.0, topic="odd", edges=EDGES[:2])]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: EdgeModel(EDGES, np.ones(2), 0.0), ValueError,
+                 "one weight per edge required", id="edge-model-weights"),
+    pytest.param(lambda: TrainConfig(epochs=0), ValueError, "epochs must be >= 1", id="epochs"),
+    pytest.param(lambda: train("linear", [], TrainConfig()), ValueError,
+                 "train needs at least one sample", id="train-empty"),
+    pytest.param(lambda: train("edge", _ODD, TrainConfig()), ValueError,
+                 "sample 'odd' covers a different edge set than sample 't0'",
+                 id="train-edge-sets"),
+    pytest.param(lambda: evaluate(LinearModel(1.0, 0.0), []), ValueError,
+                 "evaluate needs at least one sample", id="evaluate-empty"),
+])
+def test_rejected_input_raises_its_message(call, error, message):
+    assert_raises(call, error, message)

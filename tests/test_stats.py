@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from conftest import assert_raises
 from oracles import numpy_pearson_r, numpy_rse, paired_t_test
 from sentpop.stats import (
     Strength,
@@ -345,3 +346,26 @@ class TestIncompleteBeta:
         assert student_t_two_tailed_p(1.0, 1) == pytest.approx(0.5, abs=1e-12)
         assert student_t_two_tailed_p(0.0, 5) == 1.0
         assert student_t_two_tailed_p(math.inf, 5) == 0.0
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: regularized_incomplete_beta(0.0, 1.0, 0.5),
+                 "shape parameters must be positive", id="beta-a"),
+    pytest.param(lambda: regularized_incomplete_beta(1.0, -1.0, 0.5),
+                 "shape parameters must be positive", id="beta-b"),
+    pytest.param(lambda: regularized_incomplete_beta(1.0, 1.0, 1.5), "x out of range: 1.5",
+                 id="beta-x-above"),
+    pytest.param(lambda: regularized_incomplete_beta(1.0, 1.0, -0.1), "x out of range: -0.1",
+                 id="beta-x-below"),
+    pytest.param(lambda: regularized_incomplete_beta(1.0, 1.0, math.nan), "x out of range: nan",
+                 id="beta-x-nan"),
+    pytest.param(lambda: student_t_two_tailed_p(1.0, 0), "degrees of freedom must be >= 1",
+                 id="t-dof"),
+    pytest.param(lambda: student_t_two_tailed_p(math.nan, 3), "t statistic is NaN",
+                 id="t-nan"),
+    pytest.param(lambda: rse([1.0, 2.0], [1.0, 2.0, 3.0]), "series lengths differ",
+                 id="rse-lengths"),
+    pytest.param(lambda: rse([1.0], [2.0]), "rse requires at least 2 samples", id="rse-n"),
+])
+def test_rejected_input_raises_its_message(call, message):
+    assert_raises(call, ValueError, message)

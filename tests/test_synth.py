@@ -28,6 +28,7 @@ from sentpop.synth import (
 )
 from sentpop.topics import extract_topics
 
+from conftest import assert_raises
 from oracles import closed_form_linear_fit, scalar_edge_draws
 
 BASIC = SynthConfig(rng_seed=3, n_users=30, edge_density=0.15, n_topics=8,
@@ -262,3 +263,17 @@ def test_pipeline_energies_match_the_energies_synth_planted(
         assert all(energies[tag] == planted[tag] for tag in catalog)
         rows = sum(1 for _ in read_rows(out / "community.tsv", 2, "edge"))
         assert rows == int(p["n_community_edges"])
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n_topics", 0, "n_topics must be in [1, 999]"),
+    ("n_topics", 1000, "n_topics must be in [1, 999]"),
+    ("m", 0, "m must be in [1, 99]"),
+    ("m", 100, "m must be in [1, 99]"),
+    ("tweets_per_user", 0, "tweets_per_user must be >= 1"),
+    ("care_range", (0.6, 0.2), "care_range must satisfy 0 <= lo <= hi <= 1"),
+    ("care_range", (-0.1, 0.5), "care_range must satisfy 0 <= lo <= hi <= 1"),
+    ("care_range", (0.5, 1.5), "care_range must satisfy 0 <= lo <= hi <= 1"),
+])
+def test_rejected_config_raises_its_message(field, value, message):
+    assert_raises(lambda: SynthConfig(**{field: value}), ValueError, message)
