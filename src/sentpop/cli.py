@@ -129,7 +129,7 @@ def _csv_ints(text: str, flag: str) -> list[int]:
 
 
 def _distinct(gaps: list[int]) -> list[int]:
-    """``gaps``, which flag and record alike must list each once: each gap is one dataset."""
+    """``gaps`` if it names each gap once, as flag and record must: a gap is one dataset."""
     for gap in gaps:
         if gaps.count(gap) > 1:
             raise ValueError(f"--gaps lists gap {gap} more than once")

@@ -88,9 +88,13 @@ class TestExtractCommunity:
         assert c.members == ("A",)
         assert c.edges == ()
 
-    def test_missing_seed(self):
-        with pytest.raises(ValueError, match="seed"):
-            extract_community(self.path_graph(), "Z", 1)
+    @pytest.mark.parametrize("seed, depth, message", [
+        ("Z", 1, "seed user 'Z' is not in the graph"),
+        ("A", -1, "max_depth must be >= 0"),
+    ])
+    def test_rejected_input_raises_its_message(self, seed, depth, message):
+        assert_raises(lambda: extract_community(self.path_graph(), seed, depth), ValueError,
+                      message)
 
     def _random_graph(self, seed=3, n=200, p=0.02):
         rng = np.random.default_rng(seed)
@@ -188,19 +192,3 @@ def test_community_round_trip_via_edge_list(tmp_path):
     loaded = community_from_edge_list(path, "s")
     assert loaded.members == c.members
     assert loaded.edges == c.edges
-
-
-def _path_graph() -> SocialGraph:
-    g = SocialGraph()
-    g.add_edge("A", "B")
-    return g
-
-
-@pytest.mark.parametrize("call, error, message", [
-    pytest.param(lambda: extract_community(_path_graph(), "A", -1), ValueError,
-                 "max_depth must be >= 0", id="depth"),
-    pytest.param(lambda: extract_community(_path_graph(), "Z", 1), ValueError,
-                 "seed user 'Z' is not in the graph", id="seed"),
-])
-def test_rejected_input_raises_its_message(call, error, message):
-    assert_raises(call, error, message)
