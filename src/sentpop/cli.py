@@ -20,16 +20,20 @@ from pathlib import Path
 from . import __version__
 from .corpus import (
     CorpusWindow,
-    EmoticonLexicon,
     ParseError,
-    Tweet,
-    format_tweet_line,
+    TopicFields,
+    check_tweet_fields,
+    format_tweet_fields,
+    graph_fields,
     load_lexicon,
     open_corpus,
-    parse_tweet_line,
+    read_normalized,
     save_lexicon,
-    stream_corpus,
+    sentiment_fields,
+    topic_fields,
 )
+# Not called here: perfbench/trace_stage.py wraps them where this module binds them.
+from .corpus import format_tweet_line, parse_tweet_line, stream_corpus  # noqa: F401
 from .manifest import RunManifest, StaleArtifactError, atomic_write, file_digest, read_rows
 from .manifest import write_lines as _write_lines
 
@@ -101,12 +105,6 @@ VECTORS_FILE = "vectors.tsv"
 ENERGIES_FILE = "energies.tsv"
 CORRELATION_FILE = "correlation.tsv"
 MANIFEST_FILE = "manifest.json"
-
-# Only sentiment uses emoticon counts, and reads the run's lexicon snapshot;
-# ingest, graph and topics parse with no lexicon, so a new one leaves graph
-# and topics fresh.
-_NO_LEXICON = EmoticonLexicon({})
-
 
 def _out_meta(path: Path, rows: int) -> dict:
     return {"digest": file_digest(path), "rows": rows}
@@ -316,21 +314,22 @@ def cmd_ingest(stage: Stage, args) -> None:
     dropped = 0
 
     def kept() -> Iterator[str]:
-        """The normalized lines in the window, written as they are parsed."""
+        """The normalized lines in the window, written as they are checked."""
         nonlocal dropped
         first_line: dict[str, int] = {}  # tweet id -> line it first appeared on
         with open_corpus(args.corpus) as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                tweet = parse_tweet_line(line, _NO_LEXICON, line_no)
-                seen = first_line.setdefault(tweet.id, line_no)
+                fields = check_tweet_fields(line, line_no)
+                tweet_id, timestamp = fields[0], fields[2]
+                seen = first_line.setdefault(tweet_id, line_no)
                 if seen != line_no:
                     raise ParseError(
-                        f"duplicate tweet id {tweet.id!r}, first on line {seen}", line_no
+                        f"duplicate tweet id {tweet_id!r}, first on line {seen}", line_no
                     )
-                if window.contains(tweet.timestamp, "all"):
-                    yield format_tweet_line(tweet)
+                if window.contains(timestamp, "all"):
+                    yield format_tweet_fields(*fields)
                 else:
                     dropped += 1
         # A file that a stage wrote (synth) must still match its record, so
@@ -349,8 +348,7 @@ def cmd_ingest(stage: Stage, args) -> None:
 
 def cmd_graph(stage: Stage, args) -> None:
     corpus_path, window = stage.corpus()
-    tweets = stream_corpus(corpus_path, _NO_LEXICON, window, "all")
-    graph = build_graph(tweets)
+    graph = build_graph(read_normalized(corpus_path, window, "all", graph_fields))
     community = extract_community(graph, args.seed_user, args.max_depth)
     g_rows = stage.write(GRAPH_FILE, save_edge_list, graph.edges)
     c_rows = stage.write(COMMUNITY_FILE, save_edge_list, community.edges)
@@ -366,9 +364,9 @@ def cmd_topics(stage: Stage, args) -> None:
     stopwords = load_stopwords(stage.read(Path(args.stopwords)))
     texts: dict[str, list[str]] = {}  # hashtag -> its tweets' texts, in corpus order
 
-    def test_tweets() -> Iterator[Tweet]:
+    def test_tweets() -> Iterator[TopicFields]:
         """The test split, once; each text is kept for every distinct hashtag it has."""
-        for tweet in stream_corpus(corpus_path, _NO_LEXICON, window, "test"):
+        for tweet in read_normalized(corpus_path, window, "test", topic_fields):
             for tag in set(tweet.hashtags):
                 texts.setdefault(tag, []).append(tweet.text)
             yield tweet
@@ -390,7 +388,7 @@ def cmd_sentiment(stage: Stage, args) -> None:
     corpus_path, window = stage.corpus()
     lexicon = load_lexicon(stage.read(NORMALIZED_LEXICON))
     community, catalog, _ = stage.features(vectors=False)
-    train_tweets = stream_corpus(corpus_path, lexicon, window, "train")
+    train_tweets = read_normalized(corpus_path, window, "train", sentiment_fields(lexicon))
     vectors_by_topic = catalog_vectors(community.members, catalog, train_tweets)
     rows = stage.write(VECTORS_FILE, save_vectors, vectors_by_topic)
     print(f"sentiment: {rows} nonzero vectors -> {stage.out / VECTORS_FILE}")

@@ -7,14 +7,19 @@ anywhere else in a record is an error, so corpora are read with
 :func:`open_corpus`.
 Hashtags, mentions and emoticon counts are extracted from the text at parse
 time, so a serialized tweet always round-trips to identical fields.
+
+A corpus from outside is checked line by line (:func:`check_tweet_fields`).
+The corpus that ``ingest`` writes is not checked again: the stages after it
+read it through :func:`read_normalized`, which derives only the fields that
+each of them uses.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from pathlib import Path
-from typing import NamedTuple, TextIO
+from typing import NamedTuple, TextIO, TypeVar
 
 from .manifest import write_lines
 
@@ -164,10 +169,10 @@ def _read_timestamp(field: str) -> int | None:
     return None
 
 
-def parse_tweet_line(
-    line: str, lexicon: EmoticonLexicon, line_no: int | None = None
-) -> Tweet:
-    """Parse one corpus record into a :class:`Tweet`.
+def check_tweet_fields(
+    line: str, line_no: int | None = None
+) -> tuple[str, str, int, str | None, str]:
+    """Check one corpus record and return its ``(id, user, timestamp, retweet_of, text)``.
 
     Raises :class:`ParseError` (carrying ``line_no``) for malformed records.
     """
@@ -186,26 +191,52 @@ def parse_tweet_line(
     retweet_of = None if retweet_raw == NO_RETWEET else retweet_raw
     if retweet_of == "":
         raise ParseError("empty retweet field (use '-' for none)", line_no)
-    # Each scan needs its marker character to match, so a text without it
-    # skips the regex.
+    return tweet_id, user, timestamp, retweet_of, text
+
+
+# Each scan needs its marker character to match, so a text without it skips
+# the regex.
+def _hashtags(text: str) -> tuple[str, ...]:
+    return tuple(_HASHTAG_RE.findall(text)) if "#" in text else ()
+
+
+def _mentions(text: str) -> tuple[str, ...]:
+    return tuple(_MENTION_RE.findall(text)) if "@" in text else ()
+
+
+def parse_tweet_line(
+    line: str, lexicon: EmoticonLexicon, line_no: int | None = None
+) -> Tweet:
+    """Parse one corpus record into a :class:`Tweet`: check its fields, then derive the rest.
+
+    Raises :class:`ParseError` (carrying ``line_no``) for malformed records.
+    """
+    tweet_id, user, timestamp, retweet_of, text = check_tweet_fields(line, line_no)
     return Tweet(
         id=tweet_id,
         user=user,
         timestamp=timestamp,
         text=text,
-        hashtags=tuple(_HASHTAG_RE.findall(text)) if "#" in text else (),
-        mentions=tuple(_MENTION_RE.findall(text)) if "@" in text else (),
+        hashtags=_hashtags(text),
+        mentions=_mentions(text),
         retweet_of=retweet_of,
         emoticon_counts=lexicon.count(text),
     )
+
+
+def format_tweet_fields(
+    tweet_id: str, user: str, timestamp: int, retweet_of: str | None, text: str
+) -> str:
+    """The corpus line (no newline) of fields that :func:`check_tweet_fields` returned."""
+    retweet = NO_RETWEET if retweet_of is None else retweet_of
+    return f"{tweet_id}\t{user}\t{timestamp}\t{retweet}\t{text}"
 
 
 def format_tweet_line(tweet: Tweet) -> str:
     """Serialize a tweet back to the corpus line format (no newline)."""
     if "\t" in tweet.text or "\n" in tweet.text or "\r" in tweet.text:
         raise ValueError("tweet text may not contain tab, newline or carriage return")
-    retweet = tweet.retweet_of if tweet.retweet_of is not None else NO_RETWEET
-    return f"{tweet.id}\t{tweet.user}\t{tweet.timestamp}\t{retweet}\t{tweet.text}"
+    return format_tweet_fields(tweet.id, tweet.user, tweet.timestamp, tweet.retweet_of, tweet.text)
 
 
 def open_corpus(path: str | Path) -> TextIO:
@@ -280,3 +311,84 @@ def stream_corpus(
             timestamp = _read_timestamp(fields[2]) if len(fields) > 2 else None
             if timestamp is None or window.contains(timestamp, split):
                 yield parse_tweet_line(line, lexicon, line_no)
+
+
+# The projections of read_normalized: each holds the fields of parse_tweet_line's
+# Tweet that one stage reads, under the same names, so that the functions that
+# take tweets (build_graph, extract_topics, catalog_vectors) take them too.
+class GraphFields(NamedTuple):
+    """``graph``'s fields of a tweet: its author, and whom it retweets and mentions."""
+
+    user: str
+    retweet_of: str | None
+    mentions: tuple[str, ...]
+
+
+class TopicFields(NamedTuple):
+    """``topics``' fields of a test tweet: when it was posted, its hashtags and its text."""
+
+    timestamp: int
+    hashtags: tuple[str, ...]
+    text: str
+
+
+class SentimentFields(NamedTuple):
+    """``sentiment``'s fields of a train tweet: its author, its emoticon counts and its text."""
+
+    user: str
+    emoticon_counts: EmoticonCounts
+    text: str
+
+
+def graph_fields(fields: list[str]) -> GraphFields:
+    retweet = fields[3]
+    return GraphFields(fields[1], None if retweet == NO_RETWEET else retweet, _mentions(fields[4]))
+
+
+def topic_fields(fields: list[str]) -> TopicFields:
+    text = fields[4]
+    return TopicFields(int(fields[2]), _hashtags(text), text)
+
+
+def sentiment_fields(lexicon: EmoticonLexicon) -> Callable[[list[str]], SentimentFields]:
+    """The projection to :class:`SentimentFields`, with emoticons counted by ``lexicon``."""
+
+    def project(fields: list[str]) -> SentimentFields:
+        text = fields[4]
+        return SentimentFields(fields[1], lexicon.count(text), text)
+
+    return project
+
+
+_Record = TypeVar("_Record")
+
+
+def read_normalized(
+    path: str | Path,
+    window: CorpusWindow,
+    split: str,
+    project: Callable[[list[str]], _Record],
+) -> Iterator[_Record]:
+    """Yield ``project(fields)`` for each record of ``split`` in a corpus that ingest wrote.
+
+    ``fields`` are the record's five tab-separated fields, as strings. The file
+    must be one that ``ingest`` (or ``synth``) wrote and that has not changed
+    since: each of its lines was checked, and its timestamp written as
+    ``int`` writes it, before it was written; a stage verifies the file's
+    digest before it reads it. So no line is checked again, and each record
+    equals the projection of :func:`parse_tweet_line`'s tweet, in file order.
+    ``ingest`` keeps only the lines inside the window, so ``all`` reads every
+    line; the train and test splits read each line's timestamp.
+    """
+    if split not in SPLITS:
+        raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
+    with open_corpus(path) as fh:
+        if split == "all":
+            for line in fh:
+                yield project(line.removesuffix("\n").split("\t"))
+            return
+        start, end = window[:2] if split == "train" else window[2:]  # half-open, as in contains
+        for line in fh:
+            fields = line.removesuffix("\n").split("\t")
+            if start <= int(fields[2]) < end:
+                yield project(fields)

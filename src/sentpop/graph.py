@@ -8,7 +8,7 @@ from functools import cached_property
 from pathlib import Path
 
 from ._lazy import np
-from .corpus import Tweet
+from .corpus import GraphFields, Tweet
 from .manifest import read_rows, write_lines
 
 Edge = tuple[str, str]
@@ -82,8 +82,8 @@ class CommunityGraph:
         return rows
 
 
-def build_graph(tweets: Iterable[Tweet]) -> SocialGraph:
-    """Build the retweet-mention graph from parsed tweets.
+def build_graph(tweets: Iterable[Tweet | GraphFields]) -> SocialGraph:
+    """Build the retweet-mention graph from parsed tweets, or their :class:`GraphFields`.
 
     An edge joins two distinct users whenever one retweets or mentions the
     other; repeated interactions do not create multi-edges. Every author and

@@ -17,7 +17,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from ._lazy import np
-from .corpus import Tweet
+from .corpus import SentimentFields, Tweet
 from .manifest import read_rows, write_lines
 from .topics import Topic
 
@@ -63,12 +63,13 @@ def group_tweets_by_user(tweets: Iterable[Tweet]) -> dict[str, list[Tweet]]:
 
 
 def catalog_vectors(
-    members: Iterable[str], topics: Sequence[Topic], tweets: Iterable[Tweet]
+    members: Iterable[str], topics: Sequence[Topic], tweets: Iterable[Tweet | SentimentFields]
 ) -> dict[str, dict[str, array]]:
     """Nonzero sentiment vectors of community members on every topic, by hashtag.
 
-    ``tweets`` is read once, as a stream in corpus order; tweets of users
-    outside ``members`` are skipped. Equal to testing ``phrase in tweet.text``
+    ``tweets`` is read once, as a stream in corpus order, for each tweet's
+    ``user``, ``emoticon_counts`` and ``text``; tweets of users outside
+    ``members`` are skipped. Equal to testing ``phrase in tweet.text``
     for every topic, member, tweet and phrase, but each tweet is scanned once
     for the whole catalog. A phrase that is one ``\\w+`` run occurs in a text
     exactly when it is a substring of one of the text's maximal ``\\w+`` runs,

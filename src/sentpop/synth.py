@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ._lazy import np
-from .corpus import CorpusWindow, EmoticonLexicon, save_lexicon, stream_corpus
+from .corpus import CorpusWindow, EmoticonLexicon, read_normalized, save_lexicon, sentiment_fields
 from .manifest import atomic_write, atomic_write_text, read_rows, write_lines
 from .energy import EnergyFunction, mrf_total, per_edge_energies
 from .graph import Edge, SocialGraph, canonical_edge, extract_community
@@ -319,9 +319,8 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
     # the train split is read back once, as `sentiment` reads it, to learn each
     # topic's community energy before popularity is planted; no line or
     # parsed tweet is held
-    vectors_by_topic = catalog_vectors(
-        community.members, topics, stream_corpus(corpus_tmp, lexicon, window, "train")
-    )
+    train_tweets = read_normalized(corpus_tmp, window, "train", sentiment_fields(lexicon))
+    vectors_by_topic = catalog_vectors(community.members, topics, train_tweets)
     # the topics x edges matrix is needed only to plant edge weights: its
     # product with them is not the per-row dots. Otherwise only each row's
     # total is kept, taken as the energy stage takes it.

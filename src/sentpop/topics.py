@@ -6,9 +6,10 @@ import re
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
-from .corpus import CorpusWindow, Tweet
+from .corpus import CorpusWindow, TopicFields, Tweet
 from .manifest import read_rows, write_lines
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
@@ -59,7 +60,7 @@ def first_month_end(window: CorpusWindow) -> int:
 
 
 def extract_topics(
-    test_tweets: Iterable[Tweet],
+    test_tweets: Iterable[Tweet | TopicFields],
     first_month_end: int,
     min_popularity: int,
 ) -> list[Topic]:
@@ -67,7 +68,8 @@ def extract_topics(
 
     Popularity is counted over the whole test window; a tweet with several
     distinct hashtags counts once toward each. Topics below ``min_popularity``
-    are dropped. Result is sorted by (popularity, hashtag) ascending.
+    are dropped. Result is sorted by (popularity, hashtag) ascending. A tweet
+    is read for its ``timestamp`` and ``hashtags`` only.
     """
     counts: Counter[str] = Counter()
     first_seen: dict[str, int] = {}
@@ -118,6 +120,20 @@ def gap_filter(topics: Sequence[Topic], gap: int) -> GapDataset:
     return GapDataset(gap=gap, topics=tuple(kept))
 
 
+def _word_counts(texts: Iterable[str]) -> Counter[str]:
+    """``Counter(_WORD_RE.findall("\\n".join(texts)))``: how often each word run occurs.
+
+    Whitespace is no word character, so each run lies inside one
+    whitespace-separated token: the runs of each distinct token are found
+    once and counted as often as the token occurs.
+    """
+    counts: Counter[str] = Counter()
+    for token, n in Counter(chain.from_iterable(map(str.split, texts))).items():
+        for run in _WORD_RE.findall(token):
+            counts[run] += n
+    return counts
+
+
 def extract_key_phrases(
     topic_texts: Iterable[str],
     m: int,
@@ -133,13 +149,9 @@ def extract_key_phrases(
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    # one scan of the whole document; "\n" is no word character, so joining
-    # splits no token and merges none
-    document = "\n".join(topic_texts)
-    counts = Counter(_WORD_RE.findall(document))
     candidates = [
         (token, n)
-        for token, n in counts.items()
+        for token, n in _word_counts(topic_texts).items()
         if token not in stopwords and token != exclude
     ]
     if len(candidates) < m:

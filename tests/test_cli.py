@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import sentpop.cli
+import sentpop.corpus
 import sentpop.manifest
 from sentpop.cli import _sgd_summary, main
 from sentpop.manifest import atomic_write, atomic_write_text
@@ -238,6 +239,21 @@ def test_tampered_input_stops_its_stage(pipeline_dir, capsys, stage, name):
     finally:
         path.write_bytes(original)
     assert run(*argv) == 0
+
+
+def test_the_stages_after_ingest_parse_no_line(pipeline_dir, monkeypatch):
+    """graph, topics and sentiment read the corpus that ingest checked, and its digest
+    verified, without the parser, and write the same artifacts."""
+
+    def unused(*args, **kwargs):
+        raise AssertionError("parse_tweet_line was called")
+
+    monkeypatch.setattr(sentpop.corpus, "parse_tweet_line", unused)
+    monkeypatch.setattr(sentpop.cli, "parse_tweet_line", unused)
+    before = {p.name: p.read_bytes() for p in pipeline_dir.iterdir()}
+    for stage in ("graph", "topics", "sentiment"):
+        assert run(*pipeline_argv(pipeline_dir)[stage]) == 0, stage
+    assert {p.name: p.read_bytes() for p in pipeline_dir.iterdir()} == before
 
 
 @pytest.mark.parametrize("stage, argv", [

@@ -1,27 +1,41 @@
 """Corpus and lexicon parsing tests."""
 
 import ast
+import contextlib
+import io
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 import sentpop.corpus
+from sentpop.cli import main
 from sentpop.corpus import (
+    NO_RETWEET,
+    SPLITS,
     CorpusWindow,
     EmoticonCounts,
     EmoticonLexicon,
+    GraphFields,
     LexiconError,
-    SPLITS,
     ParseError,
+    SentimentFields,
+    TopicFields,
+    Tweet,
     format_tweet_line,
+    graph_fields,
     load_lexicon,
     parse_tweet_line,
+    read_normalized,
+    sentiment_fields,
     stream_corpus,
+    topic_fields,
 )
+from sentpop.manifest import write_lines
 
 from conftest import assert_raises, make_tweet
 
@@ -128,6 +142,97 @@ def test_parse_matches_the_plain_parser(fields, ending):
         assert hash(got) == hash(expected)
         assert type(got.emoticon_counts) is EmoticonCounts
         assert got._replace(text="x") == expected._replace(text="x")
+
+
+# Stamps from -60 to 60 fall on both sides of each bound, zero and negatives included.
+_PROJECTION_WINDOW = CorpusWindow(-50, 0, 0, 50)
+_PROJECTIONS = ((GraphFields, graph_fields), (TopicFields, topic_fields),
+                (SentimentFields, sentiment_fields(_ORACLE_LEXICON)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["u1", "\u00fc7", "u 2", "\u6771"]),
+    st.integers(-60, 60),
+    st.sampled_from([None, "bob", "\u00e9"]),
+    _TEXT,
+), max_size=12))
+@example([("u1", -1, None, "#a# #b c#d# lone # @"),
+          ("u 2", 0, "bob", "@! @\u00e9_9, [nosuch] [smile][\u65e5] @"),
+          ("\u6771", -50, None, "caf\u00e9 \u6771\u4eac #\u0663#")])
+def test_each_projection_is_the_parsed_tweet_cut_to_its_fields(records):
+    """On the lines ingest writes, each split of each projection equals the parser's
+    tweets of that split with only the projection's fields, under the same names."""
+    tweets = [
+        parse_tweet_line(f"i{n}\t{user}\t{ts}\t{retweet or NO_RETWEET}\t{text}", _ORACLE_LEXICON)
+        for n, (user, ts, retweet, text) in enumerate(records)
+    ]
+    written = [t for t in tweets if _PROJECTION_WINDOW.contains(t.timestamp, "all")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus_normalized.tsv"
+        write_lines(map(format_tweet_line, written), path)
+        for split in SPLITS:
+            expected = [t for t in written if _PROJECTION_WINDOW.contains(t.timestamp, split)]
+            for record, project in _PROJECTIONS:
+                assert set(record._fields) <= set(Tweet._fields)
+                got = list(read_normalized(path, _PROJECTION_WINDOW, split, project))
+                assert got == [tuple(getattr(t, f) for f in record._fields) for t in expected]
+                assert all(type(r) is record for r in got)
+                if record is SentimentFields:
+                    assert all(type(r.emoticon_counts) is EmoticonCounts for r in got)
+
+
+_INGEST_WINDOW = CorpusWindow(-100, 0, 0, 100)
+# records of 5 fields, well-formed or not, and of 4 or 6; an id is made unique by
+# its line number, so that a line fails only the parser's own checks
+_RAW_RECORDS = st.one_of(
+    st.tuples(st.just("t"), st.sampled_from(["u", "\u00fc7", "u 2"]),
+              st.one_of(st.integers(-150, 150).map(str), st.sampled_from(["-0", "007"])),
+              st.sampled_from(["-", "bob"]), _TEXT),
+    st.tuples(st.sampled_from(["t", ""]), _FIELD,
+              st.sampled_from(["1_0", " +7 ", "\u0663", "-0", "007", "", "12"]),
+              st.sampled_from(["-", "", "bob"]),
+              st.one_of(_TEXT, st.tuples(_TEXT, st.just("\r"), _TEXT).map("".join))),
+    st.lists(_TEXT, min_size=4, max_size=4).map(tuple),
+    st.lists(_TEXT, min_size=6, max_size=6).map(tuple),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_RAW_RECORDS, st.sampled_from(["\n", "\r\n"])), max_size=4))
+def test_ingest_writes_the_parsers_line_or_raises_its_error(records):
+    """ingest writes format_tweet_line(parse_tweet_line(line)) for each line in the
+    window, or stops with the parser's ParseError, line number included."""
+    lines = [
+        "\t".join((f"{fields[0]}{n}" if fields[0] else "", *fields[1:])) + ending
+        for n, (fields, ending) in enumerate(records, start=1)
+    ]
+    expected, error = [], None
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue  # ingest skips a blank line, as every corpus reader does
+        try:
+            tweet = parse_tweet_line(line, EmoticonLexicon({}), line_no)
+        except ParseError as exc:
+            error = f"error: {exc}\n"
+            break
+        if _INGEST_WINDOW.contains(tweet.timestamp, "all"):
+            expected.append(format_tweet_line(tweet) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / "corpus.tsv").write_text("".join(lines), encoding="utf-8", newline="")
+        (out / "lexicon.tsv").write_text("[smile]\tpositive\n", encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["ingest", "--out", tmp, "--corpus", str(out / "corpus.tsv"),
+                         "--lexicon", str(out / "lexicon.tsv"),
+                         "--window=" + ",".join(map(str, _INGEST_WINDOW))])
+        if error is None:
+            assert (code, stderr.getvalue()) == (0, "")
+            written = (out / "corpus_normalized.tsv").read_text(encoding="utf-8")
+            assert written == "".join(expected)
+        else:
+            assert (code, stderr.getvalue()) == (1, error)
 
 
 # Hand-written reference tokenizer: walk the text and collect spans between
@@ -391,9 +496,16 @@ def _callers(name: str) -> set[tuple[str, str]]:
     return found
 
 
-def test_only_stream_corpus_and_ingest_open_a_corpus():
-    # a stage that needs tweets reads them through stream_corpus
-    assert _callers("open_corpus") == {("corpus.py", "stream_corpus"), ("cli.py", "cmd_ingest")}
+def test_only_ingest_and_the_two_corpus_readers_open_a_corpus():
+    # ingest checks the outside corpus; every stage after it, and synth reading
+    # back its own lines, reads a written corpus through read_normalized
+    assert _callers("open_corpus") == {
+        ("corpus.py", "stream_corpus"), ("corpus.py", "read_normalized"), ("cli.py", "cmd_ingest")
+    }
+    assert _callers("read_normalized") == {
+        ("cli.py", "cmd_graph"), ("cli.py", "cmd_topics"), ("cli.py", "cmd_sentiment"),
+        ("synth.py", "_generate"),
+    }
 
 
 def _lexicon_file(tmp_path, text):
@@ -414,6 +526,10 @@ _WINDOW = CorpusWindow(0, 10, 10, 20)
                                                 _WINDOW, "both")),
                  ValueError, "split must be one of ('train', 'test', 'all'), got 'both'",
                  id="stream-split"),
+    pytest.param(lambda tmp: next(read_normalized(tmp / "corpus.tsv", _WINDOW, "both",
+                                                  graph_fields)),
+                 ValueError, "split must be one of ('train', 'test', 'all'), got 'both'",
+                 id="normalized-split"),
     pytest.param(lambda tmp: load_lexicon(_lexicon_file(tmp, "[x]\tpositive\textra\n")),
                  LexiconError, "line 1: expected 2 fields, got 3", id="lexicon-fields-3"),
     pytest.param(lambda tmp: load_lexicon(_lexicon_file(tmp, "[y]\tnegative\n[x]\n")),

@@ -4,11 +4,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sentpop.topics import (
+    _WORD_RE,
     PhraseDeficitError,
     Topic,
+    _word_counts,
     dedupe_equal_popularity,
     extract_key_phrases,
     extract_topics,
@@ -177,6 +179,18 @@ class TestKeyPhrases:
             oracle.update(d.split())
         expected = [w for w, _ in sorted(oracle.items(), key=lambda kv: (-kv[1], kv[0]))[:10]]
         assert extract_key_phrases(docs, 10, set()) == expected
+
+    # Unicode whitespace that str.split() cuts at, word characters that are no
+    # letter (underscore, digits, combining marks) and tokens glued to punctuation
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.one_of(
+        st.sampled_from([" ", "\u00a0", "\u2003", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f",
+                         "\n", "_", "7", "\u0663", "e\u0301", "\u0301", "#t#", "[x]", "a,b",
+                         "tok", "\u00e9", "\u6771\u4eac"]),
+        st.text(alphabet="ab_9 \u00a0\u3000\x1f#[],\u0301", max_size=5),
+    ), max_size=10).map("".join), max_size=6))
+    def test_word_counts_match_one_scan_of_the_joined_document(self, texts):
+        assert _word_counts(texts) == Counter(_WORD_RE.findall("\n".join(texts)))
 
     def test_permutation_invariant(self):
         docs = ["x y z", "y z", "z q r s t u v w"]
