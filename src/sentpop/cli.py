@@ -20,13 +20,11 @@ from pathlib import Path
 from . import __version__
 from .corpus import (
     CorpusWindow,
-    ParseError,
     TopicFields,
-    check_tweet_fields,
+    checked_records,
     format_tweet_fields,
     graph_fields,
     load_lexicon,
-    open_corpus,
     read_normalized,
     save_lexicon,
     sentiment_fields,
@@ -316,22 +314,11 @@ def cmd_ingest(stage: Stage, args) -> None:
     def kept() -> Iterator[str]:
         """The normalized lines in the window, written as they are checked."""
         nonlocal dropped
-        first_line: dict[str, int] = {}  # tweet id -> line it first appeared on
-        with open_corpus(args.corpus) as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                fields = check_tweet_fields(line, line_no)
-                tweet_id, timestamp = fields[0], fields[2]
-                seen = first_line.setdefault(tweet_id, line_no)
-                if seen != line_no:
-                    raise ParseError(
-                        f"duplicate tweet id {tweet_id!r}, first on line {seen}", line_no
-                    )
-                if window.contains(timestamp, "all"):
-                    yield format_tweet_fields(*fields)
-                else:
-                    dropped += 1
+        for fields in checked_records(args.corpus):
+            if window.contains(fields[2], "all"):
+                yield format_tweet_fields(*fields)
+            else:
+                dropped += 1
         # A file that a stage wrote (synth) must still match its record, so
         # that every recorded input was read under its writer's digest. This
         # runs after the last line and before the rename, so a stale input,

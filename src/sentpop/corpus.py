@@ -8,10 +8,10 @@ anywhere else in a record is an error, so corpora are read with
 Hashtags, mentions and emoticon counts are extracted from the text at parse
 time, so a serialized tweet always round-trips to identical fields.
 
-A corpus from outside is checked line by line (:func:`check_tweet_fields`).
-The corpus that ``ingest`` writes is not checked again: the stages after it
-read it through :func:`read_normalized`, which derives only the fields that
-each of them uses.
+A corpus from outside is read only by :func:`checked_records`, for ``ingest``
+and :func:`stream_corpus`. The corpus that ``ingest`` writes is not checked
+again: the stages after it read it through :func:`read_normalized`, which
+derives only the fields that each of them uses.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ POLARITIES = ("positive", "negative", "neutral")
 NO_RETWEET = "-"
 
 SPLITS = ("train", "test", "all")
+
+# A checked record: (id, user, timestamp, retweet_of or None, text).
+CheckedFields = tuple[str, str, int, str | None, str]
 
 
 class ParseError(ValueError):
@@ -161,17 +164,7 @@ class CorpusWindow(_Bounds):
         raise ValueError(f"unknown split {split!r}")
 
 
-def _read_timestamp(field: str) -> int | None:
-    """The timestamp ``field`` spells, an optional ``-`` then ASCII digits; else None."""
-    # int() would also take "1_0", " +7 " and non-ASCII digits
-    if field.isascii() and field.removeprefix("-").isdigit():
-        return int(field)
-    return None
-
-
-def check_tweet_fields(
-    line: str, line_no: int | None = None
-) -> tuple[str, str, int, str | None, str]:
+def check_tweet_fields(line: str, line_no: int | None = None) -> CheckedFields:
     """Check one corpus record and return its ``(id, user, timestamp, retweet_of, text)``.
 
     Raises :class:`ParseError` (carrying ``line_no``) for malformed records.
@@ -185,9 +178,11 @@ def check_tweet_fields(
     tweet_id, user, ts_raw, retweet_raw, text = fields
     if not tweet_id or not user:
         raise ParseError("empty id or user field", line_no)
-    timestamp = _read_timestamp(ts_raw)
-    if timestamp is None:
+    # a timestamp is an optional "-" then ASCII digits; int() would also take
+    # "1_0", " +7 " and non-ASCII digits
+    if not (ts_raw.isascii() and ts_raw.removeprefix("-").isdigit()):
         raise ParseError(f"bad timestamp {ts_raw!r}", line_no)
+    timestamp = int(ts_raw)
     retweet_of = None if retweet_raw == NO_RETWEET else retweet_raw
     if retweet_of == "":
         raise ParseError("empty retweet field (use '-' for none)", line_no)
@@ -204,14 +199,9 @@ def _mentions(text: str) -> tuple[str, ...]:
     return tuple(_MENTION_RE.findall(text)) if "@" in text else ()
 
 
-def parse_tweet_line(
-    line: str, lexicon: EmoticonLexicon, line_no: int | None = None
-) -> Tweet:
-    """Parse one corpus record into a :class:`Tweet`: check its fields, then derive the rest.
-
-    Raises :class:`ParseError` (carrying ``line_no``) for malformed records.
-    """
-    tweet_id, user, timestamp, retweet_of, text = check_tweet_fields(line, line_no)
+def _derive_tweet(fields: CheckedFields, lexicon: EmoticonLexicon) -> Tweet:
+    """The :class:`Tweet` of fields that :func:`check_tweet_fields` returned."""
+    tweet_id, user, timestamp, retweet_of, text = fields
     return Tweet(
         id=tweet_id,
         user=user,
@@ -222,6 +212,16 @@ def parse_tweet_line(
         retweet_of=retweet_of,
         emoticon_counts=lexicon.count(text),
     )
+
+
+def parse_tweet_line(
+    line: str, lexicon: EmoticonLexicon, line_no: int | None = None
+) -> Tweet:
+    """Parse one corpus record into a :class:`Tweet`: check its fields, then derive the rest.
+
+    Raises :class:`ParseError` (carrying ``line_no``) for malformed records.
+    """
+    return _derive_tweet(check_tweet_fields(line, line_no), lexicon)
 
 
 def format_tweet_fields(
@@ -244,7 +244,7 @@ def open_corpus(path: str | Path) -> TextIO:
 
     Universal newlines would also split a record at a lone carriage return and
     report a wrong line number; here the carriage return stays in its line for
-    :func:`parse_tweet_line` to reject. A leading byte-order mark, which some
+    :func:`check_tweet_fields` to reject. A leading byte-order mark, which some
     editors write, is dropped rather than read into the first tweet's id; the
     outside files that a stage loads (lexicon, stopwords) are read the same way.
     """
@@ -282,6 +282,27 @@ def save_lexicon(lexicon: EmoticonLexicon, path: str | Path) -> int:
     return write_lines((f"{t}\t{p}" for t, p in sorted(lexicon.entries.items())), path)
 
 
+def checked_records(path: str | Path) -> Iterator[CheckedFields]:
+    """Yield the checked fields of each record of a corpus from outside the run, in file order.
+
+    Only an empty line (nothing left once its ``\n`` or ``\r\n`` is removed) is
+    skipped; a line of spaces and tabs is a record. A malformed record, or an id
+    that an earlier line holds, raises :class:`ParseError` at its line.
+    """
+    first_line: dict[str, int] = {}  # tweet id -> line it first appeared on
+    with open_corpus(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line == "\n" or line == "\r\n":
+                continue
+            fields = check_tweet_fields(line, line_no)
+            seen = first_line.setdefault(fields[0], line_no)
+            if seen != line_no:
+                raise ParseError(
+                    f"duplicate tweet id {fields[0]!r}, first on line {seen}", line_no
+                )
+            yield fields
+
+
 def stream_corpus(
     path: str | Path,
     lexicon: EmoticonLexicon,
@@ -290,27 +311,15 @@ def stream_corpus(
 ) -> Iterator[Tweet]:
     """Yield tweets whose timestamp falls in the requested split, in file order.
 
-    ``all`` parses every line. For the ``train`` and ``test`` splits, a line
-    whose timestamp field reads as outside the split is skipped without being
-    parsed; the field is read by :func:`parse_tweet_line`'s rule, so a line
-    whose timestamp it would reject is parsed and raises :class:`ParseError`
-    at its line.
+    Every split reads every record through :func:`checked_records`, so this
+    accepts exactly the corpora that ``ingest`` accepts, and a bad record
+    raises inside the split or not.
     """
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
-    with open_corpus(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            if split == "all":
-                tweet = parse_tweet_line(line, lexicon, line_no)
-                if window.contains(tweet.timestamp, split):
-                    yield tweet
-                continue
-            fields = line.split("\t", 3)
-            timestamp = _read_timestamp(fields[2]) if len(fields) > 2 else None
-            if timestamp is None or window.contains(timestamp, split):
-                yield parse_tweet_line(line, lexicon, line_no)
+    for fields in checked_records(path):
+        if window.contains(fields[2], split):
+            yield _derive_tweet(fields, lexicon)
 
 
 # The projections of read_normalized: each holds the fields of parse_tweet_line's

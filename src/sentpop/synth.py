@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ._lazy import np
-from .corpus import CorpusWindow, EmoticonLexicon, read_normalized, save_lexicon, sentiment_fields
+from .corpus import CorpusWindow, EmoticonLexicon, format_tweet_fields, read_normalized
+from .corpus import save_lexicon, sentiment_fields
 from .manifest import atomic_write, atomic_write_text, read_rows, write_lines
 from .energy import EnergyFunction, mrf_total, per_edge_energies
 from .graph import Edge, SocialGraph, canonical_edge, extract_community
@@ -277,9 +278,9 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
         for idx, (a, b) in enumerate(edges):
             ts = window.train_start + idx % train_len
             if idx % 2 == 0:
-                yield f"r{idx:07d}\t{a}\t{ts}\t-\t@{b} {_filler(idx)}"
+                yield format_tweet_fields(f"r{idx:07d}", a, ts, None, f"@{b} {_filler(idx)}")
             else:
-                yield f"r{idx:07d}\t{a}\t{ts}\t{b}\tfwd {_filler(idx)}"
+                yield format_tweet_fields(f"r{idx:07d}", a, ts, b, f"fwd {_filler(idx)}")
         counter = 0
         for u_idx, user in enumerate(users):
             cared = [k for k in range(config.n_topics) if cares[u_idx, k]]
@@ -297,7 +298,7 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
                     )
                 else:
                     tokens = [_filler(counter * 3), _filler(counter * 3 + 1)]
-                yield f"s{counter:07d}\t{user}\t{ts}\t-\t" + " ".join(tokens)
+                yield format_tweet_fields(f"s{counter:07d}", user, ts, None, " ".join(tokens))
                 counter += 1
 
     # the train split goes to the corpus file first. The corpus's only
@@ -393,8 +394,8 @@ def _generate(config: SynthConfig, out: Path, corpus_tmp: Path) -> GeneratedCorp
             for j in range(int(pops[k])):
                 ts = window.test_start + j * spacing
                 author = users[(counter + j) % config.n_users]
-                fillers = f"{_filler(2 * counter)} {_filler(2 * counter + 1)}"
-                yield f"p{counter:07d}\t{author}\t{ts}\t-\t#{tag}# {body} {fillers}"
+                text = f"#{tag}# {body} {_filler(2 * counter)} {_filler(2 * counter + 1)}"
+                yield format_tweet_fields(f"p{counter:07d}", author, ts, None, text)
                 counter += 1
 
     with open(corpus_tmp, "a", encoding="utf-8") as fh:

@@ -31,6 +31,7 @@ from sentpop.corpus import (
     load_lexicon,
     parse_tweet_line,
     read_normalized,
+    save_lexicon,
     sentiment_fields,
     stream_corpus,
     topic_fields,
@@ -183,10 +184,26 @@ def test_each_projection_is_the_parsed_tweet_cut_to_its_fields(records):
 
 
 _INGEST_WINDOW = CorpusWindow(-100, 0, 0, 100)
-# records of 5 fields, well-formed or not, and of 4 or 6; an id is made unique by
-# its line number, so that a line fails only the parser's own checks
+_INGEST_LEXICON = EmoticonLexicon({"[smile]": "positive"})
+
+
+def _ingest(corpus: Path, window: CorpusWindow) -> tuple[int, str]:
+    """Run ``ingest`` on ``corpus`` into its directory; return its exit code and stderr."""
+    out = corpus.parent
+    save_lexicon(_INGEST_LEXICON, out / "lexicon.tsv")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["ingest", "--out", str(out), "--corpus", str(corpus),
+                     "--lexicon", str(out / "lexicon.tsv"),
+                     "--window=" + ",".join(map(str, window))])
+    return code, stderr.getvalue()
+
+
+# records of 5 fields, well-formed or not, of 4 or 6, and lines with nothing but
+# spaces and tabs, or nothing at all; the id "t" is made unique by its line
+# number, so that only "dup" repeats an id
 _RAW_RECORDS = st.one_of(
-    st.tuples(st.just("t"), st.sampled_from(["u", "\u00fc7", "u 2"]),
+    st.tuples(st.sampled_from(["t", "dup"]), st.sampled_from(["u", "\u00fc7", "u 2"]),
               st.one_of(st.integers(-150, 150).map(str), st.sampled_from(["-0", "007"])),
               st.sampled_from(["-", "bob"]), _TEXT),
     st.tuples(st.sampled_from(["t", ""]), _FIELD,
@@ -195,44 +212,56 @@ _RAW_RECORDS = st.one_of(
               st.one_of(_TEXT, st.tuples(_TEXT, st.just("\r"), _TEXT).map("".join))),
     st.lists(_TEXT, min_size=4, max_size=4).map(tuple),
     st.lists(_TEXT, min_size=6, max_size=6).map(tuple),
+    st.sampled_from([("",), (" ",), ("",) * 5, (" ", "\t", "  ", "", " "), (" \t ",)]),
 )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(_RAW_RECORDS, st.sampled_from(["\n", "\r\n"])), max_size=4))
+@example([((" ", "\t", "  ", "", " "), "\n")])
+@example([(("dup", "u", "150", "-", "out"), "\n"), (("dup", "u", "5", "-", "in"), "\r\n")])
 def test_ingest_writes_the_parsers_line_or_raises_its_error(records):
     """ingest writes format_tweet_line(parse_tweet_line(line)) for each line in the
-    window, or stops with the parser's ParseError, line number included."""
+    window, or stops with the parser's ParseError, line number included; and
+    stream_corpus yields, in each split, the parsed tweets of the lines that ingest
+    wrote, or raises the same error."""
     lines = [
-        "\t".join((f"{fields[0]}{n}" if fields[0] else "", *fields[1:])) + ending
+        "\t".join((f"t{n}" if fields[0] == "t" else fields[0], *fields[1:])) + ending
         for n, (fields, ending) in enumerate(records, start=1)
     ]
-    expected, error = [], None
+    expected, error, first_line = [], None, {}
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue  # ingest skips a blank line, as every corpus reader does
+        if line in ("\n", "\r\n"):
+            continue  # only a line with nothing before its end is skipped
         try:
-            tweet = parse_tweet_line(line, EmoticonLexicon({}), line_no)
+            tweet = parse_tweet_line(line, _INGEST_LEXICON, line_no)
+            seen = first_line.setdefault(tweet.id, line_no)
+            if seen != line_no:
+                raise ParseError(f"duplicate tweet id {tweet.id!r}, first on line {seen}",
+                                 line_no)
         except ParseError as exc:
-            error = f"error: {exc}\n"
+            error = str(exc)
             break
         if _INGEST_WINDOW.contains(tweet.timestamp, "all"):
             expected.append(format_tweet_line(tweet) + "\n")
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
-        (out / "corpus.tsv").write_text("".join(lines), encoding="utf-8", newline="")
-        (out / "lexicon.tsv").write_text("[smile]\tpositive\n", encoding="utf-8")
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = main(["ingest", "--out", tmp, "--corpus", str(out / "corpus.tsv"),
-                         "--lexicon", str(out / "lexicon.tsv"),
-                         "--window=" + ",".join(map(str, _INGEST_WINDOW))])
-        if error is None:
-            assert (code, stderr.getvalue()) == (0, "")
-            written = (out / "corpus_normalized.tsv").read_text(encoding="utf-8")
-            assert written == "".join(expected)
-        else:
-            assert (code, stderr.getvalue()) == (1, error)
+        raw = Path(tmp) / "corpus.tsv"
+        raw.write_text("".join(lines), encoding="utf-8", newline="")
+        code, stderr = _ingest(raw, _INGEST_WINDOW)
+        if error is not None:
+            assert (code, stderr) == (1, f"error: {error}\n")
+            for split in SPLITS:
+                assert_raises(lambda: list(stream_corpus(raw, _INGEST_LEXICON, _INGEST_WINDOW,
+                                                         split)), ParseError, error)
+            return
+        assert (code, stderr) == (0, "")
+        written = (Path(tmp) / "corpus_normalized.tsv").read_text(encoding="utf-8")
+        assert written == "".join(expected)
+        tweets = [parse_tweet_line(line, _INGEST_LEXICON) for line in expected]
+        for split in SPLITS:
+            assert list(stream_corpus(raw, _INGEST_LEXICON, _INGEST_WINDOW, split)) == [
+                t for t in tweets if _INGEST_WINDOW.contains(t.timestamp, split)
+            ]
 
 
 # Hand-written reference tokenizer: walk the text and collect spans between
@@ -410,28 +439,17 @@ class TestStreamCorpus:
         with pytest.raises(ParseError, match="^line 3: carriage return"):
             list(stream_corpus(path, lexicon, self.WINDOW, "train"))
 
-    def test_lines_outside_the_split_are_not_parsed(self, tmp_path, lexicon, monkeypatch):
-        path = self._write(tmp_path, [10, 20, 99, 150, 199, 250])
-        parsed = []
-        real = sentpop.corpus.parse_tweet_line
-
-        def counting(line, lex, line_no=None):
-            parsed.append(line_no)
-            return real(line, lex, line_no)
-
-        monkeypatch.setattr(sentpop.corpus, "parse_tweet_line", counting)
-        for split, lines in (("train", [1, 2, 3]), ("test", [4, 5]), ("all", [1, 2, 3, 4, 5, 6])):
-            parsed.clear()
-            tweets = list(stream_corpus(path, lexicon, self.WINDOW, split))
-            assert [t.id for t in tweets] == [f"id{n - 1}" for n in lines if n != 6], split
-            assert parsed == lines, split
-
+    # a record outside the split, or one whose timestamp cannot be read, is still checked
     @pytest.mark.parametrize("split", ["train", "test"])
     @pytest.mark.parametrize("record, message", [
         ("c\tu\tsoon\t-\tthree", "bad timestamp 'soon'"),
         ("c\tu", "expected 5 tab-separated fields, got 2"),
         ("c\tu\t1\r0\t-\tthree", "carriage return inside the record"),
-    ], ids=["bad-timestamp", "short-record", "carriage-return"])
+        ("c\tu\t250\t-\tthree\tfour", "expected 5 tab-separated fields, got 6"),
+        ("\tu\t250\t-\tthree", "empty id or user field"),
+        ("a\tu\t250\t-\tthree", "duplicate tweet id 'a', first on line 1"),
+    ], ids=["bad-timestamp", "short-record", "carriage-return", "outside-six-fields",
+            "outside-empty-id", "outside-repeated-id"])
     def test_unreadable_timestamp_still_raises_at_its_line(
         self, tmp_path, lexicon, split, record, message
     ):
@@ -454,12 +472,31 @@ class TestStreamCorpus:
             list(stream_corpus(path, lexicon, self.WINDOW, split))
 
     @pytest.mark.parametrize("split", SPLITS)
-    def test_empty_and_whitespace_only_lines_are_skipped(self, tmp_path, lexicon, split):
+    def test_empty_and_crlf_only_lines_are_skipped(self, tmp_path, lexicon, split):
         path = tmp_path / "corpus.tsv"
-        path.write_text("\na\tu\t10\t-\tone\n \t \nb\tu\t150\t-\ttwo\n\n   \n",
-                        encoding="utf-8")
+        path.write_text("\na\tu\t10\t-\tone\n\r\nb\tu\t150\t-\ttwo\n\n\r\n",
+                        encoding="utf-8", newline="")
         ids = [t.id for t in stream_corpus(path, lexicon, self.WINDOW, split)]
         assert ids == {"train": ["a"], "test": ["b"], "all": ["a", "b"]}[split]
+
+    # a line of spaces and tabs is a record, not a blank line
+    @pytest.mark.parametrize("reader", [*SPLITS, "ingest"])
+    @pytest.mark.parametrize("record, message", [
+        ("\t\t\t\t", "empty id or user field"),
+        (" \t \t \t \t ", "bad timestamp ' '"),
+        (" \t ", "expected 5 tab-separated fields, got 2"),
+    ], ids=["tabs", "spaces-and-tabs", "spaces-and-a-tab"])
+    def test_a_whitespace_only_line_raises_at_its_line(
+        self, tmp_path, lexicon, reader, record, message
+    ):
+        path = tmp_path / "corpus.tsv"
+        path.write_text(f"a\tu\t10\t-\tone\n{record}\nb\tu\t150\t-\ttwo\n", encoding="utf-8")
+        if reader == "ingest":
+            assert _ingest(path, self.WINDOW) == (1, f"error: line 2: {message}\n")
+            assert not (tmp_path / "corpus_normalized.tsv").exists()
+        else:
+            assert_raises(lambda: list(stream_corpus(path, lexicon, self.WINDOW, reader)),
+                          ParseError, f"line 2: {message}")
 
     def test_crlf_line_ends_read_like_lf(self, tmp_path, lexicon):
         lf = self._write(tmp_path, [10, 20, 150])
@@ -497,10 +534,17 @@ def _callers(name: str) -> set[tuple[str, str]]:
 
 
 def test_only_ingest_and_the_two_corpus_readers_open_a_corpus():
-    # ingest checks the outside corpus; every stage after it, and synth reading
-    # back its own lines, reads a written corpus through read_normalized
+    # checked_records is the one reader of an outside corpus, for ingest and
+    # stream_corpus; every stage after ingest, and synth reading back its own
+    # lines, reads a written corpus through read_normalized
     assert _callers("open_corpus") == {
-        ("corpus.py", "stream_corpus"), ("corpus.py", "read_normalized"), ("cli.py", "cmd_ingest")
+        ("corpus.py", "checked_records"), ("corpus.py", "read_normalized")
+    }
+    assert _callers("checked_records") == {
+        ("cli.py", "cmd_ingest"), ("corpus.py", "stream_corpus")
+    }
+    assert _callers("check_tweet_fields") == {
+        ("corpus.py", "checked_records"), ("corpus.py", "parse_tweet_line")
     }
     assert _callers("read_normalized") == {
         ("cli.py", "cmd_graph"), ("cli.py", "cmd_topics"), ("cli.py", "cmd_sentiment"),
