@@ -17,7 +17,7 @@ derives only the fields that each of them uses.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from typing import NamedTuple, TextIO, TypeVar
 
@@ -169,10 +169,14 @@ def check_tweet_fields(line: str, line_no: int | None = None) -> CheckedFields:
 
     Raises :class:`ParseError` (carrying ``line_no``) for malformed records.
     """
-    line = line.removesuffix("\n").removesuffix("\r")
-    if "\r" in line:
-        raise ParseError("carriage return inside the record", line_no)
-    fields = line.split("\t")
+    record = line.removesuffix("\n")
+    if "\r" in record:
+        # only a carriage return just before the line's newline ends the record
+        if len(record) < len(line):
+            record = record.removesuffix("\r")
+        if "\r" in record:
+            raise ParseError("carriage return inside the record", line_no)
+    fields = record.split("\t")
     if len(fields) != 5:
         raise ParseError(f"expected 5 tab-separated fields, got {len(fields)}", line_no)
     tweet_id, user, ts_raw, retweet_raw, text = fields
@@ -251,29 +255,55 @@ def open_corpus(path: str | Path) -> TextIO:
     return open(path, encoding="utf-8-sig", newline="\n")
 
 
+def _decode_failure(
+    path: str | Path, exc: UnicodeDecodeError, raw_lines: Iterable[bytes]
+) -> tuple[int | None, str]:
+    """The number of the first of ``raw_lines`` that is not UTF-8, and the error's message.
+
+    A text reader's decoding error gives an offset into its buffer, not into a
+    line, so the line is found again in the file's bytes: valid input pays
+    nothing for it.
+    """
+    bad = " ".join(f"0x{b:02x}" for b in exc.object[exc.start : exc.end])
+    message = f"{path} is not UTF-8: {exc.reason} ({bad})"
+    for line_no, raw in enumerate(raw_lines, start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return line_no, message
+    return None, message
+
+
 def load_lexicon(path: str | Path) -> EmoticonLexicon:
     """Load a ``token<TAB>polarity`` TSV lexicon.
 
-    Duplicate tokens, unknown polarity labels and tokens that are not one
-    bracketed emoticon (``smile``, ``[a]b]``) are errors.
+    Duplicate tokens, unknown polarity labels, tokens that are not one
+    bracketed emoticon (``smile``, ``[a]b]``) and bytes that are not UTF-8
+    are errors, each raised as :class:`LexiconError` naming its line.
     """
     entries: dict[str, str] = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise LexiconError(f"line {line_no}: expected 2 fields, got {len(fields)}")
-            token, polarity = fields
-            if not _EMOTICON_RE.fullmatch(token):
-                raise LexiconError(f"line {line_no}: " + _NOT_BRACKETED.format(token))
-            if polarity not in POLARITIES:
-                raise LexiconError(f"line {line_no}: unknown polarity {polarity!r}")
-            if token in entries:
-                raise LexiconError(f"line {line_no}: duplicate token {token!r}")
-            entries[token] = polarity
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 2:
+                    raise LexiconError(f"line {line_no}: expected 2 fields, got {len(fields)}")
+                token, polarity = fields
+                if not _EMOTICON_RE.fullmatch(token):
+                    raise LexiconError(f"line {line_no}: " + _NOT_BRACKETED.format(token))
+                if polarity not in POLARITIES:
+                    raise LexiconError(f"line {line_no}: unknown polarity {polarity!r}")
+                if token in entries:
+                    raise LexiconError(f"line {line_no}: duplicate token {token!r}")
+                entries[token] = polarity
+    except UnicodeDecodeError as exc:
+        # the text reader split lines at "\r", "\n" and "\r\n", as splitlines does
+        with open(path, "rb") as raw:
+            line_no, message = _decode_failure(path, exc, raw.read().splitlines())
+        raise LexiconError(message if line_no is None else f"line {line_no}: {message}") from None
     return EmoticonLexicon(entries)
 
 
@@ -286,21 +316,28 @@ def checked_records(path: str | Path) -> Iterator[CheckedFields]:
     """Yield the checked fields of each record of a corpus from outside the run, in file order.
 
     Only an empty line (nothing left once its ``\n`` or ``\r\n`` is removed) is
-    skipped; a line of spaces and tabs is a record. A malformed record, or an id
-    that an earlier line holds, raises :class:`ParseError` at its line.
+    skipped; a line of spaces and tabs is a record. A malformed record, an id
+    that an earlier line holds, or bytes that are not UTF-8 raise
+    :class:`ParseError` at their line.
     """
     first_line: dict[str, int] = {}  # tweet id -> line it first appeared on
-    with open_corpus(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line == "\n" or line == "\r\n":
-                continue
-            fields = check_tweet_fields(line, line_no)
-            seen = first_line.setdefault(fields[0], line_no)
-            if seen != line_no:
-                raise ParseError(
-                    f"duplicate tweet id {fields[0]!r}, first on line {seen}", line_no
-                )
-            yield fields
+    try:
+        with open_corpus(path) as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if line == "\n" or line == "\r\n":
+                    continue
+                fields = check_tweet_fields(line, line_no)
+                seen = first_line.setdefault(fields[0], line_no)
+                if seen != line_no:
+                    raise ParseError(
+                        f"duplicate tweet id {fields[0]!r}, first on line {seen}", line_no
+                    )
+                yield fields
+    except UnicodeDecodeError as exc:
+        # binary lines split at "\n" alone, as open_corpus's do
+        with open(path, "rb") as raw:
+            line_no, message = _decode_failure(path, exc, raw)
+        raise ParseError(message, line_no) from None
 
 
 def stream_corpus(

@@ -172,17 +172,16 @@ def _predict_batch(
     return (feats @ model.weight_values + model.rho).tolist()
 
 
-def sgd_step(w: np.ndarray, rho: float, row: np.ndarray, target: float, eta: float) -> float:
-    """One per-sample update of the weights ``w``, in place; returns the new intercept.
+def sgd_step(c: np.ndarray, i: int, gram_row: np.ndarray, target: float, eta: float) -> None:
+    """One per-sample update, in dual coordinates: moves ``c[i]`` in place.
 
-    ``row`` is the sample's ``(1, d)`` feature row. A step may leave ``w`` or
-    the intercept non-finite; ``train`` reports that at the end of the epoch.
+    ``gram_row`` is row ``i`` of ``z z^T + 1``, so ``gram_row . c`` is sample
+    ``i``'s prediction under ``w = z^T c`` and ``rho = sum(c)``: the step is the
+    primal one, which adds ``-eta * error`` times row ``i`` to ``w`` and
+    ``-eta * error`` to ``rho``. A step may leave ``c`` non-finite; ``train``
+    reports that at the end of the epoch.
     """
-    err = float((row @ w)[0]) + rho - target
-    grad = row[0] * err
-    grad *= eta
-    w -= grad
-    return rho - eta * err
+    c[i] = c[i] - eta * (gram_row.dot(c) - target)
 
 
 # A column whose sd is at most this times the train matrix's largest magnitude
@@ -264,26 +263,34 @@ def train(
         z, mu, sd = _standardize(feats)
     targets = np.array([s.target for s in train_samples], dtype=np.float64)
     target_list = targets.tolist()
-    # (1, d) rows keep the residual's BLAS summation order of a batch of one
-    rows = [z[i : i + 1] for i in range(n)]
-    d = z.shape[1]
+    # Training starts at w = 0, rho = 0 and each step adds a multiple of one
+    # row z_i to w and the same multiple to rho, so w = z^T c and rho = sum(c)
+    # throughout: SGD runs on the n coefficients c, over the Gram matrix
+    # z z^T + 1, whatever the number d of features. One matrix-vector product
+    # per row builds it without a matrix-matrix product's BLAS buffers.
+    gram = np.empty((n, n), dtype=np.float64)
+    for i, row in enumerate(z):
+        np.dot(z, row, out=gram[i])
+    gram += 1.0
+    gram_rows = list(gram)
     eta = config.learning_rate
-    # row norms without a z * z copy
-    omega_max = eta * (float(np.einsum("ij,ij->i", z, z).max()) + 1.0)
-    w, rho = np.zeros(d, dtype=np.float64), 0.0
+    # the diagonal holds |z_i|^2 + 1
+    omega_max = eta * float(gram.diagonal().max())
+    c = np.zeros(n, dtype=np.float64)
 
     curve: list[float] = []
     plateaued = False
     prev = math.inf
     # The loss check is the only divergence check: NaN and inf absorb every
-    # later step, so a weight or intercept that stops being finite is still
-    # non-finite when its epoch ends. The steps of a diverging run raise
-    # floating-point warnings on the way there.
+    # later step, so a coefficient that stops being finite is still
+    # non-finite when its epoch ends, and so is its own residual, which the
+    # diagonal's |z_i|^2 + 1 >= 1 carries into the loss. The steps of a
+    # diverging run raise floating-point warnings on the way there.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             for i in rng.permutation(n).tolist():
-                rho = sgd_step(w, rho, rows[i], target_list[i], eta)
-            errors = z @ w + rho - targets
+                sgd_step(c, i, gram_rows[i], target_list[i], eta)
+            errors = gram @ c - targets
             epoch_loss = float(np.dot(errors, errors)) / (2.0 * n)
             curve.append(epoch_loss)
             if not math.isfinite(epoch_loss):
@@ -295,6 +302,7 @@ def train(
                 break
             prev = epoch_loss
 
+    w, rho = z.T @ c, float(c.sum())
     if kind == "linear":
         alpha = float(w[0])
         sd0 = float(sd[0])

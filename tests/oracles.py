@@ -34,7 +34,8 @@ from sentpop.stats import student_t_two_tailed_p
 
 def parse_tweet_line(line: str, lexicon: EmoticonLexicon, line_no: int | None = None) -> Tweet:
     """The plain parser ``corpus.parse_tweet_line`` meets: every text scanned for every marker."""
-    line = line.removesuffix("\n").removesuffix("\r")
+    if line.endswith("\n"):
+        line = line[:-1].removesuffix("\r")
     if "\r" in line:
         raise ParseError("carriage return inside the record", line_no)
     fields = line.split("\t")
@@ -200,13 +201,90 @@ def sgd_step(
     )
 
 
+def dual_step(
+    c: tuple[float, ...], gram: np.ndarray, i: int, target: float, eta: float
+) -> tuple[float, ...]:
+    """One per-sample step on the coefficients of ``w = z^T c``, ``rho = sum(c)``.
+
+    Sample ``i``'s prediction is row ``i`` of the Gram matrix ``z z^T + 1``
+    dotted with ``c``; the step moves ``c[i]`` alone, by ``-eta`` times its error.
+    """
+    error = float(np.dot(gram[i], np.array(c))) - target
+    return c[:i] + (c[i] - eta * error,) + c[i + 1 :]
+
+
 def object_per_step_train(
     kind: str, train_samples: Sequence[TopicSample], config: TrainConfig
 ) -> TrainResult:
-    """Per-sample SGD that builds a new model object on every step.
+    """Per-sample SGD in dual coordinates that builds a new coefficient tuple on every step.
 
     The definition ``predictor.train`` meets bit for bit: same zero start,
-    shuffles, plateau stop and end-of-epoch divergence check.
+    shuffles, plateau stop and end-of-epoch divergence check, and the same
+    dot products, one per row of ``z``, for the Gram matrix.
+    """
+    if kind not in PREDICTOR_KINDS:
+        raise ValueError(f"kind must be one of {PREDICTOR_KINDS}, got {kind!r}")
+    if not train_samples:
+        raise ValueError("train needs at least one sample")
+    rng = np.random.default_rng(config.rng_seed)
+    n = len(train_samples)
+    if kind == "linear":
+        edges: tuple[Edge, ...] = ()
+        z, mu, sd = standardize(np.array([[s.total_energy] for s in train_samples]))
+    else:
+        edges = train_samples[0].edges
+        for s in train_samples:
+            if s.edges is not edges and s.edges != edges:
+                raise ValueError("samples cover different edge sets")
+        z, mu, sd = standardize(np.stack([s.edge_energies for s in train_samples]))
+    targets = np.array([s.target for s in train_samples], dtype=np.float64)
+    gram = np.array([z @ row + 1.0 for row in z])
+    eta = config.learning_rate
+    omega_max = eta * max(float(gram[i, i]) for i in range(n))
+
+    c = (0.0,) * n
+    curve: list[float] = []
+    plateaued = False
+    prev = math.inf
+    # a diverging run overflows on the way; the loss check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            for i in rng.permutation(n).tolist():
+                c = dual_step(c, gram, i, float(targets[i]), eta)
+            errors = gram @ np.array(c) - targets
+            epoch_loss = float(np.dot(errors, errors)) / (2.0 * n)
+            curve.append(epoch_loss)
+            if not math.isfinite(epoch_loss):
+                raise TrainingDiverged(
+                    f"loss became non-finite at epoch {epoch}", epoch=epoch
+                )
+            if 0.0 <= prev - epoch_loss < config.stop_tol * prev:
+                plateaued = True
+                break
+            prev = epoch_loss
+
+    w = z.T @ np.array(c)
+    rho = float(np.sum(np.array(c)))
+    if kind == "linear":
+        alpha = float(w[0]) / float(sd[0])
+        model: LinearModel | EdgeModel = LinearModel(
+            alpha, rho - float(w[0]) * float(mu[0]) / float(sd[0])
+        )
+    else:
+        model = EdgeModel(edges, w / sd, rho - float(np.dot(w, mu / sd)))
+    return TrainResult(
+        model=model, omega_max=omega_max, loss_curve=curve, plateaued=plateaued
+    )
+
+
+def primal_per_step_train(
+    kind: str, train_samples: Sequence[TopicSample], config: TrainConfig
+) -> TrainResult:
+    """Per-sample SGD on the weights and intercept, a new model object on every step.
+
+    The primal form of the run ``predictor.train`` makes in dual coordinates:
+    same zero start, shuffles, plateau stop and end-of-epoch divergence check,
+    with sums taken in another order, so equal to it up to rounding.
     """
     if kind not in PREDICTOR_KINDS:
         raise ValueError(f"kind must be one of {PREDICTOR_KINDS}, got {kind!r}")

@@ -1341,6 +1341,37 @@ def test_ingest_reports_a_lone_carriage_return_at_its_line(tmp_path, capsys):
     assert "line 3: carriage return inside the record" in capsys.readouterr().err
 
 
+def test_ingest_rejects_a_carriage_return_that_ends_the_file(tmp_path, capsys):
+    # no newline follows it, so it is inside the last record, as on any other line
+    corpus = b"a\tu\t5\t-\tone\nb\tu\t6\t-\ttwo\r"
+    assert _ingest_text(tmp_path, "cr", corpus, window="0,10,10,20") == 1
+    assert capsys.readouterr().err == "error: line 2: carriage return inside the record\n"
+    assert not (tmp_path / "cr" / "corpus_normalized.tsv").exists()
+
+
+def test_ingest_names_the_file_and_line_of_a_corpus_byte_that_is_not_utf8(tmp_path, capsys):
+    corpus = _corpus_lines("one", "two", "three", "four").replace(b"three", b"th\xffree")
+    assert _ingest_text(tmp_path, "bad", corpus) == 1
+    assert capsys.readouterr().err == (
+        f"error: line 3: {tmp_path / 'bad.tsv'} is not UTF-8: invalid start byte (0xff)\n"
+    )
+    assert not (tmp_path / "bad" / "corpus_normalized.tsv").exists()
+
+
+def test_ingest_names_the_file_and_line_of_a_lexicon_byte_that_is_not_utf8(tmp_path, capsys):
+    # lines end in "\n", "\r\n" and a lone "\r", as the lexicon's reader splits them
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_bytes(b"[smile]\tpositive\r\n[meh]\tneutral\r[cry]\tneg\xe2tive\n")
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_bytes(_corpus_lines("one [smile]"))
+    assert run("ingest", "--out", tmp_path / "run", "--corpus", corpus,
+               "--lexicon", lexicon, "--window", WINDOW_FLAG) == 1
+    assert capsys.readouterr().err == (
+        f"error: line 3: {lexicon} is not UTF-8: invalid continuation byte (0xe2)\n"
+    )
+    assert not (tmp_path / "run" / "corpus_normalized.tsv").exists()
+
+
 def test_ingest_normalizes_a_crlf_corpus_like_its_lf_twin(tmp_path):
     lf = _corpus_lines("one [smile]", "#tag# two", "@u1 three [cry]")
     assert _ingest_text(tmp_path, "lf", lf) == 0

@@ -217,22 +217,32 @@ _RAW_RECORDS = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(_RAW_RECORDS, st.sampled_from(["\n", "\r\n"])), max_size=4))
-@example([((" ", "\t", "  ", "", " "), "\n")])
-@example([(("dup", "u", "150", "-", "out"), "\n"), (("dup", "u", "5", "-", "in"), "\r\n")])
-def test_ingest_writes_the_parsers_line_or_raises_its_error(records):
+@given(records=st.lists(st.tuples(_RAW_RECORDS, st.sampled_from(["\n", "\r\n"])), max_size=4),
+       last_ending=st.sampled_from([None, "", "\r"]))
+@example(records=[((" ", "\t", "  ", "", " "), "\n")], last_ending=None)
+@example(records=[(("dup", "u", "150", "-", "out"), "\n"), (("dup", "u", "5", "-", "in"), "\r\n")],
+         last_ending=None)
+@example(records=[(("t", "u", "5", "-", "one"), "\n"), (("t", "u", "6", "-", "two"), "\n")],
+         last_ending="\r")
+@example(records=[(("t", "u", "5", "-", "one"), "\n"), (("",), "\n")], last_ending="")
+def test_ingest_writes_the_parsers_line_or_raises_its_error(records, last_ending):
     """ingest writes format_tweet_line(parse_tweet_line(line)) for each line in the
     window, or stops with the parser's ParseError, line number included; and
     stream_corpus yields, in each split, the parsed tweets of the lines that ingest
-    wrote, or raises the same error."""
+    wrote, or raises the same error. The file's last line may also end without a
+    newline, or in a carriage return alone."""
+    if records and last_ending is not None:
+        records = [*records[:-1], (records[-1][0], last_ending)]
     lines = [
         "\t".join((f"t{n}" if fields[0] == "t" else fields[0], *fields[1:])) + ending
         for n, (fields, ending) in enumerate(records, start=1)
     ]
     expected, error, first_line = [], None, {}
     for line_no, line in enumerate(lines, start=1):
-        if line in ("\n", "\r\n"):
-            continue  # only a line with nothing before its end is skipped
+        if line in ("\n", "\r\n", ""):
+            # only a line with nothing before its end is skipped; an empty
+            # last line without one is not in the file at all
+            continue
         try:
             tweet = parse_tweet_line(line, _INGEST_LEXICON, line_no)
             seen = first_line.setdefault(tweet.id, line_no)
