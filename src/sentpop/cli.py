@@ -24,6 +24,7 @@ from .corpus import (
     checked_records,
     format_tweet_fields,
     graph_fields,
+    is_integer,
     load_lexicon,
     read_normalized,
     save_lexicon,
@@ -109,19 +110,16 @@ def _out_meta(path: Path, rows: int) -> dict:
 
 
 def _csv_ints(text: str, flag: str) -> list[int]:
-    """The integers of ``flag``'s comma list; the error for an item that is none names both."""
+    """The integers of ``flag``'s comma list, spelled as timestamps; an error names both."""
     items = text.split(",")
     if not any(items):
         return []  # "" and "," list nothing: the caller says what it needed
-    values = []
     for item in items:
         if not item:
             raise ValueError(f"{flag} has an empty item: {text!r}")
-        try:
-            values.append(int(item))
-        except ValueError:
-            raise ValueError(f"{flag} lists {item!r}, which is not an integer") from None
-    return values
+        if not is_integer(item):
+            raise ValueError(f"{flag} lists {item!r}, which is not an integer")
+    return [int(item) for item in items]
 
 
 def _distinct(gaps: list[int]) -> list[int]:

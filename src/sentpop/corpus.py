@@ -2,22 +2,22 @@
 
 Corpus files are UTF-8 with one record per line:
 ``id<TAB>user<TAB>timestamp<TAB>retweet_of_or_dash<TAB>text``.
-Lines end in a newline or a carriage return and newline; a carriage return
-anywhere else in a record is an error, so corpora are read with
-:func:`open_corpus`.
 Hashtags, mentions and emoticon counts are extracted from the text at parse
 time, so a serialized tweet always round-trips to identical fields.
 
-A corpus from outside is read only by :func:`checked_records`, for ``ingest``
-and :func:`stream_corpus`. The corpus that ``ingest`` writes is not checked
-again: the stages after it read it through :func:`read_normalized`, which
-derives only the fields that each of them uses.
+Every file from outside the run (corpus, lexicon, stopwords) is read through
+:func:`outside_records`, which holds the one line rule and names the file and
+the line in every error. A corpus from outside is checked only by
+:func:`checked_records`, for ``ingest`` and :func:`stream_corpus`. The corpus
+that ``ingest`` writes is not checked again: the stages after it read it
+through :func:`read_normalized`, which derives only the fields each uses.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple, TextIO, TypeVar
 
@@ -41,16 +41,16 @@ CheckedFields = tuple[str, str, int, str | None, str]
 
 
 class ParseError(ValueError):
-    """A malformed corpus record."""
+    """A malformed line of a file from outside the run: ``<path>: line N: <what>``, as known."""
 
-    def __init__(self, message: str, line_no: int | None = None):
+    def __init__(self, what: str, line_no: int | None = None, path: str | Path | None = None):
+        self.what = what
         self.line_no = line_no
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+        message = what if line_no is None else f"line {line_no}: {what}"
+        super().__init__(message if path is None else f"{path}: {message}")
 
 
-class LexiconError(ValueError):
+class LexiconError(ParseError):
     """A malformed or inconsistent emoticon lexicon file."""
 
 
@@ -164,27 +164,35 @@ class CorpusWindow(_Bounds):
         raise ValueError(f"unknown split {split!r}")
 
 
-def check_tweet_fields(line: str, line_no: int | None = None) -> CheckedFields:
-    """Check one corpus record and return its ``(id, user, timestamp, retweet_of, text)``.
+def is_integer(text: str) -> bool:
+    """An optional ``-`` then ASCII digits; ``int()`` would also take ``1_0`` or `` +7 ``."""
+    return text.isascii() and text.removeprefix("-").isdigit()
 
-    Raises :class:`ParseError` (carrying ``line_no``) for malformed records.
-    """
+
+def _record(line: str, line_no: int | None, error: type[ParseError] = ParseError) -> str:
+    """``line`` without its line end, which is ``\n`` or ``\r\n``; any other ``\r`` is an error."""
     record = line.removesuffix("\n")
     if "\r" in record:
         # only a carriage return just before the line's newline ends the record
         if len(record) < len(line):
             record = record.removesuffix("\r")
         if "\r" in record:
-            raise ParseError("carriage return inside the record", line_no)
+            raise error("carriage return inside the record", line_no)
+    return record
+
+
+def check_tweet_fields(record: str, line_no: int | None = None) -> CheckedFields:
+    """Check one record (a line without its end); return ``(id, user, timestamp, retweet_of, text)``.
+
+    Raises :class:`ParseError` (carrying ``line_no``) for malformed records.
+    """
     fields = record.split("\t")
     if len(fields) != 5:
         raise ParseError(f"expected 5 tab-separated fields, got {len(fields)}", line_no)
     tweet_id, user, ts_raw, retweet_raw, text = fields
     if not tweet_id or not user:
         raise ParseError("empty id or user field", line_no)
-    # a timestamp is an optional "-" then ASCII digits; int() would also take
-    # "1_0", " +7 " and non-ASCII digits
-    if not (ts_raw.isascii() and ts_raw.removeprefix("-").isdigit()):
+    if not is_integer(ts_raw):
         raise ParseError(f"bad timestamp {ts_raw!r}", line_no)
     timestamp = int(ts_raw)
     retweet_of = None if retweet_raw == NO_RETWEET else retweet_raw
@@ -221,11 +229,12 @@ def _derive_tweet(fields: CheckedFields, lexicon: EmoticonLexicon) -> Tweet:
 def parse_tweet_line(
     line: str, lexicon: EmoticonLexicon, line_no: int | None = None
 ) -> Tweet:
-    """Parse one corpus record into a :class:`Tweet`: check its fields, then derive the rest.
+    """Parse one corpus line into a :class:`Tweet`: check its fields, then derive the rest.
 
-    Raises :class:`ParseError` (carrying ``line_no``) for malformed records.
+    The line may end in ``\n`` or ``\r\n``. Raises :class:`ParseError`
+    (carrying ``line_no``) for malformed records.
     """
-    return _derive_tweet(check_tweet_fields(line, line_no), lexicon)
+    return _derive_tweet(check_tweet_fields(_record(line, line_no), line_no), lexicon)
 
 
 def format_tweet_fields(
@@ -244,66 +253,71 @@ def format_tweet_line(tweet: Tweet) -> str:
 
 
 def open_corpus(path: str | Path) -> TextIO:
-    """Open a corpus file for reading, split into lines at newlines only.
-
-    Universal newlines would also split a record at a lone carriage return and
-    report a wrong line number; here the carriage return stays in its line for
-    :func:`check_tweet_fields` to reject. A leading byte-order mark, which some
-    editors write, is dropped rather than read into the first tweet's id; the
-    outside files that a stage loads (lexicon, stopwords) are read the same way.
-    """
+    """Open a corpus for reading: lines split at ``\n`` only, so that a lone ``\r`` stays in its
+    line to be rejected, and a leading byte-order mark dropped, not read into the first id."""
     return open(path, encoding="utf-8-sig", newline="\n")
 
 
-def _decode_failure(
-    path: str | Path, exc: UnicodeDecodeError, raw_lines: Iterable[bytes]
-) -> tuple[int | None, str]:
-    """The number of the first of ``raw_lines`` that is not UTF-8, and the error's message.
+def _undecodable_line(path: str | Path) -> int | None:
+    """The first line of ``path`` (split as :func:`open_corpus` splits) that is not UTF-8:
+    a decoding error's offset is into the reader's buffer. Valid input pays nothing."""
+    with open(path, "rb") as raw:
+        for line_no, line in enumerate(raw, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return None
 
-    A text reader's decoding error gives an offset into its buffer, not into a
-    line, so the line is found again in the file's bytes: valid input pays
-    nothing for it.
+
+def _numbered_records(lines: Iterable[str], error: type[ParseError]) -> Iterator[tuple[int, str]]:
+    for line_no, line in enumerate(lines, start=1):
+        record = line.removesuffix("\n")
+        if "\r" in record:  # the rule, called only for a line that holds a "\r"
+            record = _record(line, line_no, error)
+        if record:
+            yield line_no, record
+
+
+@contextmanager
+def outside_records(
+    path: str | Path, error: type[ParseError] = ParseError
+) -> Iterator[Iterator[tuple[int, str]]]:
+    """``with outside_records(path) as records``: a file from outside the run, as
+    ``(line_no, record)`` for each line that is not empty.
+
+    A record is its line without the line end, ``\n`` or ``\r\n``; any other
+    carriage return, or bytes that are not UTF-8, raise ``error`` at the line.
+    Each :class:`ParseError` raised in the block leaves it with ``path`` in front.
     """
-    bad = " ".join(f"0x{b:02x}" for b in exc.object[exc.start : exc.end])
-    message = f"{path} is not UTF-8: {exc.reason} ({bad})"
-    for line_no, raw in enumerate(raw_lines, start=1):
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError:
-            return line_no, message
-    return None, message
+    try:
+        with open_corpus(path) as fh:
+            yield _numbered_records(fh, error)
+    except UnicodeDecodeError as exc:
+        bad = " ".join(f"0x{b:02x}" for b in exc.object[exc.start : exc.end])
+        raise error(f"not UTF-8: {exc.reason} ({bad})", _undecodable_line(path), path) from None
+    except ParseError as exc:
+        raise type(exc)(exc.what, exc.line_no, path) from None
 
 
 def load_lexicon(path: str | Path) -> EmoticonLexicon:
-    """Load a ``token<TAB>polarity`` TSV lexicon.
-
-    Duplicate tokens, unknown polarity labels, tokens that are not one
-    bracketed emoticon (``smile``, ``[a]b]``) and bytes that are not UTF-8
-    are errors, each raised as :class:`LexiconError` naming its line.
-    """
+    """Load a ``token<TAB>polarity`` TSV lexicon. A duplicate token, an unknown polarity, a
+    token that is not one bracketed emoticon (``smile``, ``[a]b]``) and a fault of
+    :func:`outside_records` raise :class:`LexiconError` naming the file and the line."""
     entries: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise LexiconError(f"line {line_no}: expected 2 fields, got {len(fields)}")
-                token, polarity = fields
-                if not _EMOTICON_RE.fullmatch(token):
-                    raise LexiconError(f"line {line_no}: " + _NOT_BRACKETED.format(token))
-                if polarity not in POLARITIES:
-                    raise LexiconError(f"line {line_no}: unknown polarity {polarity!r}")
-                if token in entries:
-                    raise LexiconError(f"line {line_no}: duplicate token {token!r}")
-                entries[token] = polarity
-    except UnicodeDecodeError as exc:
-        # the text reader split lines at "\r", "\n" and "\r\n", as splitlines does
-        with open(path, "rb") as raw:
-            line_no, message = _decode_failure(path, exc, raw.read().splitlines())
-        raise LexiconError(message if line_no is None else f"line {line_no}: {message}") from None
+    with outside_records(path, LexiconError) as records:
+        for line_no, record in records:
+            fields = record.split("\t")
+            if len(fields) != 2:
+                raise LexiconError(f"expected 2 fields, got {len(fields)}", line_no)
+            token, polarity = fields
+            if not _EMOTICON_RE.fullmatch(token):
+                raise LexiconError(_NOT_BRACKETED.format(token), line_no)
+            if polarity not in POLARITIES:
+                raise LexiconError(f"unknown polarity {polarity!r}", line_no)
+            if token in entries:
+                raise LexiconError(f"duplicate token {token!r}", line_no)
+            entries[token] = polarity
     return EmoticonLexicon(entries)
 
 
@@ -315,29 +329,17 @@ def save_lexicon(lexicon: EmoticonLexicon, path: str | Path) -> int:
 def checked_records(path: str | Path) -> Iterator[CheckedFields]:
     """Yield the checked fields of each record of a corpus from outside the run, in file order.
 
-    Only an empty line (nothing left once its ``\n`` or ``\r\n`` is removed) is
-    skipped; a line of spaces and tabs is a record. A malformed record, an id
-    that an earlier line holds, or bytes that are not UTF-8 raise
-    :class:`ParseError` at their line.
+    A line of spaces and tabs is a record. A malformed record, an id that an earlier
+    line holds and a fault of :func:`outside_records` raise :class:`ParseError`.
     """
     first_line: dict[str, int] = {}  # tweet id -> line it first appeared on
-    try:
-        with open_corpus(path) as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if line == "\n" or line == "\r\n":
-                    continue
-                fields = check_tweet_fields(line, line_no)
-                seen = first_line.setdefault(fields[0], line_no)
-                if seen != line_no:
-                    raise ParseError(
-                        f"duplicate tweet id {fields[0]!r}, first on line {seen}", line_no
-                    )
-                yield fields
-    except UnicodeDecodeError as exc:
-        # binary lines split at "\n" alone, as open_corpus's do
-        with open(path, "rb") as raw:
-            line_no, message = _decode_failure(path, exc, raw)
-        raise ParseError(message, line_no) from None
+    with outside_records(path) as records:
+        for line_no, record in records:
+            fields = check_tweet_fields(record, line_no)
+            seen = first_line.setdefault(fields[0], line_no)
+            if seen != line_no:
+                raise ParseError(f"duplicate tweet id {fields[0]!r}, first on line {seen}", line_no)
+            yield fields
 
 
 def stream_corpus(

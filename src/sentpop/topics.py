@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 
-from .corpus import CorpusWindow, TopicFields, Tweet
+from .corpus import CorpusWindow, TopicFields, Tweet, outside_records
 from .manifest import read_rows, write_lines
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
@@ -165,14 +165,10 @@ def attach_key_phrases(topic: Topic, phrases: Sequence[str]) -> Topic:
 
 
 def load_stopwords(path: str | Path) -> set[str]:
-    """One token per line; blank lines ignored."""
-    words: set[str] = set()
-    with open(path, encoding="utf-8-sig") as fh:
-        for line in fh:
-            word = line.strip()
-            if word:
-                words.add(word)
-    return words
+    """One token per line, stripped; read through :func:`~sentpop.corpus.outside_records`,
+    whose faults raise :class:`~sentpop.corpus.ParseError` naming the file and the line."""
+    with outside_records(path) as records:
+        return {word for _, record in records if (word := record.strip())}
 
 
 def save_catalog(topics: Sequence[Topic], path: str | Path) -> int:

@@ -478,6 +478,14 @@ def test_huge_planted_popularity_is_rejected_before_the_cast(tmp_path, capsys, f
                  id="ingest-window-three-items"),
     pytest.param(("train", "--gaps", "1,,10"), "--gaps has an empty item: '1,,10'",
                  id="train-gaps-empty-item"),
+    # int() reads each of these; a flag's integer is spelled as a corpus timestamp is
+    pytest.param(("train", "--gaps", "1_0"), "--gaps lists '1_0', which is not an integer",
+                 id="train-gaps-underscore"),
+    pytest.param(("ingest", "--corpus", "corpus.tsv", "--lexicon", "lexicon.tsv",
+                  "--window", "0,1_000,10368000,15552000"),
+                 "--window lists '1_000', which is not an integer", id="ingest-window-underscore"),
+    pytest.param(("correlate", "--gaps", " +2,\u0663"),
+                 "--gaps lists ' +2', which is not an integer", id="correlate-gaps-plus-and-digit"),
     pytest.param(("synth", "--planted", "edge-weights", "--weight-range", "1"),
                  "--weight-range needs lo,hi: '1'", id="synth-weight-range-one-value"),
 ])
@@ -1341,25 +1349,8 @@ def test_ingest_reports_a_lone_carriage_return_at_its_line(tmp_path, capsys):
     assert "line 3: carriage return inside the record" in capsys.readouterr().err
 
 
-def test_ingest_rejects_a_carriage_return_that_ends_the_file(tmp_path, capsys):
-    # no newline follows it, so it is inside the last record, as on any other line
-    corpus = b"a\tu\t5\t-\tone\nb\tu\t6\t-\ttwo\r"
-    assert _ingest_text(tmp_path, "cr", corpus, window="0,10,10,20") == 1
-    assert capsys.readouterr().err == "error: line 2: carriage return inside the record\n"
-    assert not (tmp_path / "cr" / "corpus_normalized.tsv").exists()
-
-
-def test_ingest_names_the_file_and_line_of_a_corpus_byte_that_is_not_utf8(tmp_path, capsys):
-    corpus = _corpus_lines("one", "two", "three", "four").replace(b"three", b"th\xffree")
-    assert _ingest_text(tmp_path, "bad", corpus) == 1
-    assert capsys.readouterr().err == (
-        f"error: line 3: {tmp_path / 'bad.tsv'} is not UTF-8: invalid start byte (0xff)\n"
-    )
-    assert not (tmp_path / "bad" / "corpus_normalized.tsv").exists()
-
-
 def test_ingest_names_the_file_and_line_of_a_lexicon_byte_that_is_not_utf8(tmp_path, capsys):
-    # lines end in "\n", "\r\n" and a lone "\r", as the lexicon's reader splits them
+    # lines end in "\n" or "\r\n"; a lone "\r" ends none, so the bad byte is on line 2
     lexicon = tmp_path / "lexicon.tsv"
     lexicon.write_bytes(b"[smile]\tpositive\r\n[meh]\tneutral\r[cry]\tneg\xe2tive\n")
     corpus = tmp_path / "corpus.tsv"
@@ -1367,9 +1358,88 @@ def test_ingest_names_the_file_and_line_of_a_lexicon_byte_that_is_not_utf8(tmp_p
     assert run("ingest", "--out", tmp_path / "run", "--corpus", corpus,
                "--lexicon", lexicon, "--window", WINDOW_FLAG) == 1
     assert capsys.readouterr().err == (
-        f"error: line 3: {lexicon} is not UTF-8: invalid continuation byte (0xe2)\n"
+        f"error: {lexicon}: line 2: not UTF-8: invalid continuation byte (0xe2)\n"
     )
     assert not (tmp_path / "run" / "corpus_normalized.tsv").exists()
+
+
+# The three files from outside the run, each read by its stage through
+# corpus.outside_records: ingest reads the corpus and the lexicon, topics the
+# stopwords. Each case varies the "\n" file of _outside_lf_bytes.
+_OUTSIDE_ARTIFACTS = {
+    "corpus": ("corpus_normalized.tsv", "lexicon_normalized.tsv"),
+    "lexicon": ("corpus_normalized.tsv", "lexicon_normalized.tsv"),
+    "stopwords": ("catalog.tsv",),
+}
+_TWINS = {
+    "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+    "byte-order-mark": lambda data: b"\xef\xbb\xbf" + data,
+    "empty-lines": lambda data: b"\n" + data.replace(b"\n", b"\n\r\n\n", 1),
+}
+# per fault: the file's bytes with it, the line it names, and what it says; a "\r"
+# that ends the file has no newline after it, so it is inside the last line
+_FAULTS = {
+    "cr-inside-line-1": (lambda data: data.replace(b"\n", b"\r", 1), lambda data: 1,
+                         "carriage return inside the record"),
+    "cr-ending-the-file": (lambda data: data[:-1] + b"\r", lambda data: data.count(b"\n"),
+                           "carriage return inside the record"),
+    "not-utf8-on-line-2": (lambda data: data.replace(b"\n", b"\nx\xffy", 1), lambda data: 2,
+                           "not UTF-8: invalid start byte (0xff)"),
+}
+
+
+def _outside_lf_bytes(pipeline_dir, kind) -> bytes:
+    """The ``kind`` file that synth wrote. Its stopwords are no key phrase, so the
+    first key phrase of each topic comes first: a word misread changes the catalog."""
+    data = (pipeline_dir / f"{kind}.tsv").read_bytes()
+    if kind == "stopwords":
+        rows = (pipeline_dir / "catalog.tsv").read_text().splitlines()
+        data = "".join(f"{row.split()[3].split(',')[0]}\n" for row in rows).encode() + data
+    return data
+
+
+def _run_outside_reader(pipeline_dir, out, kind, path):
+    """Run ingest, then topics if ``kind`` is stopwords, into ``out``, with ``path`` as
+    the ``kind`` file and ``pipeline_dir``'s files as the others; return the exit code."""
+    files = {name: pipeline_dir / f"{name}.tsv" for name in _OUTSIDE_ARTIFACTS}
+    files[kind] = path
+    code = run("ingest", "--out", out, "--corpus", files["corpus"],
+               "--lexicon", files["lexicon"], "--window", WINDOW_FLAG)
+    if kind == "stopwords":
+        assert code == 0
+        code = run("topics", "--out", out, "--stopwords", files["stopwords"])
+    return code
+
+
+@pytest.mark.parametrize("twin", _TWINS)
+@pytest.mark.parametrize("kind", _OUTSIDE_ARTIFACTS)
+def test_an_outside_file_reads_like_its_lf_twin(pipeline_dir, tmp_path, kind, twin):
+    lf, path = tmp_path / f"lf_{kind}.tsv", tmp_path / f"{kind}.tsv"
+    lf.write_bytes(_outside_lf_bytes(pipeline_dir, kind))
+    path.write_bytes(_TWINS[twin](lf.read_bytes()))
+    assert _run_outside_reader(pipeline_dir, tmp_path / "lf", kind, lf) == 0
+    assert _run_outside_reader(pipeline_dir, tmp_path / "twin", kind, path) == 0
+    for name in _OUTSIDE_ARTIFACTS[kind]:
+        assert (tmp_path / "twin" / name).read_bytes() == (tmp_path / "lf" / name).read_bytes()
+    if kind == "stopwords":
+        assert (tmp_path / "lf" / "catalog.tsv").read_bytes() != (
+            pipeline_dir / "catalog.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+@pytest.mark.parametrize("kind", _OUTSIDE_ARTIFACTS)
+def test_an_outside_file_fault_names_the_file_and_line(pipeline_dir, tmp_path, capsys, kind,
+                                                      fault):
+    make, line_of, what = _FAULTS[fault]
+    lf = _outside_lf_bytes(pipeline_dir, kind)
+    path = tmp_path / f"{kind}.tsv"
+    path.write_bytes(make(lf))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert _run_outside_reader(pipeline_dir, out, kind, path) == 1
+    assert capsys.readouterr().err == f"error: {path}: line {line_of(lf)}: {what}\n"
+    for name in _OUTSIDE_ARTIFACTS[kind]:
+        assert not (out / name).exists()
 
 
 def test_ingest_normalizes_a_crlf_corpus_like_its_lf_twin(tmp_path):

@@ -227,10 +227,10 @@ _RAW_RECORDS = st.one_of(
 @example(records=[(("t", "u", "5", "-", "one"), "\n"), (("",), "\n")], last_ending="")
 def test_ingest_writes_the_parsers_line_or_raises_its_error(records, last_ending):
     """ingest writes format_tweet_line(parse_tweet_line(line)) for each line in the
-    window, or stops with the parser's ParseError, line number included; and
-    stream_corpus yields, in each split, the parsed tweets of the lines that ingest
-    wrote, or raises the same error. The file's last line may also end without a
-    newline, or in a carriage return alone."""
+    window, or stops with the parser's ParseError, the file's path and the line
+    number in front; and stream_corpus yields, in each split, the parsed tweets of
+    the lines that ingest wrote, or raises the same error. The file's last line may
+    also end without a newline, or in a carriage return alone."""
     if records and last_ending is not None:
         records = [*records[:-1], (records[-1][0], last_ending)]
     lines = [
@@ -259,6 +259,7 @@ def test_ingest_writes_the_parsers_line_or_raises_its_error(records, last_ending
         raw.write_text("".join(lines), encoding="utf-8", newline="")
         code, stderr = _ingest(raw, _INGEST_WINDOW)
         if error is not None:
+            error = f"{raw}: {error}"
             assert (code, stderr) == (1, f"error: {error}\n")
             for split in SPLITS:
                 assert_raises(lambda: list(stream_corpus(raw, _INGEST_LEXICON, _INGEST_WINDOW,
@@ -372,7 +373,8 @@ class TestLexicon:
     def test_token_no_text_could_count_is_rejected(self, tmp_path, token):
         path = tmp_path / "lex.tsv"
         path.write_text(f"[cry]\tnegative\n{token}\tpositive\n")
-        with pytest.raises(LexiconError, match=r"^line 2: token .* not one bracketed emoticon"):
+        with pytest.raises(LexiconError, match=rf"^{re.escape(str(path))}: line 2: token .* "
+                                               "not one bracketed emoticon"):
             load_lexicon(path)
         with pytest.raises(LexiconError, match="not one bracketed emoticon"):
             EmoticonLexicon({"[cry]": "negative", token: "positive"})
@@ -446,7 +448,7 @@ class TestStreamCorpus:
     def test_lone_carriage_return_is_an_error_on_its_own_line(self, tmp_path, lexicon):
         path = tmp_path / "corpus.tsv"
         path.write_bytes(b"a\tu\t10\t-\tone\nb\tu\t20\t-\ttwo\nc\tu\t30\t-\tth\rree\nd\tu\t40\t-\tx\n")
-        with pytest.raises(ParseError, match="^line 3: carriage return"):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 3: carriage return"):
             list(stream_corpus(path, lexicon, self.WINDOW, "train"))
 
     # a record outside the split, or one whose timestamp cannot be read, is still checked
@@ -465,7 +467,7 @@ class TestStreamCorpus:
     ):
         path = tmp_path / "corpus.tsv"
         path.write_text(f"a\tu\t10\t-\tone\nb\tu\t150\t-\ttwo\n{record}\n", newline="")
-        with pytest.raises(ParseError, match=f"^line 3: {message}"):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 3: {message}"):
             list(stream_corpus(path, lexicon, self.WINDOW, split))
 
     # int() reads each as 150, in the test interval; the parser takes none of them
@@ -478,7 +480,8 @@ class TestStreamCorpus:
     ):
         path = tmp_path / "corpus.tsv"
         path.write_text(f"a\tu\t10\t-\tone\nb\tu\t{ts}\t-\ttwo\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=f"^line 2: bad timestamp {re.escape(repr(ts))}$"):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: "
+                                             f"bad timestamp {re.escape(repr(ts))}$"):
             list(stream_corpus(path, lexicon, self.WINDOW, split))
 
     @pytest.mark.parametrize("split", SPLITS)
@@ -502,11 +505,11 @@ class TestStreamCorpus:
         path = tmp_path / "corpus.tsv"
         path.write_text(f"a\tu\t10\t-\tone\n{record}\nb\tu\t150\t-\ttwo\n", encoding="utf-8")
         if reader == "ingest":
-            assert _ingest(path, self.WINDOW) == (1, f"error: line 2: {message}\n")
+            assert _ingest(path, self.WINDOW) == (1, f"error: {path}: line 2: {message}\n")
             assert not (tmp_path / "corpus_normalized.tsv").exists()
         else:
             assert_raises(lambda: list(stream_corpus(path, lexicon, self.WINDOW, reader)),
-                          ParseError, f"line 2: {message}")
+                          ParseError, f"{path}: line 2: {message}")
 
     def test_crlf_line_ends_read_like_lf(self, tmp_path, lexicon):
         lf = self._write(tmp_path, [10, 20, 150])
@@ -544,11 +547,23 @@ def _callers(name: str) -> set[tuple[str, str]]:
 
 
 def test_only_ingest_and_the_two_corpus_readers_open_a_corpus():
-    # checked_records is the one reader of an outside corpus, for ingest and
-    # stream_corpus; every stage after ingest, and synth reading back its own
+    # outside_records is the one reader of a file from outside the run: the
+    # corpus (checked_records, for ingest and stream_corpus), the lexicon and
+    # the stopwords; every stage after ingest, and synth reading back its own
     # lines, reads a written corpus through read_normalized
     assert _callers("open_corpus") == {
-        ("corpus.py", "checked_records"), ("corpus.py", "read_normalized")
+        ("corpus.py", "outside_records"), ("corpus.py", "read_normalized")
+    }
+    assert _callers("outside_records") == {
+        ("corpus.py", "checked_records"), ("corpus.py", "load_lexicon"),
+        ("topics.py", "load_stopwords"),
+    }
+    # every other open is of bytes to digest or rescan, of an artifact the run
+    # writes or wrote, or of the manifest
+    assert _callers("open") == {
+        ("corpus.py", "open_corpus"), ("corpus.py", "_undecodable_line"),
+        ("manifest.py", "file_digest"), ("manifest.py", "write_lines"),
+        ("manifest.py", "read_rows"), ("manifest.py", "RunManifest"), ("synth.py", "_generate"),
     }
     assert _callers("checked_records") == {
         ("cli.py", "cmd_ingest"), ("corpus.py", "stream_corpus")
@@ -585,9 +600,11 @@ _WINDOW = CorpusWindow(0, 10, 10, 20)
                  ValueError, "split must be one of ('train', 'test', 'all'), got 'both'",
                  id="normalized-split"),
     pytest.param(lambda tmp: load_lexicon(_lexicon_file(tmp, "[x]\tpositive\textra\n")),
-                 LexiconError, "line 1: expected 2 fields, got 3", id="lexicon-fields-3"),
+                 LexiconError, "{tmp}/lex.tsv: line 1: expected 2 fields, got 3",
+                 id="lexicon-fields-3"),
     pytest.param(lambda tmp: load_lexicon(_lexicon_file(tmp, "[y]\tnegative\n[x]\n")),
-                 LexiconError, "line 2: expected 2 fields, got 1", id="lexicon-fields-1"),
+                 LexiconError, "{tmp}/lex.tsv: line 2: expected 2 fields, got 1",
+                 id="lexicon-fields-1"),
 ])
 def test_rejected_input_raises_its_message(tmp_path, call, error, message):
-    assert_raises(lambda: call(tmp_path), error, message)
+    assert_raises(lambda: call(tmp_path), error, message.format(tmp=tmp_path))
