@@ -4,7 +4,8 @@
 registered in ``sys.modules`` through :class:`importlib.util.LazyLoader`, so
 numpy's ``__init__`` runs on the first attribute access (``np.array``) or
 ``import numpy`` anywhere in the process. Stages that do no array math
-(``ingest``, ``graph``, ``topics``, ``sentiment``) never pay for it.
+(``ingest``, ``graph``, ``topics``, ``sentiment``, ``correlate`` and
+``evaluate --predictor linear``) never pay for it.
 
 Before Python 3.13, ``LazyLoader`` does not lock the load: the first use of
 ``np`` must not race across threads.

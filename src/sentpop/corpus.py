@@ -258,20 +258,15 @@ def open_corpus(path: str | Path) -> TextIO:
     return open(path, encoding="utf-8-sig", newline="\n")
 
 
-def _undecodable_line(path: str | Path) -> int | None:
-    """The first line of ``path`` (split as :func:`open_corpus` splits) that is not UTF-8:
-    a decoding error's offset is into the reader's buffer. Valid input pays nothing."""
-    with open(path, "rb") as raw:
-        for line_no, line in enumerate(raw, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return line_no
-    return None
-
-
-def _numbered_records(lines: Iterable[str], error: type[ParseError]) -> Iterator[tuple[int, str]]:
-    for line_no, line in enumerate(lines, start=1):
+def _numbered_records(raw: Iterable[bytes], error: type[ParseError]) -> Iterator[tuple[int, str]]:
+    # each line is decoded alone, so the first fault in file order is the one
+    # raised; no UTF-8 sequence holds a 0x0a byte, so the lines are the text's
+    for line_no, data in enumerate(raw, start=1):
+        try:
+            line = data.decode("utf-8-sig" if line_no == 1 else "utf-8")
+        except UnicodeDecodeError as exc:
+            bad = " ".join(f"0x{b:02x}" for b in exc.object[exc.start : exc.end])
+            raise error(f"not UTF-8: {exc.reason} ({bad})", line_no) from None
         record = line.removesuffix("\n")
         if "\r" in record:  # the rule, called only for a line that holds a "\r"
             record = _record(line, line_no, error)
@@ -286,16 +281,15 @@ def outside_records(
     """``with outside_records(path) as records``: a file from outside the run, as
     ``(line_no, record)`` for each line that is not empty.
 
-    A record is its line without the line end, ``\n`` or ``\r\n``; any other
-    carriage return, or bytes that are not UTF-8, raise ``error`` at the line.
-    Each :class:`ParseError` raised in the block leaves it with ``path`` in front.
+    Lines split at ``\n`` only, and a byte-order mark that starts the file is
+    dropped. A record is its line without the line end, ``\n`` or ``\r\n``;
+    any other carriage return, or bytes that are not UTF-8, raise ``error`` at
+    the line. Each :class:`ParseError` raised in the block leaves it with
+    ``path`` in front.
     """
     try:
-        with open_corpus(path) as fh:
-            yield _numbered_records(fh, error)
-    except UnicodeDecodeError as exc:
-        bad = " ".join(f"0x{b:02x}" for b in exc.object[exc.start : exc.end])
-        raise error(f"not UTF-8: {exc.reason} ({bad})", _undecodable_line(path), path) from None
+        with open(path, "rb") as raw:
+            yield _numbered_records(raw, error)
     except ParseError as exc:
         raise type(exc)(exc.what, exc.line_no, path) from None
 

@@ -1376,6 +1376,13 @@ _TWINS = {
     "byte-order-mark": lambda data: b"\xef\xbb\xbf" + data,
     "empty-lines": lambda data: b"\n" + data.replace(b"\n", b"\n\r\n\n", 1),
 }
+
+
+def _cr_then_bad_byte(gap: bytes):
+    """A lone carriage return inside line 1, and a 0xff byte ``gap`` bytes after that line."""
+    return lambda data: data.replace(b"\n", b"\r", 1).replace(b"\n", b"\n" + gap + b"\xff", 1)
+
+
 # per fault: the file's bytes with it, the line it names, and what it says; a "\r"
 # that ends the file has no newline after it, so it is inside the last line
 _FAULTS = {
@@ -1385,6 +1392,11 @@ _FAULTS = {
                            "carriage return inside the record"),
     "not-utf8-on-line-2": (lambda data: data.replace(b"\n", b"\nx\xffy", 1), lambda data: 2,
                            "not UTF-8: invalid start byte (0xff)"),
+    # the first of two faults in file order is the one named, however far apart
+    "cr-on-line-1-then-not-utf8-near": (_cr_then_bad_byte(b""), lambda data: 1,
+                                        "carriage return inside the record"),
+    "cr-on-line-1-then-not-utf8-far": (_cr_then_bad_byte(b"\n" * 65536), lambda data: 1,
+                                       "carriage return inside the record"),
 }
 
 

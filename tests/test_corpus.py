@@ -551,17 +551,15 @@ def test_only_ingest_and_the_two_corpus_readers_open_a_corpus():
     # corpus (checked_records, for ingest and stream_corpus), the lexicon and
     # the stopwords; every stage after ingest, and synth reading back its own
     # lines, reads a written corpus through read_normalized
-    assert _callers("open_corpus") == {
-        ("corpus.py", "outside_records"), ("corpus.py", "read_normalized")
-    }
+    assert _callers("open_corpus") == {("corpus.py", "read_normalized")}
     assert _callers("outside_records") == {
         ("corpus.py", "checked_records"), ("corpus.py", "load_lexicon"),
         ("topics.py", "load_stopwords"),
     }
-    # every other open is of bytes to digest or rescan, of an artifact the run
-    # writes or wrote, or of the manifest
+    # besides the two readers, every open is of bytes to digest, of an artifact
+    # the run writes or wrote, or of the manifest
     assert _callers("open") == {
-        ("corpus.py", "open_corpus"), ("corpus.py", "_undecodable_line"),
+        ("corpus.py", "open_corpus"), ("corpus.py", "outside_records"),
         ("manifest.py", "file_digest"), ("manifest.py", "write_lines"),
         ("manifest.py", "read_rows"), ("manifest.py", "RunManifest"), ("synth.py", "_generate"),
     }
